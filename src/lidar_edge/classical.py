@@ -69,6 +69,16 @@ def threshold_magnitude(field: GradientField, t: float) -> np.ndarray:
     return (mag >= t * peak).astype(np.float64)
 
 
+def magnitude_levels(field: GradientField, grid: np.ndarray) -> np.ndarray:
+    """Level map of threshold_magnitude(field, t) over an ascending grid:
+    at index k, level > k."""
+    mag = field.magnitude
+    peak = mag.max()
+    if peak < 1e-12:
+        return np.zeros(mag.shape, dtype=np.intp)
+    return np.searchsorted(grid * peak, mag, side="right")
+
+
 def _nms(mag: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Thin the magnitude to local maxima along the gradient direction,
     quantized to 0/45/90/135 degrees. A pixel survives when it is >= both
@@ -112,21 +122,34 @@ def _hysteresis(nms: np.ndarray, low: float, high: float) -> np.ndarray:
     return edges.astype(np.float64)
 
 
+def _thinned_gradient(img: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
+    """Canny's threshold-free front end: (NMS-thinned magnitude, peak)."""
+    field = sobel(gaussian_filter(as_image(img), sigma))
+    mag = field.magnitude
+    return _nms(mag, field.gx, field.gy), mag.max()
+
+
 def canny(img: np.ndarray, sigma: float = 1.0, low: float = 0.1,
           high: float = 0.2) -> np.ndarray:
     """Canny pipeline: Gaussian smoothing, Sobel gradients, non-maximum
     suppression, double threshold at fractions of the peak magnitude,
     hysteresis linking."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
     if not (0.0 <= low < high <= 1.0):
         raise ParameterError(f"need 0 <= low < high <= 1, got low={low} high={high}")
-    smoothed = gaussian_filter(as_image(img), sigma)
-    field = sobel(smoothed)
-    mag = field.magnitude
-    peak = mag.max()
+    thinned, peak = _thinned_gradient(img, sigma)
     # flat images leave only floating-point cancellation residue; treat as empty
     if peak < 1e-12:
-        return np.zeros_like(mag)
-    thinned = _nms(mag, field.gx, field.gy)
+        return np.zeros_like(thinned)
     return _hysteresis(thinned, low * peak, high * peak)
+
+
+def canny_levels(img: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
+    """Level map of canny(img, sigma, t / 2, t) over an ascending grid
+    from 0, where every pixel is marked: at index k, level > k. The
+    front end runs once for the whole grid."""
+    thinned, peak = _thinned_gradient(img, sigma)
+    levels = np.ones(thinned.shape, dtype=np.intp)
+    if peak >= 1e-12:
+        for t in grid[1:]:
+            levels += _hysteresis(thinned, (t / 2.0) * peak, t * peak).astype(np.intp)
+    return levels

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from . import classical
 from .config import Config
 from .errors import (ConfigError, DivergenceError, LidarEdgeError,
                      ModelLoadError, ParameterError)
-from .evaluation import (best_f1_threshold, comparison_csv, comparison_table,
-                         compare_detectors)
+from .evaluation import (best_f1, comparison_csv, comparison_table,
+                         compare_detectors, prob_levels, sweep, threshold_grid)
 from .formats import read_lri, read_manifest, read_pgm, write_manifest, write_pgm
 from .lidar import generate_dataset, range_to_intensity
 from .modelio import load_model, save_model
@@ -33,14 +34,47 @@ from .models import NestedNetParams, PatchNetParams, forward_nested
 from .training import (grad_check, load_split, patch_prob_map, runlog_csv,
                        split_dataset, train_nested, train_patch)
 
-ALGORITHMS = ("canny", "sobel", "roberts", "cnn", "patchcnn")
-
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_MISSING = 4
 EXIT_DIVERGED = 5
+
+
+class Detector(NamedTuple):
+    """levels(model, img, grid, **setting) is the level map over the threshold
+    grid, edges(model, img, t, **setting) the edge map at t; None for both
+    when the detector is not tuned."""
+    levels: Callable | None
+    edges: Callable | None
+    settings: tuple = ({},)
+    model: str | None = None
+
+
+def _above(prob: np.ndarray, t: float) -> np.ndarray:
+    return (prob >= t).astype(np.float64)
+
+
+# in the row order of `compare`
+DETECTORS = {
+    "cnn": Detector(
+        lambda m, im, grid: prob_levels(forward_nested(m, im).fused, grid),
+        lambda m, im, t: _above(forward_nested(m, im).fused, t), model="nested"),
+    "canny": Detector(
+        lambda m, im, grid, sigma: classical.canny_levels(im, grid, sigma),
+        lambda m, im, t, sigma: classical.canny(im, sigma=sigma, low=t / 2.0, high=t),
+        settings=tuple({"sigma": s} for s in (1.0, 1.5, 2.0, 2.5))),
+    "sobel": Detector(
+        lambda m, im, grid: classical.magnitude_levels(classical.sobel(im), grid),
+        lambda m, im, t: classical.threshold_magnitude(classical.sobel(im), t)),
+    "roberts": Detector(
+        lambda m, im, grid: classical.magnitude_levels(classical.roberts(im), grid),
+        lambda m, im, t: classical.threshold_magnitude(classical.roberts(im), t)),
+    "patchcnn": Detector(None, None, model="patch"),  # detect only: no dense pass yet
+}
+TUNABLE = tuple(name for name, d in DETECTORS.items() if d.levels is not None)
+MODEL_KINDS = {"nested": NestedNetParams, "patch": PatchNetParams}
 
 
 def _load_config(args) -> Config:
@@ -63,6 +97,13 @@ def _out_dir(cfg: Config) -> Path:
 def _model_path(cfg: Config) -> Path:
     explicit = cfg.raw["paths"]["model"]
     return Path(explicit) if explicit else _out_dir(cfg) / "model.ledm"
+
+
+def _load_params(cfg: Config):
+    model_path = _model_path(cfg)
+    if not model_path.exists():
+        raise ModelLoadError(f"model file not found: {model_path}")
+    return load_model(model_path)
 
 
 def cmd_gen_data(args) -> int:
@@ -130,9 +171,10 @@ def _read_input_image(path: Path) -> np.ndarray:
 
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
-    if args.algorithm not in ALGORITHMS:
+    detector = DETECTORS.get(args.algorithm)
+    if detector is None:
         print(f"error: unknown algorithm {args.algorithm!r} "
-              f"(choose from {', '.join(ALGORITHMS)})", file=sys.stderr)
+              f"(choose from {', '.join(DETECTORS)})", file=sys.stderr)
         return EXIT_USAGE
     input_path = Path(args.input)
     if not input_path.exists():
@@ -140,86 +182,49 @@ def cmd_detect(args) -> int:
         return EXIT_MISSING
     img = _read_input_image(input_path)
     out_path = Path(args.output)
-    if args.algorithm in ("cnn", "patchcnn"):
-        model_path = _model_path(cfg)
-        if not model_path.exists():
-            print(f"error: model file not found: {model_path}", file=sys.stderr)
-            return EXIT_MISSING
-        params = load_model(model_path)
+    if detector.model is not None:
+        params = _load_params(cfg)
+        if not isinstance(params, MODEL_KINDS[detector.model]):
+            print(f"error: {_model_path(cfg)} is not a {detector.model} model",
+                  file=sys.stderr)
+            return EXIT_USAGE
         if args.algorithm == "cnn":
-            if not isinstance(params, NestedNetParams):
-                print(f"error: {model_path} is not a nested model", file=sys.stderr)
-                return EXIT_USAGE
             trace = forward_nested(params, img)
-            prob = trace.fused
-            write_pgm(out_path.with_suffix(".prob.pgm"), prob)
-            for i, side in enumerate(trace.side_probs):
-                write_pgm(out_path.with_suffix(f".side{i}.pgm"), side)
+            prob, sides = trace.fused, trace.side_probs
         else:
-            if not isinstance(params, PatchNetParams):
-                print(f"error: {model_path} is not a patch model", file=sys.stderr)
-                return EXIT_USAGE
-            prob = patch_prob_map(params, img)
-            write_pgm(out_path.with_suffix(".prob.pgm"), prob)
-        edge = (prob >= args.threshold).astype(np.float64)
+            prob, sides = patch_prob_map(params, img), []
+        write_pgm(out_path.with_suffix(".prob.pgm"), prob)
+        for i, side in enumerate(sides):
+            write_pgm(out_path.with_suffix(f".side{i}.pgm"), side)
+        edge = _above(prob, args.threshold)
     elif args.algorithm == "canny":
         edge = classical.canny(img, sigma=args.sigma, low=args.low, high=args.high)
     else:
-        field = classical.sobel(img) if args.algorithm == "sobel" else classical.roberts(img)
-        edge = classical.threshold_magnitude(field, args.threshold)
+        edge = detector.edges(None, img, args.threshold)
     write_pgm(out_path, edge)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
-def _tuned_detectors(cfg: Config, val_samples, params):
-    """Baseline thresholds tuned on the validation split (best pooled
-    F1 over a grid); the CNN threshold comes from best_f1_threshold."""
-    n_thr = int(cfg.raw["eval"]["n_thresholds"])
-    val_truths = [label for _, label in val_samples]
-
-    def tune(prob_fn):
-        probs = [prob_fn(img) for img, _ in val_samples]
-        return best_f1_threshold(probs, val_truths, n_thr)
-
+def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
+    """The named detectors, in table order, tuned on the validation
+    split: one sweep of the threshold grid per setting, by pooled F1.
+    Ties go to the smaller threshold, then to the earlier setting.
+    Detectors that need a model are left out when params is None."""
+    grid = threshold_grid(int(cfg.raw["eval"]["n_thresholds"]))
     detectors = []
-    if params is not None:
-        cnn_t, _ = tune(lambda im: forward_nested(params, im).fused)
-        detectors.append(("cnn", lambda im, t=cnn_t:
-                          (forward_nested(params, im).fused >= t).astype(np.float64), cnn_t))
-
-    grid = np.linspace(0.0, 1.0, n_thr)
-
-    def tune_classical(make_edge):
-        best_t, best_f1 = 0.0, -1.0
-        from .evaluation import ConfusionMatrix, confusion, metrics
-        for t in grid:
-            cm = ConfusionMatrix()
-            for img, truth in val_samples:
-                cm = cm + confusion(make_edge(img, float(t)), truth)
-            f1 = metrics(cm).f1
-            if f1 > best_f1:
-                best_t, best_f1 = float(t), f1
-        return best_t, best_f1
-
-    # canny's smoothing width is tuned alongside its threshold
-    canny_t, canny_sigma, canny_f1 = 0.0, 1.0, -1.0
-    for sigma in (1.0, 1.5, 2.0, 2.5):
-        t, f1 = tune_classical(
-            lambda im, t, s=sigma: classical.canny(im, sigma=s, low=t / 2.0, high=t)
-            if t > 0 else np.ones_like(im))
-        if f1 > canny_f1:
-            canny_t, canny_sigma, canny_f1 = t, sigma, f1
-    detectors.append(("canny", lambda im, t=canny_t, s=canny_sigma:
-                      classical.canny(im, sigma=s, low=t / 2.0, high=t), canny_t))
-    sobel_t, _ = tune_classical(
-        lambda im, t: classical.threshold_magnitude(classical.sobel(im), t))
-    detectors.append(("sobel", lambda im, t=sobel_t:
-                      classical.threshold_magnitude(classical.sobel(im), t), sobel_t))
-    roberts_t, _ = tune_classical(
-        lambda im, t: classical.threshold_magnitude(classical.roberts(im), t))
-    detectors.append(("roberts", lambda im, t=roberts_t:
-                      classical.threshold_magnitude(classical.roberts(im), t), roberts_t))
+    for name in TUNABLE:
+        det = DETECTORS[name]
+        if name not in names or (det.model and params is None):
+            continue
+        tuned = []
+        for setting in det.settings:
+            levels = ((det.levels(params, img, grid, **setting), truth)
+                      for img, truth in val_samples)
+            tuned.append((*best_f1(sweep(levels, len(grid)), grid), setting))
+        t, _, setting = max(tuned, key=lambda c: c[1])  # first of equals
+        detectors.append((name, lambda im, det=det, t=t, s=setting:
+                          det.edges(params, im, t, **s), t))
     return detectors
 
 
@@ -236,21 +241,14 @@ def cmd_compare(args) -> int:
         print("error: empty detector list", file=sys.stderr)
         return EXIT_USAGE
     for name in requested:
-        if name not in ("cnn", "canny", "sobel", "roberts"):
+        if name not in TUNABLE:
             print(f"error: unknown detector {name!r}", file=sys.stderr)
             return EXIT_USAGE
     manifest = read_manifest(manifest_path)
     val_samples = load_split(manifest, dataset_dir, "val")
     test_samples = load_split(manifest, dataset_dir, "test")
-    params = None
-    if "cnn" in requested:
-        model_path = _model_path(cfg)
-        if not model_path.exists():
-            print(f"error: model file not found: {model_path}", file=sys.stderr)
-            return EXIT_MISSING
-        params = load_model(model_path)
-    detectors = [d for d in _tuned_detectors(cfg, val_samples, params)
-                 if d[0] in requested]
+    params = _load_params(cfg) if "cnn" in requested else None
+    detectors = _tuned_detectors(cfg, val_samples, params, requested)
     reports = compare_detectors(test_samples, detectors,
                                 tolerance=int(cfg.raw["eval"]["tolerance"]))
     with open(out / "comparison.csv", "w", encoding="ascii") as f:
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input image (PGM or LRI1)")
     p.add_argument("output", help="output edge map (PGM)")
     p.add_argument("--algorithm", default="canny",
-                   help=f"one of {', '.join(ALGORITHMS)}")
+                   help=f"one of {', '.join(DETECTORS)}")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="binarization threshold (fraction of max for sobel/roberts)")
     p.add_argument("--sigma", type=float, default=1.0, help="canny smoothing sigma")
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="evaluate detectors on the test split")
     common(p)
-    p.add_argument("--detectors", default="cnn,canny,sobel,roberts",
+    p.add_argument("--detectors", default=",".join(TUNABLE),
                    help="comma-separated detector list")
     p.set_defaults(func=cmd_compare)
 

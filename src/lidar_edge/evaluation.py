@@ -99,49 +99,67 @@ def metrics(cm: ConfusionMatrix, name: str = "", threshold: float = 0.5) -> Metr
                          threshold=threshold)
 
 
-def _pooled_counts(probs: list, truths: list, threshold: float) -> ConfusionMatrix:
-    cm = ConfusionMatrix()
-    for prob, truth in zip(probs, truths):
-        cm = cm + confusion((prob >= threshold).astype(np.float64), truth)
-    return cm
+def threshold_grid(n_thresholds: int) -> np.ndarray:
+    """The n equally spaced thresholds in [0, 1] that every sweep uses."""
+    if n_thresholds < 2:
+        raise ParameterError("need at least 2 thresholds")
+    return np.linspace(0.0, 1.0, n_thresholds)
 
 
-def _check_aligned(probs: list, truths: list) -> None:
+def prob_levels(prob: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Level map of prob >= t over an ascending grid: at index k, level > k."""
+    return np.searchsorted(grid, as_prob_map(prob), side="right")
+
+
+def sweep(pairs, n_thresholds: int) -> list[ConfusionMatrix]:
+    """Pooled confusion counts at every index k of an n-point threshold
+    grid, from (level map, truth) pairs read one at a time; a pixel is
+    predicted an edge at k when its level exceeds k."""
+    n_levels = n_thresholds + 1
+    hist = np.zeros(2 * n_levels, dtype=np.int64)  # non-edge levels, then edge levels
+    for level, truth in pairs:
+        is_edge = as_edge_map(truth) == 1.0
+        if level.shape != is_edge.shape:
+            raise DimensionError(f"level map {level.shape} vs truth {is_edge.shape}")
+        hist += np.bincount((is_edge * n_levels + level).ravel(), minlength=2 * n_levels)
+    hist = hist.reshape(2, n_levels)
+    n_neg, n_pos = hist.sum(axis=1)
+    # pixels at level l are marked at every index k < l
+    fps, tps = hist.sum(axis=1, keepdims=True) - np.cumsum(hist, axis=1)[:, :-1]
+    return [ConfusionMatrix(int(tp), int(fp), int(n_pos - tp), int(n_neg - fp))
+            for tp, fp in zip(tps, fps)]
+
+
+def best_f1(counts: list[ConfusionMatrix], grid: np.ndarray) -> tuple[float, float]:
+    """The grid threshold with the best F1 of a sweep, and that F1; ties
+    go to the smaller threshold."""
+    f1s = [metrics(cm).f1 for cm in counts]
+    k = f1s.index(max(f1s))
+    return float(grid[k]), f1s[k]
+
+
+def _prob_sweep(probs: list, truths: list, n_thresholds: int):
     if len(probs) != len(truths) or not probs:
         raise DimensionError("probability and truth sets are misaligned or empty")
-    for p, t in zip(probs, truths):
-        if as_prob_map(p).shape != as_edge_map(t).shape:
-            raise DimensionError(f"map shapes differ: {p.shape} vs {t.shape}")
+    grid = threshold_grid(n_thresholds)
+    return grid, sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)),
+                       n_thresholds)
 
 
 def roc(probs: list, truths: list, n_thresholds: int = 51) -> list[tuple[float, float, float]]:
     """(threshold, TPR, FPR) at n equally spaced thresholds, descending,
     with counts pooled over the whole set."""
-    _check_aligned(probs, truths)
-    if n_thresholds < 2:
-        raise ParameterError("need at least 2 thresholds")
-    curve = []
-    for t in np.linspace(1.0, 0.0, n_thresholds):
-        cm = _pooled_counts(probs, truths, float(t))
-        tpr = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
-        fpr = cm.fp / (cm.fp + cm.tn) if cm.fp + cm.tn else 0.0
-        curve.append((float(t), tpr, fpr))
-    return curve
+    grid, counts = _prob_sweep(probs, truths, n_thresholds)
+    return [(float(t), metrics(cm).recall, cm.fp / (cm.fp + cm.tn) if cm.fp + cm.tn else 0.0)
+            for t, cm in zip(grid[::-1], counts[::-1])]
 
 
 def best_f1_threshold(probs: list, truths: list,
                       n_thresholds: int = 51) -> tuple[float, float]:
     """Threshold on the same grid as roc() maximizing pooled F1;
     ties go to the smaller threshold."""
-    _check_aligned(probs, truths)
-    if n_thresholds < 2:
-        raise ParameterError("need at least 2 thresholds")
-    best_t, best_f1 = 0.0, -1.0
-    for t in np.linspace(0.0, 1.0, n_thresholds):
-        f1 = metrics(_pooled_counts(probs, truths, float(t))).f1
-        if f1 > best_f1:
-            best_t, best_f1 = float(t), f1
-    return best_t, best_f1
+    grid, counts = _prob_sweep(probs, truths, n_thresholds)
+    return best_f1(counts, grid)
 
 
 def compare_detectors(samples: list, detectors: list,

@@ -55,8 +55,11 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(raw[start:pos])
     if tokens[0] != b"P5":
         raise ParameterError(f"{path}: not a binary PGM (P5) file")
+    if not all(tok.isdigit() and len(tok) <= 9 and int(tok) > 0 for tok in tokens[1:]):
+        raise ParameterError(f"{path}: PGM width, height and maxval must be positive "
+                             f"integers of at most 9 digits, got {b' '.join(tokens[1:])!r}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval <= 0 or maxval > 255:
+    if maxval > 255:
         raise ParameterError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
     if len(raw) - pos < h * w:

@@ -184,14 +184,8 @@ def fuse_sides(sides: list, alpha: np.ndarray) -> np.ndarray:
     return sum(a * s for a, s in zip(alpha, sides))
 
 
-def forward_nested(params: NestedNetParams, x: np.ndarray,
-                   train_mode: bool = False, seed: int = 0) -> ForwardTrace:
-    """Full forward pass; retains every intermediate needed by backward.
-
-    train_mode and seed are part of the call contract for symmetry with
-    the patch net; the nested variant itself has no stochastic layers.
-    """
-    del train_mode, seed
+def forward_nested(params: NestedNetParams, x: np.ndarray) -> ForwardTrace:
+    """Full forward pass; retains every intermediate needed by backward."""
     x = _as_chw(x)
     if x.shape[1:] != tuple(params.arch.input_hw):
         raise DimensionError(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lidar_edge.classical import (ROBERTS_1, ROBERTS_2, SOBEL_X, SOBEL_Y,
-                                  canny, roberts, sobel, threshold_magnitude)
+                                  canny, canny_levels, magnitude_levels,
+                                  roberts, sobel, threshold_magnitude)
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.rng import SplitMix64
 
@@ -167,3 +168,46 @@ class TestCanny:
             canny(np.zeros((8, 8)), 1.0, 0.5, 0.3)
         with pytest.raises(ParameterError):
             canny(np.zeros((8, 8)), -1.0, 0.1, 0.2)
+
+
+GRID = np.linspace(0.0, 1.0, 51)
+
+
+def oracle_images():
+    """Random, step and flat images for the level-map oracles."""
+    rng = SplitMix64(12)
+    return [rng.floats(256).reshape(16, 16) for _ in range(2)] + [
+        vertical_step(), vertical_step().T, np.full((16, 16), 0.4)]
+
+
+class TestLevelMaps:
+    """level > k must equal the detector called at grid threshold k."""
+
+    @pytest.mark.parametrize("gradient", [sobel, roberts])
+    def test_magnitude_levels_match_threshold_magnitude(self, gradient):
+        for img in oracle_images():
+            levels = magnitude_levels(gradient(img), GRID)
+            for k, t in enumerate(GRID):
+                np.testing.assert_array_equal(
+                    (levels > k).astype(np.float64),
+                    threshold_magnitude(gradient(img), float(t)))
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_canny_levels_match_canny(self, sigma):
+        for img in oracle_images():
+            levels = canny_levels(img, GRID, sigma)
+            assert np.all(levels > 0)  # t = 0 marks every pixel
+            for k, t in enumerate(GRID[1:], start=1):
+                t = float(t)
+                np.testing.assert_array_equal(
+                    (levels > k).astype(np.float64),
+                    canny(img, sigma=sigma, low=t / 2.0, high=t))
+
+    def test_flat_image_levels(self):
+        flat = np.full((16, 16), 0.4)
+        assert not magnitude_levels(sobel(flat), GRID).any()
+        np.testing.assert_array_equal(canny_levels(flat, GRID, 1.0), 1)
+
+    def test_canny_levels_bad_sigma(self):
+        with pytest.raises(ParameterError):
+            canny_levels(np.zeros((8, 8)), GRID, 0.0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lidar_edge import cli
+from lidar_edge import classical, cli
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
 
 SMALL_CFG = {
@@ -146,6 +146,23 @@ class TestDetect:
                          str(tmp_path / "o.pgm"), "--config", str(cfg_path)])
         assert code == cli.EXIT_MISSING
 
+    @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n-4 -4\n255\n",
+                                        b"P5\n0 4\n255\n"])
+    def test_malformed_pgm_header_is_usage_error(self, workdir, tmp_path, header):
+        _, cfg_path, _ = workdir
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + bytes(16))
+        code = cli.main(["detect", str(bad), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--algorithm", "sobel"])
+        assert code == cli.EXIT_USAGE
+
+    def test_model_kind_mismatch(self, workdir, pgm_image, tmp_path):
+        _, cfg_path, out_dir = workdir
+        code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--out", str(out_dir),
+                         "--algorithm", "patchcnn"])
+        assert code == cli.EXIT_USAGE
+
     def test_cnn_without_model(self, workdir, pgm_image, tmp_path):
         _, cfg_path, _ = workdir
         code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
@@ -173,6 +190,42 @@ class TestCompare:
                          "--detectors", "cnn,canny"]) == cli.EXIT_OK
         csv = (out / "comparison.csv").read_text()
         assert "cnn," in csv and "canny," in csv
+
+    @pytest.fixture()
+    def canny_calls(self, monkeypatch):
+        """Counts calls to classical.canny and classical._hysteresis."""
+        calls = {"canny": 0, "_hysteresis": 0}
+        for name in calls:
+            original = getattr(classical, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(classical, name, counted)
+        return calls
+
+    def test_tunes_only_requested_detectors(self, workdir, canny_calls):
+        _, cfg_path, out = workdir
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", "sobel,roberts"]) == cli.EXIT_OK
+        assert canny_calls == {"canny": 0, "_hysteresis": 0}
+        # the counters do see Canny when it is asked for
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", "canny"]) == cli.EXIT_OK
+        assert canny_calls["canny"] > 0 and canny_calls["_hysteresis"] > 0
+
+    def test_rows_follow_table_order(self, workdir):
+        _, cfg_path, out = workdir
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", "roberts,canny,sobel,cnn"]) == cli.EXIT_OK
+        rows = (out / "comparison.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["cnn", "canny", "sobel", "roberts"]
+
+    def test_untunable_detector_rejected(self, workdir):
+        _, cfg_path, out = workdir
+        code = cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", "patchcnn"])
+        assert code == cli.EXIT_USAGE
 
     def test_unknown_detector(self, workdir):
         _, cfg_path, out = workdir

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.evaluation import (ConfusionMatrix, best_f1_threshold,
+from lidar_edge.evaluation import (ConfusionMatrix, best_f1, best_f1_threshold,
                                    compare_detectors, comparison_csv,
-                                   comparison_table, confusion, metrics, roc)
+                                   comparison_table, confusion, metrics,
+                                   prob_levels, roc, sweep, threshold_grid)
 from lidar_edge.rng import SplitMix64
 
 
@@ -184,6 +185,55 @@ class TestBestF1Threshold:
                 best = (f, float(cand))
         assert f1 == pytest.approx(best[0])
         assert t == pytest.approx(best[1])
+
+
+def sweep_inputs():
+    """Random maps, a map whose values sit exactly on the grid, a flat
+    map and the two extremes, each with a random truth."""
+    rng = SplitMix64(20)
+    grid = threshold_grid(26)
+    probs = [rng.floats(64).reshape(8, 8) for _ in range(3)]
+    probs.append(grid[(np.arange(64) * 7) % 26].reshape(8, 8))
+    probs += [np.full((8, 8), 0.5), np.zeros((8, 8)), np.ones((8, 8))]
+    truths = [random_edge_map(30 + i) for i in range(len(probs))]
+    return grid, probs, truths
+
+
+class TestSweep:
+    def test_prob_levels_match_threshold(self):
+        grid, probs, _ = sweep_inputs()
+        for prob in probs:
+            levels = prob_levels(prob, grid)
+            for k, t in enumerate(grid):
+                np.testing.assert_array_equal(levels > k, prob >= t)
+
+    def test_counts_equal_summed_confusion(self):
+        grid, probs, truths = sweep_inputs()
+        counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)),
+                       len(grid))
+        assert len(counts) == len(grid)
+        for t, cm in zip(grid, counts):
+            want = ConfusionMatrix()
+            for p, tr in zip(probs, truths):
+                want = want + confusion((p >= t).astype(float), tr)
+            assert (cm.tp, cm.fp, cm.fn, cm.tn) == (want.tp, want.fp, want.fn, want.tn)
+            assert all(type(v) is int for v in (cm.tp, cm.fp, cm.fn, cm.tn))
+
+    def test_best_f1_takes_first_maximum(self):
+        counts = [ConfusionMatrix(1, 1, 1, 1), ConfusionMatrix(2, 0, 0, 2),
+                  ConfusionMatrix(2, 0, 0, 2), ConfusionMatrix(0, 0, 2, 2)]
+        assert best_f1(counts, threshold_grid(4)) == (pytest.approx(1 / 3), 1.0)
+
+    def test_roc_thresholds_are_the_reversed_grid(self):
+        grid, probs, truths = sweep_inputs()
+        curve = roc(probs, truths, n_thresholds=len(grid))
+        assert [c[0] for c in curve] == [float(t) for t in grid[::-1]]
+
+    def test_bad_inputs(self):
+        with pytest.raises(DimensionError):
+            sweep([(np.zeros((3, 3), dtype=int), random_edge_map(1, 2, 2))], 5)
+        with pytest.raises(ParameterError):
+            threshold_grid(1)
 
 
 class TestComparison:

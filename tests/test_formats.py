@@ -49,6 +49,15 @@ class TestPGM:
         with pytest.raises(ParameterError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n4 4\n2x5\n",
+                                        b"P5\n-4 -4\n255\n", b"P5\n4 0\n255\n",
+                                        b"P5\n" + b"9" * 5000 + b" 4\n255\n"])
+    def test_malformed_header_values(self, tmp_path, header):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(header + bytes(16))
+        with pytest.raises(ParameterError):
+            read_pgm(p)
+
     def test_truncated_pixels(self, tmp_path):
         p = tmp_path / "f.pgm"
         p.write_bytes(b"P5\n2 2\n255\n\x00\x01")
