@@ -87,6 +87,7 @@ def _load_config(args) -> Config:
         value = getattr(args, attr, None)
         if value is not None:
             cfg.override(dotted, cast(value))
+    cfg.check()
     return cfg
 
 
@@ -145,11 +146,9 @@ def cmd_train(args) -> int:
     if variant == "nested":
         params, log = train_nested(train_samples, val_samples,
                                    cfg.nested_arch(), train_cfg, progress)
-    elif variant == "patch":
+    else:  # the config has checked that it is "patch"
         params, log = train_patch(train_samples, val_samples,
                                   cfg.patch_arch(), train_cfg, progress=progress)
-    else:
-        raise ConfigError(f"unknown model variant {variant!r}")
     out.mkdir(parents=True, exist_ok=True)
     save_model(params, _model_path(cfg))
     with open(out / "runlog.csv", "w", encoding="ascii") as f:

@@ -19,6 +19,7 @@ from .optim import OPTIMIZERS, OptimizerConfig
 from .training import TrainConfig
 
 CONFIG_VERSION = 1
+MODEL_VARIANTS = ("nested", "patch")
 
 DEFAULTS = {
     "config_version": CONFIG_VERSION,
@@ -98,7 +99,25 @@ class Config:
         if merged["config_version"] != CONFIG_VERSION:
             raise ConfigError(
                 f"unsupported config_version {merged['config_version']}")
-        return cls(raw=merged)
+        cfg = cls(raw=merged)
+        cfg.check()
+        return cfg
+
+    def check(self) -> None:
+        """Build every typed view once, so a value of the wrong type or
+        range fails here, before any work starts, rather than where the
+        view is first used."""
+        d, e = self.raw["dataset"], self.raw["eval"]
+        try:
+            int(d["n"]), float(d["delta"]), int(d["seed"]), tuple(d["ratios"])
+            int(e["tolerance"]), int(e["n_thresholds"])
+            for view in (self.lidar, self.scene_policy, self.augment_spec,
+                         self.nested_arch, self.patch_arch, self.train_config):
+                view()
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"invalid config value: {exc}") from exc
+        if self.raw["model"]["variant"] not in MODEL_VARIANTS:
+            raise ConfigError(f"unknown model variant {self.raw['model']['variant']!r}")
 
     def override(self, dotted_key: str, value) -> None:
         """Apply one CLI override like ('dataset.n', 10)."""

@@ -135,20 +135,26 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 def read_manifest(path) -> DatasetManifest:
     entries = []
     seen = set()
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            e = ManifestEntry(id=obj["id"], range=obj["range"],
-                              intensity=obj["intensity"], label=obj["label"],
-                              split=obj.get("split", "unassigned"))
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("ascii").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                e = ManifestEntry(id=obj["id"], range=obj["range"],
+                                  intensity=obj["intensity"], label=obj["label"],
+                                  split=obj.get("split", "unassigned"))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ParameterError(f"{path}:{lineno}: bad manifest line "
+                                     f"({type(exc).__name__}: {exc})") from exc
+            if not all(isinstance(v, str) for v in vars(e).values()):
+                raise ParameterError(f"{path}:{lineno}: manifest values must be strings")
             if e.split not in SPLIT_TAGS:
-                raise ParameterError(f"{path}: unknown split tag {e.split!r}")
+                raise ParameterError(f"{path}:{lineno}: unknown split tag {e.split!r}")
             for p in (e.range, e.intensity, e.label):
                 if p in seen:
-                    raise ParameterError(f"{path}: duplicate path {p}")
+                    raise ParameterError(f"{path}:{lineno}: duplicate path {p}")
                 seen.add(p)
             entries.append(e)
     return DatasetManifest(entries=entries)

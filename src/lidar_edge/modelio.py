@@ -16,6 +16,7 @@ load(save(p)) is a bitwise identity on every tensor.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -61,6 +62,19 @@ def save_model(params, path) -> None:
     with open(path, "wb") as f:
         f.write(payload)
         f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def _tensor_shapes(arch) -> list[tuple]:
+    """Shapes of the named tensors of an architecture, in declaration order."""
+    if isinstance(arch, NestedArch):
+        shapes, in_ch = [], 1
+        for width in arch.widths:
+            shapes += [(width, in_ch, 3, 3), (width,), (width, width, 3, 3), (width,)]
+            in_ch = width
+        return shapes + [s for w in arch.widths for s in ((1, w, 1, 1), (1,))] + [(arch.stages,)]
+    c1, c2 = arch.conv_channels
+    return [(c1, 1, 5, 5), (c1,), (c2, c1, 5, 5), (c2,),
+            (arch.hidden, 16 * c2), (arch.hidden,), (1, arch.hidden), (1,)]
 
 
 class _Reader:
@@ -113,8 +127,8 @@ def load_model(path):
         stages = r.u32()
         widths = tuple(r.u32() for _ in range(stages))
         input_hw = (r.u32(), r.u32())
-        params = init_nested(NestedArch(stages=stages, widths=widths,
-                                        input_hw=input_hw), seed=0)
+        arch, init = NestedArch(stages=stages, widths=widths,
+                                input_hw=input_hw), init_nested
     elif kind == KIND_PATCH:
         n = r.u32()
         if n != 3:
@@ -122,10 +136,17 @@ def load_model(path):
         c1, c2, hidden = r.u32(), r.u32(), r.u32()
         input_hw = (r.u32(), r.u32())
         rate = r.f64()
-        params = init_patch(PatchArch(conv_channels=(c1, c2), hidden=hidden,
-                                      dropout_rate=rate, input_hw=input_hw), seed=0)
+        arch, init = PatchArch(conv_channels=(c1, c2), hidden=hidden,
+                               dropout_rate=rate, input_hw=input_hw), init_patch
     else:
         raise CorruptModelError(f"{path}: unknown model kind {kind}")
+    # the tensors are allocated from the descriptor, so it must fit the payload first
+    need = sum(4 * (1 + len(shape)) + 8 * math.prod(shape)
+               for shape in _tensor_shapes(arch))
+    if need > len(r.raw) - r.pos:
+        raise TruncationError(f"{path}: architecture needs {need} tensor bytes, "
+                              f"file holds {len(r.raw) - r.pos}")
+    params = init(arch, seed=0)
     for _, tensor in params.named_tensors():
         tensor[...] = r.tensor(tensor.shape)
     if r.pos != len(r.raw):

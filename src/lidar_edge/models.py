@@ -212,16 +212,15 @@ def forward_nested(params: NestedNetParams, x: np.ndarray) -> ForwardTrace:
     return trace
 
 
-@dataclass
-class NestedGrads:
-    stage_convs: list  # per stage: (dWa, dba, dWb, dbb)
-    side_heads: list   # per stage: (dW, db)
-    alpha: np.ndarray
+def _named(params, grads: list) -> list[tuple[str, np.ndarray]]:
+    """Pair gradients, given in named_tensors() order, with their names."""
+    return [(name, g) for (name, _), g in zip(params.named_tensors(), grads, strict=True)]
 
 
 def backward_nested(params: NestedNetParams, trace: ForwardTrace,
-                    d_fused: np.ndarray, d_sides: list) -> NestedGrads:
-    """Reverse-mode gradients for every learnable tensor.
+                    d_fused: np.ndarray, d_sides: list) -> list[tuple[str, np.ndarray]]:
+    """Reverse-mode gradients for every learnable tensor, as (name, grad)
+    in named_tensors() order.
 
     d_fused is dL/d(fused map); d_sides[i] is the DIRECT dL/d(side map i)
     from that side's own loss term (the fusion path is added here). The
@@ -250,7 +249,8 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
         d_pre_a = relu_backward(st.pre_a, d_act_a)
         d_feat_next, d_wa, d_ba = conv_backward(st.x_in, conv_a, d_pre_a)
         conv_grads[s] = (d_wa, d_ba, d_wb, d_bb)
-    return NestedGrads(stage_convs=conv_grads, side_heads=head_grads, alpha=d_alpha)
+    return _named(params, [g for convs in conv_grads for g in convs]
+                  + [g for head in head_grads for g in head] + [d_alpha])
 
 
 @dataclass
@@ -301,17 +301,10 @@ def forward_patch(params: PatchNetParams, patch: np.ndarray,
                       fc1_out=fc1_out, logit=logit, prob=prob)
 
 
-@dataclass
-class PatchGrads:
-    conv1: tuple
-    conv2: tuple
-    fc1: tuple
-    fc2: tuple
-
-
 def backward_patch(params: PatchNetParams, trace: PatchTrace,
-                   d_prob: float) -> PatchGrads:
-    """Gradients of a scalar loss given dL/d(prob)."""
+                   d_prob: float) -> list[tuple[str, np.ndarray]]:
+    """Gradients of a scalar loss given dL/d(prob), as (name, grad) in
+    named_tensors() order."""
     d_logit = d_prob * trace.prob * (1.0 - trace.prob)
     d_fc1_out, d_w2, d_b2 = dense_backward(trace.fc1_out, params.fc2,
                                            np.array([d_logit]))
@@ -325,5 +318,4 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     d_act1 = maxpool2x2_backward(trace.act1.shape, trace.arg1, d_pool1)
     d_pre1 = relu_backward(trace.pre1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(trace.x, params.conv1, d_pre1)
-    return PatchGrads(conv1=(d_cw1, d_cb1), conv2=(d_cw2, d_cb2),
-                      fc1=(d_w1, d_b1), fc2=(d_w2, d_b2))
+    return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2, d_w1, d_b1, d_w2, d_b2])

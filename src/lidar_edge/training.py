@@ -1,6 +1,11 @@
-"""End-to-end training: dataset splitting, the multi-task loss, the
-epoch loop with validation-based model selection, gradient checking,
-and patch-classifier training.
+"""End-to-end training: dataset splitting, the multi-task loss, one
+epoch loop for both model variants, and gradient checking.
+
+`_fit` runs the epochs of either variant: minibatch steps on averaged
+named gradients, the divergence check, best-val-F1 selection and early
+stopping. Each variant brings only its own parts: `train_nested` the
+seeded image order, augmentation and the multi-task loss; `train_patch`
+the seeded patch draws, per-example dropout seeds and the patch F1.
 
 Everything is deterministic given the config seed: shuffling, weight
 init, per-sample augmentation seeds, and dropout all derive from
@@ -131,26 +136,6 @@ def total_loss(trace: ForwardTrace, label: np.ndarray,
     return loss, d_fused, d_sides
 
 
-def _nested_grad_list(params: NestedNetParams, grads) -> list:
-    out = []
-    for s, (dwa, dba, dwb, dbb) in enumerate(grads.stage_convs):
-        out += [(f"stage{s}.conv_a.weights", dwa), (f"stage{s}.conv_a.bias", dba),
-                (f"stage{s}.conv_b.weights", dwb), (f"stage{s}.conv_b.bias", dbb)]
-    for s, (dw, db) in enumerate(grads.side_heads):
-        out += [(f"side{s}.weights", dw), (f"side{s}.bias", db)]
-    out.append(("alpha", grads.alpha))
-    return out
-
-
-def _zero_like(tensors: list) -> list:
-    return [(name, np.zeros_like(t)) for name, t in tensors]
-
-
-def _accumulate(total: list, part: list, scale: float) -> None:
-    for (_, acc), (_, g) in zip(total, part):
-        acc += scale * g
-
-
 def validation_f1(params: NestedNetParams, val_samples: list,
                   threshold: float = 0.5) -> float:
     cm = ConfusionMatrix()
@@ -158,6 +143,53 @@ def validation_f1(params: NestedNetParams, val_samples: list,
         fused = forward_nested(params, img).fused
         cm = cm + confusion((fused >= threshold).astype(np.float64), label)
     return metrics(cm).f1
+
+
+def _fit(params, cfg: TrainConfig, epoch_items, example, val_f1_of, progress,
+         simplex_names: tuple = ()) -> tuple:
+    """The epoch loop both variants share: minibatch steps on the gradient
+    averaged over each batch, best-val-F1 selection and early stopping.
+
+    epoch_items(epoch) lists the epoch's training items in visiting order;
+    example(epoch, position, item) returns (loss, backward), where
+    backward() gives the item's [(name, grad)] and runs only once the loss
+    has been found finite; val_f1_of() scores the current params.
+    """
+    tensors = params.named_tensors()
+    state, log = OptimizerState(), RunLog()
+    best, best_f1, stale = copy.deepcopy(params), -1.0, 0
+    for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        items = epoch_items(epoch)
+        epoch_loss = 0.0
+        for start in range(0, len(items), cfg.batch_size):
+            batch = items[start:start + cfg.batch_size]
+            grad_sum = [(name, np.zeros_like(t)) for name, t in tensors]
+            for position, item in enumerate(batch, start):
+                loss, backward = example(epoch, position, item)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"non-finite loss {loss} at epoch {epoch}, example {position}")
+                for (_, acc), (_, g) in zip(grad_sum, backward()):
+                    acc += (1.0 / len(batch)) * g
+                epoch_loss += loss
+            optimizer_step(tensors, grad_sum, state, cfg.optimizer,
+                           simplex_names=simplex_names)
+        epoch_loss /= max(len(items), 1)
+        val_f1 = val_f1_of()
+        record = EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1,
+                             wall_seconds=time.perf_counter() - t0)
+        log.records.append(record)
+        if progress is not None:
+            progress(record)
+        if val_f1 > best_f1:
+            best_f1, best, stale = val_f1, copy.deepcopy(params), 0
+            log.best_epoch = epoch
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best, log
 
 
 def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
@@ -168,65 +200,29 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
     if not train_samples or not val_samples:
         raise ParameterError("train and validation splits must be nonempty")
     params = init_nested(arch, cfg.seed)
-    state = OptimizerState()
-    log = RunLog()
-    best = copy.deepcopy(params)
-    best_f1 = -1.0
-    stale = 0
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
+
+    def epoch_items(epoch):
         order = list(range(len(train_samples)))
         SplitMix64(splitmix64(cfg.seed, 1000 + epoch)).shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            tensors = params.named_tensors()
-            grad_sum = _zero_like(tensors)
-            for idx in batch:
-                img, label = train_samples[idx]
-                if cfg.augment is not None:
-                    aug_seed = splitmix64(cfg.seed, epoch * 1_000_003 + idx)
-                    img, label = sample_and_apply(img, label, cfg.augment, aug_seed)
-                trace = forward_nested(params, img)
-                loss, d_fused, d_sides = total_loss(trace, label, cfg)
-                if not np.isfinite(loss):
-                    raise DivergenceError(
-                        f"non-finite loss {loss} at epoch {epoch}, sample {idx}")
-                grads = backward_nested(params, trace, d_fused, d_sides)
-                _accumulate(grad_sum, _nested_grad_list(params, grads),
-                            1.0 / len(batch))
-                epoch_loss += loss
-            optimizer_step(tensors, grad_sum, state, cfg.optimizer,
-                           simplex_names=("alpha",))
-        epoch_loss /= len(order)
-        val_f1 = validation_f1(params, val_samples)
-        record = EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1,
-                             wall_seconds=time.perf_counter() - t0)
-        log.records.append(record)
-        if progress is not None:
-            progress(record)
-        if val_f1 > best_f1:
-            best_f1 = val_f1
-            best = copy.deepcopy(params)
-            log.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return best, log
+        return order
+
+    def example(epoch, position, idx):
+        img, label = train_samples[idx]
+        if cfg.augment is not None:
+            aug_seed = splitmix64(cfg.seed, epoch * 1_000_003 + idx)
+            img, label = sample_and_apply(img, label, cfg.augment, aug_seed)
+        trace = forward_nested(params, img)
+        loss, d_fused, d_sides = total_loss(trace, label, cfg)
+        return loss, lambda: backward_nested(params, trace, d_fused, d_sides)
+
+    return _fit(params, cfg, epoch_items, example,
+                lambda: validation_f1(params, val_samples), progress,
+                simplex_names=("alpha",))
 
 
 def _extract_patch(img: np.ndarray, row: int, col: int, half: int = 14) -> np.ndarray:
     padded = np.pad(img, half, mode="edge")
     return padded[row:row + 2 * half, col:col + 2 * half]
-
-
-def _patch_grad_list(grads) -> list:
-    return [("conv1.weights", grads.conv1[0]), ("conv1.bias", grads.conv1[1]),
-            ("conv2.weights", grads.conv2[0]), ("conv2.bias", grads.conv2[1]),
-            ("fc1.weights", grads.fc1[0]), ("fc1.bias", grads.fc1[1]),
-            ("fc2.weights", grads.fc2[0]), ("fc2.bias", grads.fc2[1])]
 
 
 def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
@@ -241,11 +237,6 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
     if not train_samples or not val_samples:
         raise ParameterError("train and validation splits must be nonempty")
     params = init_patch(arch, cfg.seed)
-    state = OptimizerState()
-    log = RunLog()
-    best = copy.deepcopy(params)
-    best_f1 = -1.0
-    stale = 0
 
     def draw_patches(samples, seed, per_image):
         rng = SplitMix64(seed)
@@ -262,48 +253,29 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
         return out
 
     val_patches = draw_patches(val_samples, splitmix64(cfg.seed, 7), patches_per_image)
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        batch_items = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
-                                   patches_per_image)
-        SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(batch_items)
-        epoch_loss = 0.0
-        step = 0
-        for start in range(0, len(batch_items), cfg.batch_size):
-            batch = batch_items[start:start + cfg.batch_size]
-            tensors = params.named_tensors()
-            grad_sum = _zero_like(tensors)
-            for patch, y in batch:
-                drop_seed = splitmix64(cfg.seed, 4000 + epoch * 100_003 + step)
-                step += 1
-                trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
-                loss, d_prob = pixel_loss(cfg.loss_kind, np.array([trace.prob]),
-                                          np.array([y]), class_balance=False)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                grads = backward_patch(params, trace, float(d_prob[0]))
-                _accumulate(grad_sum, _patch_grad_list(grads), 1.0 / len(batch))
-                epoch_loss += loss
-            optimizer_step(tensors, grad_sum, state, cfg.optimizer)
-        epoch_loss /= max(len(batch_items), 1)
+
+    def epoch_items(epoch):
+        items = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
+                             patches_per_image)
+        SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(items)
+        return items
+
+    def example(epoch, position, item):
+        patch, y = item
+        drop_seed = splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
+        trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
+        loss, d_prob = pixel_loss(cfg.loss_kind, np.array([trace.prob]),
+                                  np.array([y]), class_balance=False)
+        return loss, lambda: backward_patch(params, trace, float(d_prob[0]))
+
+    def val_f1_of():
         cm = ConfusionMatrix()
         for patch, y in val_patches:
             pred = 1.0 if forward_patch(params, patch).prob >= 0.5 else 0.0
             cm = cm + confusion(np.array([[pred]]), np.array([[y]]))
-        val_f1 = metrics(cm).f1
-        record = EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1,
-                             wall_seconds=time.perf_counter() - t0)
-        log.records.append(record)
-        if progress is not None:
-            progress(record)
-        if val_f1 > best_f1:
-            best_f1, best, stale = val_f1, copy.deepcopy(params), 0
-            log.best_epoch = epoch
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return best, log
+        return metrics(cm).f1
+
+    return _fit(params, cfg, epoch_items, example, val_f1_of, progress)
 
 
 def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
@@ -351,7 +323,7 @@ def grad_check_nested(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
     trace = forward_nested(params, x)
     _, d_fused, d_sides = total_loss(trace, label, cfg)
     grads = backward_nested(params, trace, d_fused, d_sides)
-    analytic = dict(_nested_grad_list(params, grads))
+    analytic = dict(grads)
     return _run_fd(params.named_tensors(), analytic, loss_of, eps)
 
 
@@ -372,7 +344,7 @@ def grad_check_patch(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
     trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
     _, d_prob = pixel_loss("bce", np.array([trace.prob]), np.array([y]), False)
     grads = backward_patch(params, trace, float(d_prob[0]))
-    analytic = dict(_patch_grad_list(grads))
+    analytic = dict(grads)
     return _run_fd(params.named_tensors(), analytic, loss_of, eps)
 
 

@@ -92,8 +92,8 @@ class TestGradientCorrectness:
 
         def mutated(params, trace, d_fused, d_sides):
             grads = original(params, trace, d_fused, d_sides)
-            grads.alpha = -grads.alpha  # sign flip in one backward path
-            return grads
+            return [(name, -g if name == "alpha" else g)  # sign flip in one backward path
+                    for name, g in grads]
 
         tr.backward_nested = mutated
         try:

@@ -271,3 +271,36 @@ class TestErrors:
         code = cli.main(["gen-data", "--config", str(tmp_path / "ghost.json"),
                          "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_IO
+
+    @pytest.mark.parametrize("override", [{"train": {"epochs": "abc"}},
+                                          {"model": {"variant": "transformer"}}],
+                             ids=["epochs-not-int", "unknown-variant"])
+    def test_bad_config_value_fails_before_loading_data(self, workdir, tmp_path,
+                                                        capsys, override, monkeypatch):
+        _, _, out = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CFG, **override}), encoding="utf-8")
+        loads = []
+        monkeypatch.setattr(cli, "read_manifest", lambda p: loads.append(p))
+        code = cli.main(["train", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert loads == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad_line", ['{"id": "x", "range": "x.lri", "intensity": "x.pgm"}',
+                                          '{"id": "x", '],
+                             ids=["no-label", "not-json"])
+    def test_bad_manifest_line_is_usage_error(self, workdir, tmp_path, capsys, bad_line):
+        _, cfg_path, out = workdir
+        dataset = tmp_path / "run" / "dataset"
+        dataset.mkdir(parents=True)
+        lines = (out / "dataset" / "manifest.jsonl").read_text().splitlines()
+        lines.insert(2, bad_line)
+        (dataset / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.jsonl:3: " in err

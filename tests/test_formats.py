@@ -152,3 +152,18 @@ class TestManifest:
                                  "label": "c", "split": "holdout"}) + "\n")
         with pytest.raises(ParameterError):
             read_manifest(p)
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"id": "9", "range": "9.lri", "intensity": "9.pgm"}',  # no label
+        '{"id": "9", "range": ',                                  # not JSON
+        '["9", "9.lri", "9.pgm", "9_label.pgm"]',                 # not an object
+        '{"id": "9", "range": "9.lri", "intensity": "9.pgm", "label": 9}',
+        '{"id": "9", "range": "9.lri", "intensity": "9.pgm", "label": "\xe9"}',
+    ], ids=["no-label", "not-json", "not-object", "not-string", "not-ascii"])
+    def test_bad_line_names_its_location(self, tmp_path, bad_line):
+        p = tmp_path / "manifest.jsonl"
+        write_manifest(p, _manifest())
+        with open(p, "ab") as f:
+            f.write(bad_line.encode("latin-1") + b"\n")
+        with pytest.raises(ParameterError, match=r"manifest\.jsonl:6: "):
+            read_manifest(p)

@@ -1,13 +1,21 @@
 """Binary model checkpoint format: round trips and corruption handling."""
 
+import os
+import resource
 import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidar_edge
 from lidar_edge.errors import (CorruptModelError, MagicError, ModelLoadError,
                                TruncationError, VersionError)
-from lidar_edge.modelio import load_model, save_model
+from lidar_edge.formats import write_pgm
+from lidar_edge.modelio import _tensor_shapes, load_model, save_model
 from lidar_edge.models import (NestedArch, PatchArch, forward_nested,
                                forward_patch, init_nested, init_patch)
 from lidar_edge.rng import SplitMix64
@@ -130,3 +138,49 @@ class TestCorruption:
     def test_all_errors_are_model_load_errors(self):
         for exc in (MagicError, VersionError, TruncationError, CorruptModelError):
             assert issubclass(exc, ModelLoadError)
+
+
+def _crafted(kind: int, descriptor: bytes) -> bytes:
+    """An LEDM file with a valid CRC whose descriptor declares absurd widths
+    and whose payload holds no tensors at all."""
+    payload = b"LEDM" + struct.pack("<II", 1, kind) + descriptor
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+HOSTILE = {
+    # one stage 200000 channels wide: 2.6 TiB of conv weights
+    "nested": (_crafted(1, struct.pack("<IIII", 1, 200_000, 64, 64)), "cnn"),
+    # a 4e9-unit hidden layer: 4 TiB of dense weights
+    "patch": (_crafted(2, struct.pack("<IIIIII", 3, 4, 8, 4_000_000_000, 28, 28)
+                       + struct.pack("<d", 0.5)), "patchcnn"),
+}
+
+
+class TestHostileDescriptor:
+    @pytest.mark.parametrize("variant", ["nested", "patch"])
+    def test_tensor_shapes_match_init(self, variant):
+        if variant == "nested":
+            params = init_nested(NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8)), 0)
+        else:
+            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
+        assert _tensor_shapes(params.arch) == [t.shape for _, t in params.named_tensors()]
+
+    @pytest.mark.parametrize("variant", sorted(HOSTILE))
+    def test_rejected_before_allocating(self, variant, tmp_path):
+        """The CLI exits 4 with one error line. It runs in a child process
+        whose address space is capped at 1 GiB, so an attempt to allocate
+        what the descriptor declares fails there and never reaches the host."""
+        raw, algorithm = HOSTILE[variant]
+        (tmp_path / "model.ledm").write_bytes(raw)
+        write_pgm(tmp_path / "in.pgm", np.zeros((64, 64)))
+        limit = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(lidar_edge.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lidar_edge.cli", "detect", "--algorithm", algorithm,
+             "--out", str(tmp_path), str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "needs" in done.stderr

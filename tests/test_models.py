@@ -148,16 +148,7 @@ class TestBackwardNested:
 
         trace = forward_nested(params, x)
         grads = backward_nested(params, trace, w_f, list(w_s))
-        flat_analytic = {}
-        for s, (dwa, dba, dwb, dbb) in enumerate(grads.stage_convs):
-            flat_analytic[f"stage{s}.conv_a.weights"] = dwa
-            flat_analytic[f"stage{s}.conv_a.bias"] = dba
-            flat_analytic[f"stage{s}.conv_b.weights"] = dwb
-            flat_analytic[f"stage{s}.conv_b.bias"] = dbb
-        for s, (dw, db) in enumerate(grads.side_heads):
-            flat_analytic[f"side{s}.weights"] = dw
-            flat_analytic[f"side{s}.bias"] = db
-        flat_analytic["alpha"] = grads.alpha
+        flat_analytic = dict(grads)
 
         eps = 1e-5
         for name, tensor in params.named_tensors():
@@ -183,7 +174,27 @@ class TestBackwardNested:
         grads = backward_nested(params, trace, d_fused,
                                 [np.zeros((8, 8)), np.zeros((8, 8))])
         want = [float((d_fused * trace.side_probs[i]).sum()) for i in range(2)]
-        np.testing.assert_allclose(grads.alpha, want, rtol=1e-12)
+        np.testing.assert_allclose(dict(grads)["alpha"], want, rtol=1e-12)
+
+
+class TestNamedGradients:
+    @pytest.mark.parametrize("variant", ["nested", "patch"])
+    def test_backward_follows_named_tensors(self, variant):
+        """backward_* returns one (name, grad) per tensor, in named_tensors()
+        order, each grad shaped like its tensor."""
+        if variant == "nested":
+            arch = NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8))
+            params = randomize(init_nested(arch, 0), 1)
+            trace = forward_nested(params, SplitMix64(2).floats(64).reshape(8, 8))
+            grads = backward_nested(params, trace, np.ones((8, 8)),
+                                    [np.ones((8, 8))] * 3)
+        else:
+            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
+            trace = forward_patch(params, SplitMix64(3).floats(784).reshape(28, 28))
+            grads = backward_patch(params, trace, 1.0)
+        tensors = params.named_tensors()
+        assert [name for name, _ in grads] == [name for name, _ in tensors]
+        assert [g.shape for _, g in grads] == [t.shape for _, t in tensors]
 
 
 class TestPatchNet:
@@ -224,10 +235,7 @@ class TestPatchNet:
 
         trace = forward_patch(params, x)
         grads = backward_patch(params, trace, 1.0)
-        flat = {"conv1.weights": grads.conv1[0], "conv1.bias": grads.conv1[1],
-                "conv2.weights": grads.conv2[0], "conv2.bias": grads.conv2[1],
-                "fc1.weights": grads.fc1[0], "fc1.bias": grads.fc1[1],
-                "fc2.weights": grads.fc2[0], "fc2.bias": grads.fc2[1]}
+        flat = dict(grads)
         eps = 1e-5
         rng2 = SplitMix64(5)
         for name, tensor in params.named_tensors():

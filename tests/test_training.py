@@ -114,6 +114,7 @@ class TestTotalLoss:
 
 class TestTrainNested:
     ARCH = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+    PATCH_ARCH = PatchArch(conv_channels=(2, 2), hidden=4)
 
     def _cfg(self, **kw):
         base = dict(epochs=3, batch_size=4,
@@ -121,6 +122,12 @@ class TestTrainNested:
                     seed=0, patience=10)
         base.update(kw)
         return TrainConfig(**base)
+
+    def _train(self, variant, train, val, cfg, **kw):
+        """Either variant through its own entry point; both share one loop."""
+        if variant == "nested":
+            return train_nested(train, val, self.ARCH, cfg, **kw)
+        return train_patch(train, val, self.PATCH_ARCH, cfg, patches_per_image=8, **kw)
 
     def test_loss_decreases(self):
         samples = toy_samples(8)
@@ -150,31 +157,34 @@ class TestTrainNested:
         assert log.records[log.best_epoch - 1].val_f1 == best
         assert validation_f1(params, samples[:2]) == pytest.approx(best)
 
-    def test_early_stopping_by_patience(self):
+    @pytest.mark.parametrize("variant", ["nested", "patch"])
+    def test_early_stopping_by_patience(self, variant):
         samples = toy_samples(4)
-        # tiny lr: F1 stays flat at 0, so patience kicks in after epoch 1
+        # tiny lr: F1 stays flat, so patience kicks in after epoch 1
         cfg = self._cfg(epochs=30, patience=2,
                         optimizer=OptimizerConfig(kind="sgd", learning_rate=1e-9))
-        _, log = train_nested(samples, samples[:2], self.ARCH, cfg)
+        _, log = self._train(variant, samples, samples[:2], cfg)
         assert len(log.records) <= 4
 
-    def test_divergence_raises_on_non_finite_loss(self):
+    @pytest.mark.parametrize("variant", ["nested", "patch"])
+    def test_divergence_raises_on_non_finite_loss(self, variant):
         img = np.full((8, 8), 0.5)
         img[3, 3] = np.nan  # poisons the forward pass and hence the loss
         samples = [(img, np.zeros((8, 8)))]
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
-            train_nested(samples, samples, self.ARCH,
-                         TrainConfig(epochs=1, batch_size=1, seed=0))
+            self._train(variant, samples, samples,
+                        TrainConfig(epochs=1, batch_size=1, seed=0))
 
     def test_empty_split_rejected(self):
         with pytest.raises(ParameterError):
             train_nested([], toy_samples(2), self.ARCH, self._cfg())
 
-    def test_progress_callback_sees_every_epoch(self):
+    @pytest.mark.parametrize("variant", ["nested", "patch"])
+    def test_progress_callback_sees_every_epoch(self, variant):
         samples = toy_samples(4)
         seen = []
-        train_nested(samples, samples[:2], self.ARCH, self._cfg(epochs=3),
-                     progress=seen.append)
+        self._train(variant, samples, samples[:2], self._cfg(epochs=3),
+                    progress=seen.append)
         assert [r.epoch for r in seen] == [1, 2, 3]
         assert all(isinstance(r, EpochRecord) for r in seen)
 
@@ -239,8 +249,8 @@ class TestGradCheck:
 
         def broken(params, trace, d_fused, d_sides):
             grads = original(params, trace, d_fused, d_sides)
-            grads.alpha = grads.alpha + 0.05  # systematic bias
-            return grads
+            return [(name, g + 0.05 if name == "alpha" else g)  # systematic bias
+                    for name, g in grads]
 
         tr.backward_nested = broken
         try:
