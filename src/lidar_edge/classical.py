@@ -3,11 +3,15 @@
 All operate on [0,1] gray images and use the shared cross-correlation
 convolution. Thresholds are fractions of the maximum gradient magnitude
 so defaults transfer across images of different contrast.
+
+Tuning reads a detector at every threshold of a grid as one integer
+level map. For Canny, one union-find hysteresis sweep over the thinned
+magnitude (``_hysteresis``) gives the map for all grid thresholds at
+once, and ``canny`` is the same sweep for a single threshold pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,24 +106,71 @@ def _nms(mag: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hysteresis(nms: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Keep strong pixels and weak pixels 8-connected to a strong one.
-    Breadth-first flood fill in row-major seed order; deterministic."""
-    strong = nms >= high
-    weak = nms >= low
-    edges = np.zeros(nms.shape, dtype=bool)
-    queue = deque(zip(*np.nonzero(strong)))
-    edges[strong] = True
-    h, w = nms.shape
-    while queue:
-        y, x = queue.popleft()
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not edges[ny, nx]:
-                    edges[ny, nx] = True
-                    queue.append((ny, nx))
-    return edges.astype(np.float64)
+def _hysteresis(nms: np.ndarray, lows, highs) -> np.ndarray:
+    """Hysteresis at every threshold pair at once. lows and highs ascend,
+    with lows[k] <= highs[k]; each pixel of the result counts the pairs k
+    at which it survives: it is >= lows[k] and 8-connected through pixels
+    >= lows[k] to a pixel >= highs[k].
+
+    Survival is monotone in k, so one union-find pass gives every count
+    (the component tree of the thinned magnitude): the 8-neighbour links
+    between weak pixels join in decreasing order of the weak level they
+    share, and a component's members take the level at which it first
+    holds a strong pixel."""
+    weak = np.searchsorted(lows, nms, side="right")  # pairs at which a pixel is weak
+    ys, xs = np.nonzero(weak)
+    weak = weak[ys, xs]
+    strong = np.searchsorted(highs, nms[ys, xs], side="right")
+    # their ids, inside a blank border so that every neighbour lookup is valid
+    ids = np.full((nms.shape[0] + 2, nms.shape[1] + 2), -1)
+    ids[ys + 1, xs + 1] = np.arange(len(ys))
+    # a pixel strong below its weak level turns strong there: a link to itself
+    seeds = np.flatnonzero((strong > 0) & (strong < weak))
+    ends, levels = [np.stack([seeds, seeds])], [strong[seeds]]
+    # each 8-neighbour link once, at the lower weak level of its two ends
+    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        nb = ids[ys + 1 + dy, xs + 1 + dx]
+        linked = np.flatnonzero(nb >= 0)
+        ends.append(np.stack([linked, nb[linked]]))
+        levels.append(np.minimum(weak[linked], weak[nb[linked]]))
+    levels = np.concatenate(levels)
+    order = np.argsort(-levels, kind="stable")
+    events = zip(levels[order].tolist(), *np.concatenate(ends, axis=1)[:, order].tolist())
+
+    # a pixel strong wherever it is weak survives at all its levels
+    count = np.where(strong == weak, weak, 0)
+    parent = list(range(len(ys)))
+    # members still without a count, per root of a component with no strong pixel
+    pending = {p: [p] for p in np.flatnonzero(strong < weak).tolist()}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for level, p, q in events:
+        if p == q:  # a seed: its component now holds a strong pixel
+            members = pending.pop(find(p), None)
+            if members:
+                count[members] = level
+            continue
+        p, q = find(p), find(q)
+        if p == q:
+            continue
+        members_p, members_q = pending.pop(p, None), pending.pop(q, None)
+        if members_p is None or members_q is None:
+            if members_p or members_q:  # joined to a strong pixel
+                count[members_p or members_q] = level
+        else:
+            if len(members_p) < len(members_q):
+                p, q, members_p, members_q = q, p, members_q, members_p
+            members_p += members_q
+            pending[p] = members_p
+        parent[q] = p
+    out = np.zeros(nms.shape, dtype=np.intp)
+    out[ys, xs] = count
+    return out
 
 
 def _thinned_gradient(img: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
@@ -140,16 +191,14 @@ def canny(img: np.ndarray, sigma: float = 1.0, low: float = 0.1,
     # flat images leave only floating-point cancellation residue; treat as empty
     if peak < 1e-12:
         return np.zeros_like(thinned)
-    return _hysteresis(thinned, low * peak, high * peak)
+    return (_hysteresis(thinned, [low * peak], [high * peak]) > 0).astype(np.float64)
 
 
 def canny_levels(img: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
     """Level map of canny(img, sigma, t / 2, t) over an ascending grid
     from 0, where every pixel is marked: at index k, level > k. The
-    front end runs once for the whole grid."""
+    front end and one hysteresis sweep run once for the whole grid."""
     thinned, peak = _thinned_gradient(img, sigma)
-    levels = np.ones(thinned.shape, dtype=np.intp)
-    if peak >= 1e-12:
-        for t in grid[1:]:
-            levels += _hysteresis(thinned, (t / 2.0) * peak, t * peak).astype(np.intp)
-    return levels
+    if peak < 1e-12:
+        return np.ones(thinned.shape, dtype=np.intp)
+    return 1 + _hysteresis(thinned, (grid[1:] / 2.0) * peak, grid[1:] * peak)

@@ -107,10 +107,10 @@ class Config:
         """Build every typed view once, so a value of the wrong type or
         range fails here, before any work starts, rather than where the
         view is first used."""
-        d, e = self.raw["dataset"], self.raw["eval"]
+        d, e = self._section("dataset"), self._section("eval")
         try:
-            int(d["n"]), float(d["delta"]), int(d["seed"]), tuple(d["ratios"])
-            int(e["tolerance"]), int(e["n_thresholds"])
+            d("n", int), d("delta", float), d("seed", int), d("ratios", tuple)
+            e("tolerance", int), e("n_thresholds", int)
             for view in (self.lidar, self.scene_policy, self.augment_spec,
                          self.nested_arch, self.patch_arch, self.train_config):
                 view()
@@ -118,6 +118,21 @@ class Config:
             raise ConfigError(f"invalid config value: {exc}") from exc
         if self.raw["model"]["variant"] not in MODEL_VARIANTS:
             raise ConfigError(f"unknown model variant {self.raw['model']['variant']!r}")
+
+    def _section(self, name: str):
+        """get(key, cast) = cast(value of name.key); a value that cast
+        refuses raises ConfigError naming its dotted key."""
+        node = self.raw
+        for part in name.split("."):
+            node = node[part]
+
+        def get(key, cast):
+            try:
+                return cast(node[key])
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError(f"invalid config value for {name}.{key}: "
+                                  f"{node[key]!r} ({exc})") from exc
+        return get
 
     def override(self, dotted_key: str, value) -> None:
         """Apply one CLI override like ('dataset.n', 10)."""
@@ -134,69 +149,67 @@ class Config:
     # typed views -----------------------------------------------------
 
     def lidar(self) -> LidarConfig:
-        d = self.raw["lidar"]
-        return LidarConfig(height=int(d["height"]), width=int(d["width"]),
-                           h_fov=math.radians(d["h_fov_deg"]),
-                           v_fov=math.radians(d["v_fov_deg"]),
-                           max_range=float(d["max_range"]),
-                           noise_sigma=float(d["noise_sigma"]),
-                           dropout_prob=float(d["dropout_prob"]))
+        d = self._section("lidar")
+        return LidarConfig(height=d("height", int), width=d("width", int),
+                           h_fov=d("h_fov_deg", math.radians),
+                           v_fov=d("v_fov_deg", math.radians),
+                           max_range=d("max_range", float),
+                           noise_sigma=d("noise_sigma", float),
+                           dropout_prob=d("dropout_prob", float))
 
     def scene_policy(self) -> ScenePolicy:
-        d = self.raw["dataset"]["scene"]
-        return ScenePolicy(min_primitives=int(d["min_primitives"]),
-                           max_primitives=int(d["max_primitives"]),
-                           kinds=tuple(d["kinds"]),
-                           min_range=float(d["min_range"]),
-                           max_range_frac=float(d["max_range_frac"]),
-                           min_size=int(d["min_size"]),
-                           max_size=int(d["max_size"]),
-                           background_lo=float(d["background_lo"]),
-                           background_hi=float(d["background_hi"]))
+        d = self._section("dataset.scene")
+        return ScenePolicy(min_primitives=d("min_primitives", int),
+                           max_primitives=d("max_primitives", int),
+                           kinds=d("kinds", tuple),
+                           min_range=d("min_range", float),
+                           max_range_frac=d("max_range_frac", float),
+                           min_size=d("min_size", int),
+                           max_size=d("max_size", int),
+                           background_lo=d("background_lo", float),
+                           background_hi=d("background_hi", float))
 
     def augment_spec(self) -> AugmentSpec:
-        d = self.raw["augment"]
-        return AugmentSpec(rotation_deg=tuple(d["rotation_deg"]),
-                           translate_px=tuple(d["translate_px"]),
-                           scale=tuple(d["scale"]), shear=tuple(d["shear"]),
-                           flip_h_prob=float(d["flip_h_prob"]),
-                           flip_v_prob=float(d["flip_v_prob"]),
-                           gain=tuple(d["gain"]), offset=tuple(d["offset"]),
-                           noise_sigma=tuple(d["noise_sigma"]),
-                           salt_pepper=tuple(d["salt_pepper"]),
-                           occluder_count=int(d["occluder_count"]),
-                           occluder_size=tuple(d["occluder_size"]))
+        d = self._section("augment")
+        return AugmentSpec(rotation_deg=d("rotation_deg", tuple),
+                           translate_px=d("translate_px", tuple),
+                           scale=d("scale", tuple), shear=d("shear", tuple),
+                           flip_h_prob=d("flip_h_prob", float),
+                           flip_v_prob=d("flip_v_prob", float),
+                           gain=d("gain", tuple), offset=d("offset", tuple),
+                           noise_sigma=d("noise_sigma", tuple),
+                           salt_pepper=d("salt_pepper", tuple),
+                           occluder_count=d("occluder_count", int),
+                           occluder_size=d("occluder_size", tuple))
 
     def nested_arch(self) -> NestedArch:
-        m = self.raw["model"]
-        lidar = self.raw["lidar"]
-        return NestedArch(stages=int(m["stages"]), widths=tuple(m["widths"]),
-                          input_hw=(int(lidar["height"]), int(lidar["width"])))
+        m, lidar = self._section("model"), self._section("lidar")
+        return NestedArch(stages=m("stages", int), widths=m("widths", tuple),
+                          input_hw=(lidar("height", int), lidar("width", int)))
 
     def patch_arch(self) -> PatchArch:
-        m = self.raw["model"]
-        return PatchArch(conv_channels=tuple(m["patch_channels"]),
-                         hidden=int(m["patch_hidden"]),
-                         dropout_rate=float(m["patch_dropout"]))
+        m = self._section("model")
+        return PatchArch(conv_channels=m("patch_channels", tuple),
+                         hidden=m("patch_hidden", int),
+                         dropout_rate=m("patch_dropout", float))
 
     def optimizer(self) -> OptimizerConfig:
-        t = self.raw["train"]
-        if t["optimizer"] not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {t['optimizer']!r}")
-        return OptimizerConfig(kind=t["optimizer"],
-                               learning_rate=float(t["learning_rate"]),
-                               momentum=float(t["momentum"]),
-                               beta1=float(t["beta1"]), beta2=float(t["beta2"]),
-                               eps=float(t["eps"]), rho=float(t["rho"]))
+        kind, t = self.raw["train"]["optimizer"], self._section("train")
+        if kind not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {kind!r}")
+        return OptimizerConfig(kind=kind,
+                               learning_rate=t("learning_rate", float),
+                               momentum=t("momentum", float),
+                               beta1=t("beta1", float), beta2=t("beta2", float),
+                               eps=t("eps", float), rho=t("rho", float))
 
     def train_config(self) -> TrainConfig:
-        t = self.raw["train"]
-        lambdas = t["lambdas"]
-        return TrainConfig(epochs=int(t["epochs"]),
-                           batch_size=int(t["batch_size"]),
+        raw, t = self.raw["train"], self._section("train")
+        return TrainConfig(epochs=t("epochs", int),
+                           batch_size=t("batch_size", int),
                            optimizer=self.optimizer(),
-                           loss_kind=t["loss"],
-                           class_balance=bool(t["class_balance"]),
-                           lambdas=None if lambdas is None else tuple(lambdas),
-                           augment=self.augment_spec() if t["augment_enabled"] else None,
-                           patience=int(t["patience"]), seed=int(t["seed"]))
+                           loss_kind=raw["loss"],
+                           class_balance=bool(raw["class_balance"]),
+                           lambdas=t("lambdas", lambda v: None if v is None else tuple(v)),
+                           augment=self.augment_spec() if raw["augment_enabled"] else None,
+                           patience=t("patience", int), seed=t("seed", int))

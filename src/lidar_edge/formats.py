@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +88,9 @@ def read_lri(path) -> tuple[np.ndarray, float]:
     if len(raw) < 16:
         raise ParameterError(f"{path}: truncated LRI1 header")
     h, w, max_range = struct.unpack_from("<IIf", raw, 4)
+    if not 0.0 < max_range < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"{path}: LRI1 max_range must be finite and positive, "
+                             f"got {max_range}")
     if len(raw) < 16 + 4 * h * w:
         raise ParameterError(f"{path}: truncated LRI1 payload")
     ranges = np.frombuffer(raw, dtype="<f4", count=h * w, offset=16)

@@ -22,8 +22,8 @@ import zlib
 
 import numpy as np
 
-from .errors import (CorruptModelError, MagicError, TruncationError,
-                     VersionError)
+from .errors import (CorruptModelError, MagicError, ParameterError,
+                     TruncationError, VersionError)
 from .models import (NestedArch, NestedNetParams, PatchArch, PatchNetParams,
                      init_nested, init_patch)
 
@@ -77,6 +77,15 @@ def _tensor_shapes(arch) -> list[tuple]:
             (arch.hidden, 16 * c2), (arch.hidden,), (1, arch.hidden), (1,)]
 
 
+def _arch(path, cls, **fields):
+    """The architecture a descriptor declares; one that fails validation
+    makes the file corrupt."""
+    try:
+        return cls(**fields)
+    except ParameterError as exc:
+        raise CorruptModelError(f"{path}: invalid descriptor: {exc}") from exc
+
+
 class _Reader:
     def __init__(self, raw: bytes, path):
         self.raw = raw
@@ -127,8 +136,8 @@ def load_model(path):
         stages = r.u32()
         widths = tuple(r.u32() for _ in range(stages))
         input_hw = (r.u32(), r.u32())
-        arch, init = NestedArch(stages=stages, widths=widths,
-                                input_hw=input_hw), init_nested
+        arch, init = _arch(path, NestedArch, stages=stages, widths=widths,
+                           input_hw=input_hw), init_nested
     elif kind == KIND_PATCH:
         n = r.u32()
         if n != 3:
@@ -136,8 +145,8 @@ def load_model(path):
         c1, c2, hidden = r.u32(), r.u32(), r.u32()
         input_hw = (r.u32(), r.u32())
         rate = r.f64()
-        arch, init = PatchArch(conv_channels=(c1, c2), hidden=hidden,
-                               dropout_rate=rate, input_hw=input_hw), init_patch
+        arch, init = _arch(path, PatchArch, conv_channels=(c1, c2), hidden=hidden,
+                           dropout_rate=rate, input_hw=input_hw), init_patch
     else:
         raise CorruptModelError(f"{path}: unknown model kind {kind}")
     # the tensors are allocated from the descriptor, so it must fit the payload first

@@ -1,11 +1,14 @@
 """Sobel, Roberts, and Canny detectors."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from lidar_edge.classical import (ROBERTS_1, ROBERTS_2, SOBEL_X, SOBEL_Y,
                                   canny, canny_levels, magnitude_levels,
                                   roberts, sobel, threshold_magnitude)
+from lidar_edge.classical import _hysteresis, _thinned_gradient
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.rng import SplitMix64
 
@@ -211,3 +214,122 @@ class TestLevelMaps:
     def test_canny_levels_bad_sigma(self):
         with pytest.raises(ParameterError):
             canny_levels(np.zeros((8, 8)), GRID, 0.0)
+
+
+def bfs_hysteresis(nms, low, high):
+    """Test oracle: strong pixels (>= high) and the weak pixels (>= low)
+    8-connected to one, found by a breadth-first flood fill."""
+    strong = nms >= high
+    weak = nms >= low
+    edges = np.zeros(nms.shape, dtype=bool)
+    queue = deque(zip(*np.nonzero(strong)))
+    edges[strong] = True
+    h, w = nms.shape
+    while queue:
+        y, x = queue.popleft()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not edges[ny, nx]:
+                    edges[ny, nx] = True
+                    queue.append((ny, nx))
+    return edges.astype(np.float64)
+
+
+def spiral_path(n=15):
+    """Cells of a one-pixel-wide square spiral of side n, from the outer
+    corner inward, with a blank lane between its turns."""
+    lengths = [n - 1] + [m for m in range(n - 1, 0, -2) for _ in (0, 1)]
+    path = [(0, 0)]
+    for leg, length in enumerate(lengths):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[leg % 4]
+        for _ in range(length):
+            y, x = path[-1]
+            path.append((y + dy, x + dx))
+    return path
+
+
+LOWS, HIGHS = GRID[1:] / 2.0, GRID[1:]  # the pairs canny_levels sweeps
+
+
+def hostile_maps():
+    """Thinned-magnitude maps that are hard on hysteresis, by name."""
+    rng = SplitMix64(21)
+    maps = {}
+    path = spiral_path()
+    for name, values in (("spiral", np.full(len(path), 0.3)),
+                         ("spiral-random", 0.02 + 0.5 * rng.floats(len(path)))):
+        m = np.zeros((15, 15))
+        m[tuple(np.array(path).T)] = values
+        m[path[-1]] = 1.0  # strong only at the far end
+        maps[name] = m
+    # cells equal to a low or a high threshold; black squares touch only diagonally
+    k = (rng.floats(256) * len(LOWS)).astype(int).reshape(16, 16)
+    black = (np.indices((16, 16)).sum(axis=0) % 2).astype(bool)
+    maps["checkerboard-ties"] = np.where(black, HIGHS[k], LOWS[k])
+    # 4x4 plateaus of one value each, some of them threshold values
+    blocks = np.where(rng.floats(16) < 0.5, LOWS[(rng.floats(16) * 50).astype(int)],
+                      rng.floats(16)).reshape(4, 4)
+    maps["plateaus"] = np.kron(blocks, np.ones((4, 4)))
+    # weak everywhere but one corner, which is the only strong pixel
+    corner = 0.05 + 0.4 * rng.floats(256).reshape(16, 16)
+    corner[rng.floats(256).reshape(16, 16) < 0.2] = 0.0
+    corner[-1, -1] = 1.0
+    maps["corner"] = corner
+    return maps
+
+
+class TestHysteresisOracle:
+    """The union-find sweep against a breadth-first flood fill per pair."""
+
+    @pytest.mark.parametrize("name", sorted(hostile_maps()))
+    def test_hostile_maps_at_every_pair(self, name):
+        nms = hostile_maps()[name]
+        counts = _hysteresis(nms, LOWS, HIGHS)
+        for k in range(len(LOWS)):
+            np.testing.assert_array_equal((counts > k).astype(np.float64),
+                                          bfs_hysteresis(nms, LOWS[k], HIGHS[k]))
+
+    def test_spiral_survives_only_through_its_strong_end(self):
+        nms = hostile_maps()["spiral"]
+        highs = np.linspace(0.9, 1.0, len(LOWS))  # 0.3 is never strong
+        counts = _hysteresis(nms, LOWS, highs)
+        # weak 0.3 passes low = t/2 up to t = 0.6: the first 30 pairs;
+        # the strong end 1.0 passes all 50
+        np.testing.assert_array_equal(counts, np.select([nms == 1.0, nms > 0], [50, 30]))
+        nms[nms == 1.0] = 0.3
+        assert not _hysteresis(nms, LOWS, highs).any()
+
+    def test_equal_low_and_high(self):
+        nms = hostile_maps()["checkerboard-ties"]
+        counts = _hysteresis(nms, HIGHS, HIGHS)
+        for k, t in enumerate(HIGHS):
+            np.testing.assert_array_equal((counts > k).astype(np.float64),
+                                          bfs_hysteresis(nms, t, t))
+
+    def test_no_pairs(self):
+        nms = hostile_maps()["corner"]
+        assert not _hysteresis(nms, [], []).any()
+        np.testing.assert_array_equal(canny_levels(nms, GRID[:1], 1.0), 1)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_canny_levels_match_oracle(self, sigma):
+        for img in oracle_images() + list(hostile_maps().values()):
+            levels = canny_levels(img, GRID, sigma)
+            thinned, peak = _thinned_gradient(img, sigma)
+            for k, t in enumerate(GRID[1:], start=1):
+                want = (bfs_hysteresis(thinned, (t / 2.0) * peak, t * peak)
+                        if peak >= 1e-12 else np.zeros(img.shape))
+                np.testing.assert_array_equal((levels > k).astype(np.float64), want)
+
+    def test_canny_matches_oracle_at_arbitrary_pairs(self):
+        rng = SplitMix64(22)
+        pairs = [(0.0, 0.01), (0.3, 0.31), (0.05, 1.0), (0.49, 0.5)] + [
+            tuple(sorted(rng.floats(2))) for _ in range(6)]
+        for img in oracle_images() + list(hostile_maps().values()):
+            for sigma in (1.0, 1.7):
+                thinned, peak = _thinned_gradient(img, sigma)
+                for low, high in pairs:
+                    want = (bfs_hysteresis(thinned, low * peak, high * peak)
+                            if peak >= 1e-12 else np.zeros(img.shape))
+                    np.testing.assert_array_equal(canny(img, sigma, low, high), want)

@@ -156,6 +156,19 @@ class TestDetect:
                          "--config", str(cfg_path), "--algorithm", "sobel"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("max_range", [-5.0, 0.0, float("inf")])
+    def test_bad_lri_max_range_is_usage_error(self, workdir, tmp_path, capsys, max_range):
+        _, cfg_path, _ = workdir
+        p = tmp_path / "in.lri"
+        write_lri(p, np.full((16, 16), 20.0), max_range)
+        code = cli.main(["detect", str(p), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--algorithm", "sobel"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(p) in err and "max_range" in err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_model_kind_mismatch(self, workdir, pgm_image, tmp_path):
         _, cfg_path, out_dir = workdir
         code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
@@ -213,6 +226,17 @@ class TestCompare:
         assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
                          "--detectors", "canny"]) == cli.EXIT_OK
         assert canny_calls["canny"] > 0 and canny_calls["_hysteresis"] > 0
+
+    def test_one_hysteresis_per_image_and_sigma(self, workdir, canny_calls):
+        _, cfg_path, out = workdir
+        splits = read_manifest(out / "dataset" / "manifest.jsonl").counts()
+        sigmas = len(cli.DETECTORS["canny"].settings)
+        assert sigmas == 4
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", "canny"]) == cli.EXIT_OK
+        # tuning: one sweep per (val image, sigma); testing: one canny per image
+        assert canny_calls["_hysteresis"] == splits["val"] * sigmas + splits["test"]
+        assert canny_calls["canny"] == splits["test"]
 
     def test_rows_follow_table_order(self, workdir):
         _, cfg_path, out = workdir
@@ -287,6 +311,24 @@ class TestErrors:
         assert loads == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, override", [
+        ("train.epochs", {"train": {"epochs": "abc"}}),
+        ("lidar.height", {"lidar": {"height": "tall"}}),
+        ("dataset.ratios", {"dataset": {"ratios": 5}}),
+        ("dataset.scene.min_size", {"dataset": {"scene": {"min_size": [1]}}}),
+        ("train.lambdas", {"train": {"lambdas": 3}}),
+        ("eval.n_thresholds", {"eval": {"n_thresholds": "many"}}),
+    ])
+    def test_bad_config_value_names_its_key(self, workdir, tmp_path, capsys, key, override):
+        _, _, out = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CFG, **override}), encoding="utf-8")
+        code = cli.main(["train", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bad_line", ['{"id": "x", "range": "x.lri", "intensity": "x.pgm"}',
                                           '{"id": "x", '],

@@ -122,3 +122,21 @@ class TestTypedViews:
         assert pa.conv_channels == (4, 8)
         assert pa.hidden == 32
         assert pa.dropout_rate == pytest.approx(0.5)
+
+
+class TestValueNamesItsKey:
+    @pytest.mark.parametrize("doc, key", [
+        ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
+        ({"augment": {"gain": 2}}, "augment.gain"),
+        ({"lidar": {"v_fov_deg": "wide"}}, "lidar.v_fov_deg"),
+        ({"model": {"patch_hidden": None}}, "model.patch_hidden"),
+    ])
+    def test_load(self, tmp_path, doc, key):
+        with pytest.raises(ConfigError, match=f"invalid config value for {key}: "):
+            Config.load(write_cfg(tmp_path, doc))
+
+    def test_after_override(self):
+        cfg = Config.load(None)
+        cfg.override("dataset.n", "ten")
+        with pytest.raises(ConfigError, match="dataset.n: 'ten'"):
+            cfg.check()

@@ -90,6 +90,13 @@ class TestRangeRaster:
         np.testing.assert_array_equal(np.frombuffer(data[16:], "<f4"), [1.0, 2.0])
         assert len(data) == 16 + 8
 
+    @pytest.mark.parametrize("max_range", [-5.0, 0.0, float("inf"), float("nan")])
+    def test_max_range_must_be_finite_and_positive(self, tmp_path, max_range):
+        p = tmp_path / "m.lri"
+        write_lri(p, np.ones((2, 2)), max_range)
+        with pytest.raises(ParameterError, match="m.lri: LRI1 max_range"):
+            read_lri(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.lri"
         p.write_bytes(b"XXXX" + b"\x00" * 16)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lidar_edge
+from lidar_edge import cli
 from lidar_edge.errors import (CorruptModelError, MagicError, ModelLoadError,
                                TruncationError, VersionError)
 from lidar_edge.formats import write_pgm
@@ -184,3 +185,35 @@ class TestHostileDescriptor:
         assert done.returncode == 4, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "needs" in done.stderr
+
+
+INVALID = {
+    # a CRC-valid nested descriptor with no stages at all
+    "zero-stages": (_crafted(1, struct.pack("<III", 0, 64, 64)), "cnn"),
+    # a CRC-valid patch descriptor whose dropout rate is NaN
+    "nan-dropout": (_crafted(2, struct.pack("<IIIIII", 3, 4, 8, 32, 28, 28)
+                             + struct.pack("<d", float("nan"))), "patchcnn"),
+}
+
+
+class TestInvalidDescriptor:
+    """A descriptor that fails architecture validation is a corrupt file."""
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_load_raises_corrupt_model_naming_the_file(self, case, tmp_path):
+        p = tmp_path / "m.ledm"
+        p.write_bytes(INVALID[case][0])
+        with pytest.raises(CorruptModelError, match="m.ledm: invalid descriptor"):
+            load_model(p)
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_detect_exits_4(self, case, tmp_path, capsys):
+        raw, algorithm = INVALID[case]
+        (tmp_path / "model.ledm").write_bytes(raw)
+        write_pgm(tmp_path / "in.pgm", np.zeros((64, 64)))
+        code = cli.main(["detect", "--algorithm", algorithm, "--out", str(tmp_path),
+                         str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm")])
+        assert code == cli.EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "model.ledm") in err
