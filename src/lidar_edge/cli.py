@@ -71,7 +71,9 @@ DETECTORS = {
     "roberts": Detector(
         lambda m, im, grid: classical.magnitude_levels(classical.roberts(im), grid),
         lambda m, im, t: classical.threshold_magnitude(classical.roberts(im), t)),
-    "patchcnn": Detector(None, None, model="patch"),  # detect only: no dense pass yet
+    # detect only: compare loads one model, the nested one, and a level
+    # function here would add patchcnn to compare's default detector list
+    "patchcnn": Detector(None, None, model="patch"),
 }
 TUNABLE = tuple(name for name, d in DETECTORS.items() if d.levels is not None)
 MODEL_KINDS = {"nested": NestedNetParams, "patch": PatchNetParams}

@@ -80,6 +80,21 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+def _tuple_of(cast):
+    """A cast for a list of numbers that cast leaves as they are: an
+    element that is not a number, or that cast would change (16.5 to
+    int, NaN to float), is refused."""
+    def cast_all(values):
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(values).__name__}")
+        out = tuple(cast(v) for v in values)
+        for v, c in zip(values, out):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or c != v:
+                raise ValueError(f"element {v!r} is not a valid {cast.__name__}")
+        return out
+    return cast_all
+
+
 @dataclass
 class Config:
     raw: dict = field(default_factory=lambda: _merge(DEFAULTS, {}))
@@ -109,7 +124,7 @@ class Config:
         view is first used."""
         d, e = self._section("dataset"), self._section("eval")
         try:
-            d("n", int), d("delta", float), d("seed", int), d("ratios", tuple)
+            d("n", int), d("delta", float), d("seed", int), d("ratios", _tuple_of(float))
             e("tolerance", int), e("n_thresholds", int)
             for view in (self.lidar, self.scene_policy, self.augment_spec,
                          self.nested_arch, self.patch_arch, self.train_config):
@@ -171,25 +186,26 @@ class Config:
 
     def augment_spec(self) -> AugmentSpec:
         d = self._section("augment")
-        return AugmentSpec(rotation_deg=d("rotation_deg", tuple),
-                           translate_px=d("translate_px", tuple),
-                           scale=d("scale", tuple), shear=d("shear", tuple),
+        span = _tuple_of(float)
+        return AugmentSpec(rotation_deg=d("rotation_deg", span),
+                           translate_px=d("translate_px", span),
+                           scale=d("scale", span), shear=d("shear", span),
                            flip_h_prob=d("flip_h_prob", float),
                            flip_v_prob=d("flip_v_prob", float),
-                           gain=d("gain", tuple), offset=d("offset", tuple),
-                           noise_sigma=d("noise_sigma", tuple),
-                           salt_pepper=d("salt_pepper", tuple),
+                           gain=d("gain", span), offset=d("offset", span),
+                           noise_sigma=d("noise_sigma", span),
+                           salt_pepper=d("salt_pepper", span),
                            occluder_count=d("occluder_count", int),
-                           occluder_size=d("occluder_size", tuple))
+                           occluder_size=d("occluder_size", _tuple_of(int)))
 
     def nested_arch(self) -> NestedArch:
         m, lidar = self._section("model"), self._section("lidar")
-        return NestedArch(stages=m("stages", int), widths=m("widths", tuple),
+        return NestedArch(stages=m("stages", int), widths=m("widths", _tuple_of(int)),
                           input_hw=(lidar("height", int), lidar("width", int)))
 
     def patch_arch(self) -> PatchArch:
         m = self._section("model")
-        return PatchArch(conv_channels=m("patch_channels", tuple),
+        return PatchArch(conv_channels=m("patch_channels", _tuple_of(int)),
                          hidden=m("patch_hidden", int),
                          dropout_rate=m("patch_dropout", float))
 
@@ -205,11 +221,12 @@ class Config:
 
     def train_config(self) -> TrainConfig:
         raw, t = self.raw["train"], self._section("train")
+        weights = _tuple_of(float)
         return TrainConfig(epochs=t("epochs", int),
                            batch_size=t("batch_size", int),
                            optimizer=self.optimizer(),
                            loss_kind=raw["loss"],
                            class_balance=bool(raw["class_balance"]),
-                           lambdas=t("lambdas", lambda v: None if v is None else tuple(v)),
+                           lambdas=t("lambdas", lambda v: None if v is None else weights(v)),
                            augment=self.augment_spec() if raw["augment_enabled"] else None,
                            patience=t("patience", int), seed=t("seed", int))

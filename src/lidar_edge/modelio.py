@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (CorruptModelError, MagicError, ParameterError,
                      TruncationError, VersionError)
-from .models import (NestedArch, NestedNetParams, PatchArch, PatchNetParams,
-                     init_nested, init_patch)
+from .models import NestedArch, NestedNetParams, PatchArch, PatchNetParams
 
 MAGIC = b"LEDM"
 VERSION = 1
@@ -136,8 +135,8 @@ def load_model(path):
         stages = r.u32()
         widths = tuple(r.u32() for _ in range(stages))
         input_hw = (r.u32(), r.u32())
-        arch, init = _arch(path, NestedArch, stages=stages, widths=widths,
-                           input_hw=input_hw), init_nested
+        arch, cls = _arch(path, NestedArch, stages=stages, widths=widths,
+                          input_hw=input_hw), NestedNetParams
     elif kind == KIND_PATCH:
         n = r.u32()
         if n != 3:
@@ -145,19 +144,17 @@ def load_model(path):
         c1, c2, hidden = r.u32(), r.u32(), r.u32()
         input_hw = (r.u32(), r.u32())
         rate = r.f64()
-        arch, init = _arch(path, PatchArch, conv_channels=(c1, c2), hidden=hidden,
-                           dropout_rate=rate, input_hw=input_hw), init_patch
+        arch, cls = _arch(path, PatchArch, conv_channels=(c1, c2), hidden=hidden,
+                          dropout_rate=rate, input_hw=input_hw), PatchNetParams
     else:
         raise CorruptModelError(f"{path}: unknown model kind {kind}")
     # the tensors are allocated from the descriptor, so it must fit the payload first
-    need = sum(4 * (1 + len(shape)) + 8 * math.prod(shape)
-               for shape in _tensor_shapes(arch))
+    shapes = _tensor_shapes(arch)
+    need = sum(4 * (1 + len(shape)) + 8 * math.prod(shape) for shape in shapes)
     if need > len(r.raw) - r.pos:
         raise TruncationError(f"{path}: architecture needs {need} tensor bytes, "
                               f"file holds {len(r.raw) - r.pos}")
-    params = init(arch, seed=0)
-    for _, tensor in params.named_tensors():
-        tensor[...] = r.tensor(tensor.shape)
+    tensors = [r.tensor(shape) for shape in shapes]
     if r.pos != len(r.raw):
         raise CorruptModelError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
-    return params
+    return cls.from_tensors(arch, tensors)

@@ -67,6 +67,20 @@ class NestedNetParams:
         out.append(("alpha", self.alpha))
         return out
 
+    @classmethod
+    def from_tensors(cls, arch: NestedArch, tensors: list) -> "NestedNetParams":
+        """The params of arch built on its tensors, given in named_tensors() order."""
+        if len(tensors) != 6 * arch.stages + 1:
+            raise DimensionError(f"{len(tensors)} tensors for a {arch.stages}-stage net")
+        it = iter(tensors)
+        stage_convs = [(ConvParams(next(it), next(it), padding="same"),
+                        ConvParams(next(it), next(it), padding="same"))
+                       for _ in range(arch.stages)]
+        side_heads = [ConvParams(next(it), next(it), padding="same")
+                      for _ in range(arch.stages)]
+        return cls(arch=arch, stage_convs=stage_convs, side_heads=side_heads,
+                   alpha=next(it))
+
 
 @dataclass(frozen=True)
 class PatchArch:
@@ -96,6 +110,16 @@ class PatchNetParams:
                 ("fc1.weights", self.fc1.weights), ("fc1.bias", self.fc1.bias),
                 ("fc2.weights", self.fc2.weights), ("fc2.bias", self.fc2.bias)]
 
+    @classmethod
+    def from_tensors(cls, arch: PatchArch, tensors: list) -> "PatchNetParams":
+        """The params of arch built on its tensors, given in named_tensors() order."""
+        if len(tensors) != 8:
+            raise DimensionError(f"{len(tensors)} tensors for the patch net, expected 8")
+        cw1, cb1, cw2, cb2, fw1, fb1, fw2, fb2 = tensors
+        return cls(arch=arch, conv1=ConvParams(cw1, cb1, padding="valid"),
+                   conv2=ConvParams(cw2, cb2, padding="valid"),
+                   fc1=DenseParams(fw1, fb1), fc2=DenseParams(fw2, fb2))
+
 
 def _he_uniform(rng: SplitMix64, shape: tuple, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
@@ -107,31 +131,25 @@ def init_nested(arch: NestedArch, seed: int) -> NestedNetParams:
     """He-uniform conv weights, zero biases; side heads start at zero so
     every side map begins at exactly 0.5; alpha uniform over stages."""
     rng = SplitMix64(splitmix64(seed, 0))
-    stage_convs = []
-    in_ch = 1
+    tensors, in_ch = [], 1
     for width in arch.widths:
-        a = ConvParams(_he_uniform(rng, (width, in_ch, 3, 3), in_ch * 9),
-                       np.zeros(width), padding="same")
-        b = ConvParams(_he_uniform(rng, (width, width, 3, 3), width * 9),
-                       np.zeros(width), padding="same")
-        stage_convs.append((a, b))
+        tensors += [_he_uniform(rng, (width, in_ch, 3, 3), in_ch * 9), np.zeros(width),
+                    _he_uniform(rng, (width, width, 3, 3), width * 9), np.zeros(width)]
         in_ch = width
-    side_heads = [ConvParams(np.zeros((1, w, 1, 1)), np.zeros(1), padding="same")
-                  for w in arch.widths]
-    alpha = np.full(arch.stages, 1.0 / arch.stages)
-    return NestedNetParams(arch=arch, stage_convs=stage_convs,
-                           side_heads=side_heads, alpha=alpha)
+    tensors += [t for w in arch.widths for t in (np.zeros((1, w, 1, 1)), np.zeros(1))]
+    tensors.append(np.full(arch.stages, 1.0 / arch.stages))
+    return NestedNetParams.from_tensors(arch, tensors)
 
 
 def init_patch(arch: PatchArch, seed: int) -> PatchNetParams:
     rng = SplitMix64(splitmix64(seed, 1))
     c1, c2 = arch.conv_channels
-    conv1 = ConvParams(_he_uniform(rng, (c1, 1, 5, 5), 25), np.zeros(c1), padding="valid")
-    conv2 = ConvParams(_he_uniform(rng, (c2, c1, 5, 5), c1 * 25), np.zeros(c2), padding="valid")
     flat = 16 * c2  # 28 -> 24 -> 12 -> 8 -> 4 spatial, so 4*4*C2 features
-    fc1 = DenseParams(_he_uniform(rng, (arch.hidden, flat), flat), np.zeros(arch.hidden))
-    fc2 = DenseParams(_he_uniform(rng, (1, arch.hidden), arch.hidden), np.zeros(1))
-    return PatchNetParams(arch=arch, conv1=conv1, conv2=conv2, fc1=fc1, fc2=fc2)
+    return PatchNetParams.from_tensors(arch, [
+        _he_uniform(rng, (c1, 1, 5, 5), 25), np.zeros(c1),
+        _he_uniform(rng, (c2, c1, 5, 5), c1 * 25), np.zeros(c2),
+        _he_uniform(rng, (arch.hidden, flat), flat), np.zeros(arch.hidden),
+        _he_uniform(rng, (1, arch.hidden), arch.hidden), np.zeros(1)])
 
 
 @dataclass

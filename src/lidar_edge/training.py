@@ -25,9 +25,10 @@ from .augment import AugmentSpec, sample_and_apply
 from .errors import ConfigError, DivergenceError, ParameterError
 from .evaluation import ConfusionMatrix, confusion, metrics
 from .formats import DatasetManifest, read_pgm, resolve
+from .layers import ConvParams, conv_forward, maxpool2x2_forward, relu, sigmoid
 from .losses import pixel_loss
-from .models import (ForwardTrace, NestedArch, NestedNetParams, PatchArch,
-                     PatchNetParams, backward_nested, backward_patch,
+from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
+                     PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch)
 from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .rng import SplitMix64, splitmix64
@@ -279,15 +280,41 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
 
 
 def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
-    """Sliding-window edge probabilities, one patch per pixel."""
+    """Edge probability of every pixel: the patch net's score of the 28x28
+    patch centred on it in the edge-padded image, in one dense pass.
+
+    conv1 runs once over the padded image. Each stride-2 pool keeps one
+    row and column offset of the grid, so the pixels are scored in 2x2
+    groups per pool (shift-and-stitch, Sermanet et al. 2014): pool-1
+    offset (a, b) and pool-2 offset (a2, b2) hold the pixels at rows
+    a + 2*a2 + 4n and columns b + 2*b2 + 4m. fc1 reads a 4x4 window of
+    pooled features, so it runs as a 4x4 valid convolution and fc2 as a
+    1x1 one (Long et al. 2015); the reshape keeps fc1's flat feature order.
+    Dropout is off, as in forward_patch outside training.
+    """
     h, w = img.shape
-    half = 14
-    padded = np.pad(img, half, mode="edge")
+    c2, hidden = params.arch.conv_channels[1], params.arch.hidden
+    fc1 = ConvParams(params.fc1.weights.reshape(hidden, c2, 4, 4), params.fc1.bias, "valid")
+    fc2 = ConvParams(params.fc2.weights.reshape(1, hidden, 1, 1), params.fc2.bias, "valid")
+    padded = np.pad(np.asarray(img, dtype=np.float64), PATCH_SIZE // 2, mode="edge")
+    act1 = relu(conv_forward(padded[np.newaxis], params.conv1))
     out = np.zeros((h, w))
-    for r in range(h):
-        for c in range(w):
-            patch = padded[r:r + 2 * half, c:c + 2 * half]
-            out[r, c] = forward_patch(params, patch).prob
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    for a, b in offsets:
+        # a patch reads 12 pool-1 rows, so n rows of patches need n + 11
+        ni, nj = len(range(a, h, 2)), len(range(b, w, 2))
+        if ni == 0 or nj == 0:
+            continue
+        pool1, _ = maxpool2x2_forward(act1[:, a:a + 2 * (ni + 11), b:b + 2 * (nj + 11)])
+        act2 = relu(conv_forward(pool1, params.conv2))
+        for a2, b2 in offsets:
+            # ... and 4 pool-2 rows, so n rows need n + 3
+            nk, nl = len(range(a2, ni, 2)), len(range(b2, nj, 2))
+            if nk == 0 or nl == 0:
+                continue
+            pool2, _ = maxpool2x2_forward(act2[:, a2:a2 + 2 * (nk + 3), b2:b2 + 2 * (nl + 3)])
+            logit = conv_forward(relu(conv_forward(pool2, fc1)), fc2)
+            out[a + 2 * a2::4, b + 2 * b2::4] = sigmoid(logit)[0]
     return out
 
 

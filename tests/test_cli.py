@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from lidar_edge import classical, cli
+from lidar_edge import classical, cli, layers, models, training
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
+from lidar_edge.modelio import save_model
 
 SMALL_CFG = {
     "lidar": {"height": 16, "width": 16},
@@ -176,6 +177,30 @@ class TestDetect:
                          "--algorithm", "patchcnn"])
         assert code == cli.EXIT_USAGE
 
+    def test_patchcnn_is_one_dense_pass(self, workdir, tmp_path, monkeypatch):
+        """conv1 once, conv2 per pool-1 offset, fc1 and fc2 per pair of
+        pool offsets: 1 + 4 + 16 + 16 convolutions and no per-pixel
+        forward_patch for a 64x64 image."""
+        _, cfg_path, _ = workdir
+        save_model(models.init_patch(models.PatchArch(), 0), tmp_path / "model.ledm")
+        img = np.zeros((64, 64))
+        img[20:40, 10:50] = 0.7
+        write_pgm(tmp_path / "in.pgm", img)
+        calls = {"conv_forward": 0, "forward_patch": 0}
+        for module in (layers, models, training):
+            for name in calls:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                        calls[_name] += 1
+                        return _original(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "edges.pgm"
+        assert cli.main(["detect", str(tmp_path / "in.pgm"), str(out),
+                         "--config", str(cfg_path), "--out", str(tmp_path),
+                         "--algorithm", "patchcnn"]) == cli.EXIT_OK
+        assert calls == {"conv_forward": 37, "forward_patch": 0}
+        assert read_pgm(out.with_suffix(".prob.pgm")).shape == (64, 64)
+
     def test_cnn_without_model(self, workdir, pgm_image, tmp_path):
         _, cfg_path, _ = workdir
         code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
@@ -326,6 +351,40 @@ class TestErrors:
         bad.write_text(json.dumps({**SMALL_CFG, **override}), encoding="utf-8")
         code = cli.main(["train", "--config", str(bad), "--out", str(out)])
         assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.count("\n") == 1
+
+    BAD_LIST_ELEMENTS = [
+        ("model.widths", [8, 16.5, 32]),
+        ("model.patch_channels", ["a", "b"]),
+        ("augment.rotation_deg", ["a", 1.0]),
+        ("augment.translate_px", [0.0, None]),
+        ("augment.scale", [1.0, "big"]),
+        ("augment.shear", [[0.0], 0.1]),
+        ("augment.gain", [1.0, {"x": 1}]),
+        ("augment.offset", ["0", 0.1]),
+        ("augment.noise_sigma", [0.0, False]),
+        ("augment.salt_pepper", [0.0, "0.02"]),
+        ("augment.occluder_size", [2, 8.5]),
+        ("dataset.ratios", [0.7, "0.15", 0.15]),
+        ("train.lambdas", [1.0, "x"]),
+    ]
+
+    @pytest.mark.parametrize("key, value", BAD_LIST_ELEMENTS,
+                             ids=[key for key, _ in BAD_LIST_ELEMENTS])
+    def test_bad_list_element_names_its_key(self, workdir, tmp_path, capsys,
+                                            monkeypatch, key, value):
+        _, _, out = workdir
+        section, name = key.split(".")
+        doc = {**SMALL_CFG, section: {**SMALL_CFG.get(section, {}), name: value}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        loads = []
+        monkeypatch.setattr(cli, "read_manifest", lambda p: loads.append(p))
+        code = cli.main(["train", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert loads == []
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid config value for {key}: ")
         assert err.count("\n") == 1

@@ -140,3 +140,32 @@ class TestValueNamesItsKey:
         cfg.override("dataset.n", "ten")
         with pytest.raises(ConfigError, match="dataset.n: 'ten'"):
             cfg.check()
+
+
+class TestListElements:
+    def test_numbers_are_cast_per_key(self, tmp_path):
+        cfg = Config.load(write_cfg(tmp_path, {
+            "model": {"widths": [8.0, 16, 32], "patch_channels": [2, 3.0]},
+            "augment": {"rotation_deg": [-5, 5], "occluder_size": [2.0, 4]},
+            "dataset": {"ratios": [1, 0, 0]},
+            "train": {"lambdas": [1, 0.5, 2]}}))
+        assert cfg.nested_arch().widths == (8, 16, 32)
+        assert cfg.patch_arch().conv_channels == (2, 3)
+        spec = cfg.augment_spec()
+        assert spec.rotation_deg == (-5.0, 5.0) and spec.occluder_size == (2, 4)
+        assert cfg.train_config().lambdas == (1.0, 0.5, 2.0)
+        int_lists = (cfg.nested_arch().widths, cfg.patch_arch().conv_channels,
+                     spec.occluder_size)
+        assert all(type(v) is int for values in int_lists for v in values)
+        float_lists = (spec.rotation_deg, cfg.train_config().lambdas)
+        assert all(type(v) is float for values in float_lists for v in values)
+
+    @pytest.mark.parametrize("doc, key, element", [
+        ({"model": {"widths": [8, 16.5, 32]}}, "model.widths", "16.5"),
+        ({"model": {"patch_channels": ["4", 8]}}, "model.patch_channels", "'4'"),
+        ({"augment": {"occluder_size": [2, True]}}, "augment.occluder_size", "True"),
+        ({"augment": {"shear": [0.0, float("nan")]}}, "augment.shear", "nan"),
+    ], ids=["float-as-int", "string-as-int", "bool-as-int", "nan"])
+    def test_element_the_cast_would_change_is_refused(self, tmp_path, doc, key, element):
+        with pytest.raises(ConfigError, match=f"for {key}: .*element {element} is not"):
+            Config.load(write_cfg(tmp_path, doc))

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import lidar_edge
-from lidar_edge import cli
-from lidar_edge.errors import (CorruptModelError, MagicError, ModelLoadError,
-                               TruncationError, VersionError)
+from lidar_edge import cli, modelio, models
+from lidar_edge.errors import (CorruptModelError, DimensionError, MagicError,
+                               ModelLoadError, TruncationError, VersionError)
 from lidar_edge.formats import write_pgm
 from lidar_edge.modelio import _tensor_shapes, load_model, save_model
-from lidar_edge.models import (NestedArch, PatchArch, forward_nested,
-                               forward_patch, init_nested, init_patch)
+from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch,
+                               PatchNetParams, forward_nested, forward_patch,
+                               init_nested, init_patch)
 from lidar_edge.rng import SplitMix64
 
 
@@ -70,6 +71,39 @@ class TestRoundTrip:
         save_model(params, a)
         save_model(params, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+class TestBuiltFromTensors:
+    @pytest.mark.parametrize("kind", ["nested", "patch"])
+    def test_fixture_round_trips_without_init(self, kind, tmp_path, monkeypatch):
+        """load_model builds the params on the tensors it reads, with no
+        random init to overwrite."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew a random init")
+        for module in (models, modelio):
+            for name in ("init_nested", "init_patch"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        fixture = FIXTURES / f"{kind}.ledm"
+        params = load_model(fixture)
+        save_model(params, tmp_path / "back.ledm")
+        assert (tmp_path / "back.ledm").read_bytes() == fixture.read_bytes()
+
+    @pytest.mark.parametrize("cls, params", [
+        (NestedNetParams, nested_params(3)),
+        (PatchNetParams, init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3)),
+    ], ids=["nested", "patch"])
+    def test_from_tensors_inverts_named_tensors(self, cls, params):
+        tensors = [t for _, t in params.named_tensors()]
+        built = cls.from_tensors(params.arch, tensors)
+        assert built.arch == params.arch
+        assert [n for n, _ in built.named_tensors()] == [n for n, _ in params.named_tensors()]
+        assert all(a is b for (_, a), b in zip(built.named_tensors(), tensors, strict=True))
+        with pytest.raises(DimensionError):
+            cls.from_tensors(params.arch, tensors[:-1])
 
 
 class TestHeader:

@@ -5,7 +5,8 @@ import pytest
 
 from lidar_edge.errors import ConfigError, DivergenceError, ParameterError
 from lidar_edge.formats import DatasetManifest, ManifestEntry
-from lidar_edge.models import NestedArch, PatchArch, forward_nested, init_nested
+from lidar_edge.models import (NestedArch, PatchArch, forward_nested, forward_patch,
+                               init_nested, init_patch)
 from lidar_edge.optim import OptimizerConfig
 from lidar_edge.rng import SplitMix64
 from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, grad_check,
@@ -210,6 +211,53 @@ class TestTrainPatch:
         pm = patch_prob_map(params, img)
         assert pm.shape == (10, 10)
         assert pm.min() >= 0.0 and pm.max() <= 1.0
+
+
+def sliding_prob_map(params, img):
+    """The oracle for patch_prob_map: one forward_patch per pixel on the
+    28x28 patch centred on it in the edge-padded image."""
+    h, w = img.shape
+    padded = np.pad(img, 14, mode="edge")
+    out = np.zeros((h, w))
+    for r in range(h):
+        for c in range(w):
+            out[r, c] = forward_patch(params, padded[r:r + 28, c:c + 28]).prob
+    return out
+
+
+def random_patch_params(arch, seed):
+    """Random weights and nonzero biases, so no bias hides an offset error."""
+    params = init_patch(arch, seed)
+    rng = SplitMix64(seed + 100)
+    for _, tensor in params.named_tensors():
+        tensor[...] = rng.normals(tensor.size).reshape(tensor.shape) * 0.5
+    return params
+
+
+class TestDensePatchProbMap:
+    ARCHS = {"default": PatchArch(), "2-3-hidden5": PatchArch(conv_channels=(2, 3), hidden=5)}
+
+    @pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS.keys())
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 3), (13, 9),
+                                       (17, 22), (64, 64)], ids=str)
+    def test_matches_sliding_window_on_random_images(self, arch, shape):
+        params = random_patch_params(arch, 1)
+        assert all(t.any() for _, t in params.named_tensors())
+        img = SplitMix64(shape[0] * 100 + shape[1]).floats(shape[0] * shape[1]).reshape(shape)
+        dense = patch_prob_map(params, img)
+        assert dense.shape == shape
+        np.testing.assert_allclose(dense, sliding_prob_map(params, img), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS.keys())
+    @pytest.mark.parametrize("pattern", ["constant", "checkerboard"])
+    def test_matches_sliding_window_on_ties(self, arch, pattern):
+        """A constant image ties all four cells of every pool window; a
+        checkerboard, of the pools' period 2, ties them in pairs."""
+        params = random_patch_params(arch, 2)
+        rows, cols = np.indices((13, 18))
+        img = np.full((13, 18), 0.6) if pattern == "constant" else ((rows + cols) % 2) * 0.9
+        np.testing.assert_allclose(patch_prob_map(params, img),
+                                   sliding_prob_map(params, img), rtol=0, atol=1e-12)
 
 
 class TestRunLogCSV:
