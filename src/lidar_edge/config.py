@@ -80,18 +80,35 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
+
+
+def _exactly(cast):
+    """cast for a number that cast leaves as it is: a value that is not a
+    number (strings and booleans included), or that cast would change
+    (2.5 to int, NaN to float), is refused."""
+    def exact(value):
+        out = cast(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or out != value:
+            raise ValueError(f"{value!r} is not a valid {cast.__name__}")
+        return out
+    exact.__name__ = cast.__name__
+    return exact
+
+
 def _tuple_of(cast):
     """A cast for a list of numbers that cast leaves as they are: an
     element that is not a number, or that cast would change (16.5 to
     int, NaN to float), is refused."""
+    element = _exactly(cast)
+
     def cast_all(values):
         if not isinstance(values, (list, tuple)):
             raise TypeError(f"expected a list, got {type(values).__name__}")
-        out = tuple(cast(v) for v in values)
-        for v, c in zip(values, out):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or c != v:
-                raise ValueError(f"element {v!r} is not a valid {cast.__name__}")
-        return out
+        try:
+            return tuple(element(v) for v in values)
+        except ValueError as exc:
+            raise ValueError(f"element {exc}") from None
     return cast_all
 
 
@@ -125,7 +142,11 @@ class Config:
         d, e = self._section("dataset"), self._section("eval")
         try:
             d("n", int), d("delta", float), d("seed", int), d("ratios", _tuple_of(float))
-            e("tolerance", int), e("n_thresholds", int)
+            e("tolerance", int)
+            n_thresholds = e("n_thresholds", int)
+            if n_thresholds > MAX_THRESHOLDS:
+                raise ConfigError(f"invalid config value for eval.n_thresholds: "
+                                  f"{n_thresholds} (at most {MAX_THRESHOLDS})")
             for view in (self.lidar, self.scene_policy, self.augment_spec,
                          self.nested_arch, self.patch_arch, self.train_config):
                 view()
@@ -136,12 +157,15 @@ class Config:
 
     def _section(self, name: str):
         """get(key, cast) = cast(value of name.key); a value that cast
-        refuses raises ConfigError naming its dotted key."""
+        refuses, or an int key's value that int would change, raises
+        ConfigError naming its dotted key."""
         node = self.raw
         for part in name.split("."):
             node = node[part]
 
         def get(key, cast):
+            if cast is int:  # an int key never takes 2.5 as 2, nor true as 1
+                cast = _exactly(int)
             try:
                 return cast(node[key])
             except (ValueError, TypeError, OverflowError) as exc:

@@ -1,9 +1,13 @@
 """Tensor primitives for the from-scratch networks.
 
-Activations are (channels, height, width) float64 arrays. Convolution
-is cross-correlation (no kernel flip) with stride 1 and either same-zero
-or valid padding. Every forward has a matching hand-derived backward;
-the pair is validated against central finite differences in the tests.
+Activations are (..., channels, height, width) float64 arrays. Leading
+axes are batch axes: every layer treats each example alone, so a batch
+gives the stack of its examples' results, bit for bit. Convolution is
+cross-correlation (no kernel flip) with stride 1 and either same-zero
+or valid padding; a fully connected layer is the valid convolution
+whose kernel covers its whole input. Every forward has a matching
+hand-derived backward; the pair is validated against central finite
+differences in the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import SplitMix64
+from .rng import floats_per_seed
 
 
 @dataclass
@@ -31,70 +35,122 @@ class ConvParams:
             raise ParameterError(f"unknown padding {self.padding!r}")
 
 
+@dataclass(frozen=True)
+class Columns:
+    """An input (..., C, H, W) laid out for one convolution (im2col,
+    Chellapilla et al. 2006): data is (..., C*kh*kw, Ho*Wo), one matrix per
+    example. conv_forward and conv_backward take it in place of the input,
+    so a backward reuses the columns its forward built."""
+    data: np.ndarray
+    x_shape: tuple
+    out_hw: tuple
+    kernel: tuple  # (in_ch, kh, kw, padding) of the convolution it was built for
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, padding: str) -> tuple[np.ndarray, tuple]:
-    cin, h, w = x.shape
+    *lead, cin, h, w = x.shape
     if padding == "same":
         if kh % 2 == 0 or kw % 2 == 0:
             raise DimensionError("same padding needs odd kernel dims")
-        x = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    elif kh > x.shape[1] or kw > x.shape[2]:
+        if kh > 1 or kw > 1:
+            x_pad = np.zeros((*lead, cin, h + kh - 1, w + kw - 1))
+            x_pad[..., kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = x
+            x = x_pad
+    elif kh > h or kw > w:
         raise DimensionError(f"kernel ({kh},{kw}) larger than input {x.shape} in valid mode")
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cin, ho, wo, _, _ = win.shape
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols), (ho, wo)
+    ho, wo = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
+    *s_lead, s_c, s_h, s_w = x.strides
+    win = np.lib.stride_tricks.as_strided(  # (..., C, kh, kw, Ho, Wo), a view of x
+        x, (*lead, cin, kh, kw, ho, wo), (*s_lead, s_c, s_h, s_w, s_h, s_w), writeable=False)
+    return win.reshape(*lead, cin * kh * kw, ho * wo), (ho, wo)
 
 
-def conv_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """y[o] = sum_c x[c] (*) W[o,c] + b[o], cross-correlation orientation."""
-    cout, cin, kh, kw = p.weights.shape
-    if x.ndim != 3 or x.shape[0] != cin:
+def im2col(x: np.ndarray, p: ConvParams) -> Columns:
+    """The columns of x for p's convolution."""
+    _, cin, kh, kw = p.weights.shape
+    if x.ndim < 3 or x.shape[-3] != cin:
         raise DimensionError(f"input {x.shape} does not match in_ch={cin}")
-    cols, (ho, wo) = _im2col(x, kh, kw, p.padding)
-    y = p.weights.reshape(cout, cin * kh * kw) @ cols + p.bias[:, np.newaxis]
-    return y.reshape(cout, ho, wo)
+    data, out_hw = _im2col(x, kh, kw, p.padding)
+    return Columns(data, x.shape, out_hw, (cin, kh, kw, p.padding))
 
 
-def conv_backward(x: np.ndarray, p: ConvParams,
-                  d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dX, dW, db) of a scalar loss given d_out = dL/dy."""
+def _columns(x, p: ConvParams) -> Columns:
+    if not isinstance(x, Columns):
+        return im2col(x, p)
+    if x.kernel != (*p.weights.shape[1:], p.padding):
+        raise DimensionError(f"columns built for {x.kernel}, not for W{p.weights.shape}")
+    return x
+
+
+def conv_forward(x, p: ConvParams) -> np.ndarray:
+    """y[..., o] = sum_c x[..., c] (*) W[o,c] + b[o], cross-correlation
+    orientation. x is the input (..., C, H, W) or its Columns; y is
+    (..., out_ch, Ho, Wo)."""
+    cols = _columns(x, p)
+    cout = p.weights.shape[0]
+    y = np.matmul(p.weights.reshape(cout, -1), cols.data) + p.bias[:, np.newaxis]
+    return y.reshape(*cols.x_shape[:-3], cout, *cols.out_hw)
+
+
+def conv_backward(x, p: ConvParams, d_out: np.ndarray,
+                  input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dX, dW, db) of a scalar loss given d_out = dL/dy.
+
+    x is the forward's input or its Columns. dX has the input's shape, or
+    is None when input_grad is off (the first layer of a net needs none);
+    dW and db keep the leading axes, one gradient per example: the batch
+    is never summed here, so each example's gradient is the one it would
+    get alone.
+    """
+    cols = _columns(x, p)
     cout, cin, kh, kw = p.weights.shape
-    cols, (ho, wo) = _im2col(x, kh, kw, p.padding)
-    d_mat = d_out.reshape(cout, ho * wo)
-    d_w = (d_mat @ cols.T).reshape(p.weights.shape)
-    d_b = d_mat.sum(axis=1)
-    d_cols = (p.weights.reshape(cout, cin * kh * kw).T @ d_mat)
-    d_cols = d_cols.reshape(cin, kh, kw, ho, wo)
-    if p.padding == "same":
-        ph, pw = kh // 2, kw // 2
+    lead, (h, w), (ho, wo) = cols.x_shape[:-3], cols.x_shape[-2:], cols.out_hw
+    d_mat = d_out.reshape(*lead, cout, ho * wo)
+    d_w = np.matmul(d_mat, np.swapaxes(cols.data, -1, -2)).reshape(*lead, *p.weights.shape)
+    d_b = d_mat.sum(axis=-1)
+    if not input_grad:
+        return None, d_w, d_b
+    d_cols = np.matmul(p.weights.reshape(cout, -1).T, d_mat)
+    d_cols = d_cols.reshape(*lead, cin, kh, kw, ho, wo)
+    ph, pw = (kh // 2, kw // 2) if p.padding == "same" else (0, 0)
+    d_pad = np.zeros((*lead, cin, h + 2 * ph, w + 2 * pw))
+    # col2im: every input cell sums its kernel taps in row-major (i, j)
+    # order. Looping over output cells in reverse row-major order adds
+    # them in that same order, so the shorter loop of the two is taken.
+    if kh * kw <= ho * wo:
+        for i in range(kh):
+            for j in range(kw):
+                d_pad[..., i:i + ho, j:j + wo] += d_cols[..., i, j, :, :]
     else:
-        ph = pw = 0
-    d_pad = np.zeros((cin, x.shape[1] + 2 * ph, x.shape[2] + 2 * pw))
-    for i in range(kh):
-        for j in range(kw):
-            d_pad[:, i:i + ho, j:j + wo] += d_cols[:, i, j]
-    d_x = d_pad[:, ph:ph + x.shape[1], pw:pw + x.shape[2]]
-    return d_x, d_w, d_b
+        for r in range(ho - 1, -1, -1):
+            for c in range(wo - 1, -1, -1):
+                d_pad[..., r:r + kh, c:c + kw] += d_cols[..., r, c]
+    return d_pad[..., ph:ph + h, pw:pw + w], d_w, d_b
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-2 2x2 max pooling.
+    """Stride-2 2x2 max pooling of (..., C, H, W).
 
     Odd spatial dims are padded on the right/bottom by edge replication
     before pooling. Returns (pooled, argmax) where argmax holds the
     row-major index (0..3) of the first maximum inside each window.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"expected (C,H,W), got {x.shape}")
-    c, h, w = x.shape
+    if x.ndim < 3:
+        raise DimensionError(f"expected (..., C, H, W), got {x.shape}")
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
-        x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-        c, h, w = x.shape
-    win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    flat = win.reshape(c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=3)  # first max in row-major window order
-    pooled = np.take_along_axis(flat, arg[..., np.newaxis], axis=3)[..., 0]
-    return pooled, arg
+        x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, h % 2), (0, w % 2)], mode="edge")
+        h, w = x.shape[-2:]
+    lead = x.shape[:-2]
+    win = x.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    flat = win.reshape(*lead, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)  # first max in row-major window order
+    return flat.reshape(-1)[_window_cells(arg)].reshape(arg.shape), arg
+
+
+def _window_cells(arg: np.ndarray) -> np.ndarray:
+    """Flat indices of the argmax cells in the (..., 4) window array."""
+    return np.arange(0, 4 * arg.size, 4) + arg.reshape(-1)
 
 
 def maxpool2x2_backward(x_shape: tuple, arg: np.ndarray,
@@ -104,16 +160,16 @@ def maxpool2x2_backward(x_shape: tuple, arg: np.ndarray,
     x_shape is the ORIGINAL (possibly odd) input shape; gradient flowing
     into replicated pad cells folds back onto the edge source cells.
     """
-    c, h, w = x_shape
+    *lead, h, w = x_shape
     hp, wp = h + h % 2, w + w % 2
-    flat = np.zeros((c, hp // 2, wp // 2, 4))
-    np.put_along_axis(flat, arg[..., np.newaxis], d_out[..., np.newaxis], axis=3)
-    d_pad = flat.reshape(c, hp // 2, wp // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, hp, wp)
+    flat = np.zeros((*lead, hp // 2, wp // 2, 4))
+    flat.reshape(-1)[_window_cells(arg)] = d_out.reshape(-1)
+    d_pad = flat.reshape(*lead, hp // 2, wp // 2, 2, 2).swapaxes(-3, -2).reshape(*lead, hp, wp)
     if hp != h:
-        d_pad[:, h - 1, :] += d_pad[:, h, :]
+        d_pad[..., h - 1, :] += d_pad[..., h, :]
     if wp != w:
-        d_pad[:, :, w - 1] += d_pad[:, :, w]
-    return d_pad[:, :h, :w]
+        d_pad[..., :, w - 1] += d_pad[..., :, w]
+    return d_pad[..., :h, :w]
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
@@ -158,36 +214,17 @@ def sigmoid_backward(y: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * y * (1.0 - y)
 
 
-@dataclass
-class DenseParams:
-    """Fully connected layer: weights (out, in), bias (out,)."""
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"dense params inconsistent: W{self.weights.shape} b{self.bias.shape}")
-
-
-def dense_forward(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    if x.shape != (p.weights.shape[1],):
-        raise DimensionError(f"dense input {x.shape} vs in={p.weights.shape[1]}")
-    return p.weights @ x + p.bias
-
-
-def dense_backward(x: np.ndarray, p: DenseParams,
-                   d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return p.weights.T @ d_out, np.outer(d_out, x), d_out.copy()
-
-
-def dropout_mask(shape: tuple, rate: float, seed: int) -> np.ndarray:
+def dropout_mask(shape: tuple, rate: float, seed) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability `rate`, else
-    1/(1-rate), drawn row-major from the SplitMix64 stream for `seed`."""
+    1/(1-rate), drawn row-major from the SplitMix64 stream for `seed`.
+    seed may be a sequence of seeds: the masks are then stacked,
+    (len(seed), *shape), each as its own seed would draw it."""
     if not (0.0 <= rate < 1.0):
         raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
+    stacked = isinstance(seed, (list, tuple, np.ndarray))
+    seeds = list(seed) if stacked else [seed]
+    out_shape = (len(seeds), *shape) if stacked else tuple(shape)
     if rate == 0.0:
-        return np.ones(shape)
-    rng = SplitMix64(seed)
-    keep = rng.floats(int(np.prod(shape))).reshape(shape) >= rate
-    return keep / (1.0 - rate)
+        return np.ones(out_shape)
+    u = floats_per_seed(seeds, int(np.prod(shape))).reshape(out_shape)
+    return (u >= rate) / (1.0 - rate)

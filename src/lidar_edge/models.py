@@ -11,6 +11,10 @@ Patch classifier: conv5x5-valid / ReLU / pool, twice, then two fully
 connected layers (ReLU + inverted dropout between them) ending in a
 single sigmoid unit that scores the patch's center pixel. Input is a
 fixed 28x28 single-channel patch.
+
+Both forwards take one example or a batch with a leading axis, and the
+trace keeps that axis on every map; both backwards return one gradient
+per example along it, so the caller decides how a batch is averaged.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .layers import (ConvParams, DenseParams, conv_backward, conv_forward,
-                     dense_backward, dense_forward, dropout_mask,
-                     maxpool2x2_backward, maxpool2x2_forward, relu,
-                     relu_backward, sigmoid, sigmoid_backward,
-                     upsample_nearest, upsample_nearest_backward)
+from .layers import (Columns, ConvParams, conv_backward, conv_forward,
+                     dropout_mask, im2col, maxpool2x2_backward,
+                     maxpool2x2_forward, relu, relu_backward, sigmoid,
+                     sigmoid_backward, upsample_nearest,
+                     upsample_nearest_backward)
 from .rng import SplitMix64, splitmix64
 
 PATCH_SIZE = 28
@@ -97,12 +101,31 @@ class PatchArch:
 
 
 @dataclass
+class FullyConnected:
+    """A fully connected layer over a (C, kh, kw) feature block, stored
+    flat as it is saved: weights (out, C*kh*kw), bias (out,). It has no
+    forward of its own: conv() views it as the valid kh x kw convolution
+    that the forward, the backward and the dense pass all run."""
+    weights: np.ndarray
+    bias: np.ndarray
+    in_shape: tuple
+
+    def __post_init__(self):
+        if self.weights.shape != (self.bias.size, int(np.prod(self.in_shape))):
+            raise DimensionError(f"fully connected W{self.weights.shape} "
+                                 f"b{self.bias.shape} over {self.in_shape}")
+
+    def conv(self) -> ConvParams:
+        return ConvParams(self.weights.reshape(-1, *self.in_shape), self.bias, "valid")
+
+
+@dataclass
 class PatchNetParams:
     arch: PatchArch
-    conv1: ConvParams  # 5x5 valid, 1 -> C1
-    conv2: ConvParams  # 5x5 valid, C1 -> C2
-    fc1: DenseParams   # 16*C2 -> hidden
-    fc2: DenseParams   # hidden -> 1
+    conv1: ConvParams      # 5x5 valid, 1 -> C1
+    conv2: ConvParams      # 5x5 valid, C1 -> C2
+    fc1: FullyConnected    # (C2, 4, 4) -> hidden
+    fc2: FullyConnected    # (hidden, 1, 1) -> 1
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [("conv1.weights", self.conv1.weights), ("conv1.bias", self.conv1.bias),
@@ -118,7 +141,8 @@ class PatchNetParams:
         cw1, cb1, cw2, cb2, fw1, fb1, fw2, fb2 = tensors
         return cls(arch=arch, conv1=ConvParams(cw1, cb1, padding="valid"),
                    conv2=ConvParams(cw2, cb2, padding="valid"),
-                   fc1=DenseParams(fw1, fb1), fc2=DenseParams(fw2, fb2))
+                   fc1=FullyConnected(fw1, fb1, (arch.conv_channels[1], 4, 4)),
+                   fc2=FullyConnected(fw2, fb2, (arch.hidden, 1, 1)))
 
 
 def _he_uniform(rng: SplitMix64, shape: tuple, fan_in: int) -> np.ndarray:
@@ -154,11 +178,11 @@ def init_patch(arch: PatchArch, seed: int) -> PatchNetParams:
 
 @dataclass
 class StageTrace:
-    x_in: np.ndarray
+    in_a: np.ndarray | Columns      # conv_a's input, or its Columns in train mode
     pre_a: np.ndarray
-    act_a: np.ndarray
+    in_b: np.ndarray | Columns      # conv_b's input (ReLU of pre_a), likewise
     pre_b: np.ndarray
-    feat: np.ndarray
+    in_side: np.ndarray | Columns   # the side head's input (ReLU of pre_b), likewise
     pooled: np.ndarray | None = None
     pool_arg: np.ndarray | None = None
 
@@ -172,12 +196,21 @@ class ForwardTrace:
 
 
 def _as_chw(x: np.ndarray) -> np.ndarray:
+    """x as float64 with a channel axis: (H, W) becomes (1, H, W); a
+    batch (N, C, H, W) passes as it is."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[np.newaxis]
-    if x.ndim != 3:
-        raise DimensionError(f"expected (H,W) or (C,H,W) input, got {x.shape}")
+    if x.ndim not in (3, 4):
+        raise DimensionError(f"expected (H,W), (C,H,W) or (N,C,H,W) input, got {x.shape}")
     return x
+
+
+def _keeper(train_mode: bool):
+    """What a trace keeps of a convolution's input: its Columns in train
+    mode, so the backward does not rebuild them, else the input itself,
+    so inference holds no more than one layer's columns at a time."""
+    return im2col if train_mode else (lambda x, p: x)
 
 
 def side_output(feature: np.ndarray, head: ConvParams, factor: int) -> np.ndarray:
@@ -202,23 +235,33 @@ def fuse_sides(sides: list, alpha: np.ndarray) -> np.ndarray:
     return sum(a * s for a, s in zip(alpha, sides))
 
 
-def forward_nested(params: NestedNetParams, x: np.ndarray) -> ForwardTrace:
-    """Full forward pass; retains every intermediate needed by backward."""
+def forward_nested(params: NestedNetParams, x: np.ndarray,
+                   train_mode: bool = False) -> ForwardTrace:
+    """Full forward pass of one image (H, W) or (1, H, W), or of a batch
+    (N, 1, H, W); retains every intermediate needed by backward.
+
+    side_probs and fused are (H, W) for one image and (N, H, W) for a
+    batch. train_mode keeps each convolution's columns for the backward.
+    """
     x = _as_chw(x)
-    if x.shape[1:] != tuple(params.arch.input_hw):
+    if x.shape[-2:] != tuple(params.arch.input_hw):
         raise DimensionError(
-            f"input {x.shape[1:]} does not match arch {params.arch.input_hw}")
+            f"input {x.shape[-2:]} does not match arch {params.arch.input_hw}")
+    keep = _keeper(train_mode)
     trace = ForwardTrace()
     feat_in = x
     for s, (conv_a, conv_b) in enumerate(params.stage_convs):
-        pre_a = conv_forward(feat_in, conv_a)
-        act_a = relu(pre_a)
-        pre_b = conv_forward(act_a, conv_b)
+        head = params.side_heads[s]
+        in_a = keep(feat_in, conv_a)
+        pre_a = conv_forward(in_a, conv_a)
+        in_b = keep(relu(pre_a), conv_b)
+        pre_b = conv_forward(in_b, conv_b)
         feat = relu(pre_b)
-        st = StageTrace(x_in=feat_in, pre_a=pre_a, act_a=act_a, pre_b=pre_b, feat=feat)
-        logit = conv_forward(feat, params.side_heads[s])
+        in_side = keep(feat, head)
+        st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, pre_b=pre_b, in_side=in_side)
+        logit = conv_forward(in_side, head)
         trace.side_logits.append(logit)
-        trace.side_probs.append(sigmoid(upsample_nearest(logit, 2 ** s))[0])
+        trace.side_probs.append(sigmoid(upsample_nearest(logit, 2 ** s))[..., 0, :, :])
         if s + 1 < params.arch.stages:
             st.pooled, st.pool_arg = maxpool2x2_forward(feat)
             feat_in = st.pooled
@@ -238,7 +281,8 @@ def _named(params, grads: list) -> list[tuple[str, np.ndarray]]:
 def backward_nested(params: NestedNetParams, trace: ForwardTrace,
                     d_fused: np.ndarray, d_sides: list) -> list[tuple[str, np.ndarray]]:
     """Reverse-mode gradients for every learnable tensor, as (name, grad)
-    in named_tensors() order.
+    in named_tensors() order; for a batch, each grad has one gradient per
+    example along its leading axis.
 
     d_fused is dL/d(fused map); d_sides[i] is the DIRECT dL/d(side map i)
     from that side's own loss term (the fusion path is added here). The
@@ -247,7 +291,7 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
     """
     if len(d_sides) != params.arch.stages:
         raise DimensionError(f"expected {params.arch.stages} side gradients")
-    d_alpha = np.array([float((d_fused * y).sum()) for y in trace.side_probs])
+    d_alpha = np.stack([(d_fused * y).sum(axis=(-2, -1)) for y in trace.side_probs], axis=-1)
     d_feat_next = None  # gradient flowing from stage s+1 back through its pool
     head_grads: list = [None] * params.arch.stages
     conv_grads: list = [None] * params.arch.stages
@@ -255,17 +299,18 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
         st = trace.stages[s]
         y_side = trace.side_probs[s]
         d_prob = d_sides[s] + params.alpha[s] * d_fused
-        d_up = sigmoid_backward(y_side, d_prob)[np.newaxis]
+        d_up = sigmoid_backward(y_side, d_prob)[..., np.newaxis, :, :]
         d_logit = upsample_nearest_backward(d_up, 2 ** s)
-        d_feat, d_hw, d_hb = conv_backward(st.feat, params.side_heads[s], d_logit)
+        d_feat, d_hw, d_hb = conv_backward(st.in_side, params.side_heads[s], d_logit)
         head_grads[s] = (d_hw, d_hb)
         if d_feat_next is not None:
-            d_feat = d_feat + maxpool2x2_backward(st.feat.shape, st.pool_arg, d_feat_next)
+            d_feat = d_feat + maxpool2x2_backward(st.pre_b.shape, st.pool_arg, d_feat_next)
         conv_a, conv_b = params.stage_convs[s]
         d_pre_b = relu_backward(st.pre_b, d_feat)
-        d_act_a, d_wb, d_bb = conv_backward(st.act_a, conv_b, d_pre_b)
+        d_act_a, d_wb, d_bb = conv_backward(st.in_b, conv_b, d_pre_b)
         d_pre_a = relu_backward(st.pre_a, d_act_a)
-        d_feat_next, d_wa, d_ba = conv_backward(st.x_in, conv_a, d_pre_a)
+        # the input image needs no gradient
+        d_feat_next, d_wa, d_ba = conv_backward(st.in_a, conv_a, d_pre_a, input_grad=s > 0)
         conv_grads[s] = (d_wa, d_ba, d_wb, d_bb)
     return _named(params, [g for convs in conv_grads for g in convs]
                   + [g for head in head_grads for g in head] + [d_alpha])
@@ -274,66 +319,75 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
 @dataclass
 class PatchTrace:
     x: np.ndarray
+    ins: tuple          # inputs of conv1, conv2, fc1, fc2; Columns in train mode
     pre1: np.ndarray
-    act1: np.ndarray
     pool1: np.ndarray
     arg1: np.ndarray
     pre2: np.ndarray
-    act2: np.ndarray
     pool2: np.ndarray
     arg2: np.ndarray
-    flat: np.ndarray
+    flat: np.ndarray    # pool2 as fc1 reads it, (..., 16*C2)
     fc1_pre: np.ndarray
-    fc1_act: np.ndarray
     drop: np.ndarray
-    fc1_out: np.ndarray
-    logit: float
-    prob: float
+    prob: float | np.ndarray
 
 
 def forward_patch(params: PatchNetParams, patch: np.ndarray,
-                  train_mode: bool = False, seed: int = 0) -> PatchTrace:
-    """Score one 28x28 patch; returns the full trace (prob in .prob)."""
+                  train_mode: bool = False, seed=0) -> PatchTrace:
+    """Score one 28x28 patch, (28, 28) or (1, 28, 28), or a batch
+    (N, 1, 28, 28); returns the full trace, with the score in .prob: a
+    float for one patch, (N,) for a batch.
+
+    train_mode draws the inverted-dropout mask of each patch from its
+    seed (seed is then a sequence of N seeds for a batch) and keeps each
+    layer's columns for the backward.
+    """
     x = _as_chw(patch)
-    if x.shape != (1, PATCH_SIZE, PATCH_SIZE):
+    if x.shape[-3:] != (1, PATCH_SIZE, PATCH_SIZE):
         raise DimensionError(f"patch must be 1x28x28, got {x.shape}")
-    pre1 = conv_forward(x, params.conv1)          # C1 x 24 x 24
-    act1 = relu(pre1)
-    pool1, arg1 = maxpool2x2_forward(act1)        # C1 x 12 x 12
-    pre2 = conv_forward(pool1, params.conv2)      # C2 x 8 x 8
-    act2 = relu(pre2)
-    pool2, arg2 = maxpool2x2_forward(act2)        # C2 x 4 x 4
-    flat = pool2.reshape(-1)
-    fc1_pre = dense_forward(flat, params.fc1)
+    keep = _keeper(train_mode)
+    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
+    in1 = keep(x, params.conv1)
+    pre1 = conv_forward(in1, params.conv1)                # C1 x 24 x 24
+    pool1, arg1 = maxpool2x2_forward(relu(pre1))          # C1 x 12 x 12
+    in2 = keep(pool1, params.conv2)
+    pre2 = conv_forward(in2, params.conv2)                # C2 x 8 x 8
+    pool2, arg2 = maxpool2x2_forward(relu(pre2))          # C2 x 4 x 4
+    in_fc1 = keep(pool2, fc1)
+    fc1_pre = conv_forward(in_fc1, fc1)                   # hidden x 1 x 1
     fc1_act = relu(fc1_pre)
     if train_mode and params.arch.dropout_rate > 0:
-        drop = dropout_mask(fc1_act.shape, params.arch.dropout_rate, seed)
+        drop = dropout_mask(fc1_act.shape[-3:], params.arch.dropout_rate, seed)
+        if drop.shape != fc1_act.shape:
+            raise DimensionError(f"dropout masks {drop.shape} for activations {fc1_act.shape}")
     else:
         drop = np.ones_like(fc1_act)
-    fc1_out = fc1_act * drop
-    logit = float(dense_forward(fc1_out, params.fc2)[0])
-    prob = float(sigmoid(np.array([logit]))[0])
-    return PatchTrace(x=x, pre1=pre1, act1=act1, pool1=pool1, arg1=arg1,
-                      pre2=pre2, act2=act2, pool2=pool2, arg2=arg2, flat=flat,
-                      fc1_pre=fc1_pre, fc1_act=fc1_act, drop=drop,
-                      fc1_out=fc1_out, logit=logit, prob=prob)
+    in_fc2 = keep(fc1_act * drop, fc2)
+    logit = conv_forward(in_fc2, fc2)                     # 1 x 1 x 1
+    return PatchTrace(x=x, ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, pool1=pool1,
+                      arg1=arg1, pre2=pre2, pool2=pool2, arg2=arg2,
+                      flat=pool2.reshape(*pool2.shape[:-3], -1), fc1_pre=fc1_pre,
+                      drop=drop, prob=sigmoid(logit).reshape(x.shape[:-3])[()])
 
 
 def backward_patch(params: PatchNetParams, trace: PatchTrace,
-                   d_prob: float) -> list[tuple[str, np.ndarray]]:
-    """Gradients of a scalar loss given dL/d(prob), as (name, grad) in
-    named_tensors() order."""
-    d_logit = d_prob * trace.prob * (1.0 - trace.prob)
-    d_fc1_out, d_w2, d_b2 = dense_backward(trace.fc1_out, params.fc2,
-                                           np.array([d_logit]))
-    d_fc1_act = d_fc1_out * trace.drop
-    d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_act)
-    d_flat, d_w1, d_b1 = dense_backward(trace.flat, params.fc1, d_fc1_pre)
-    d_pool2 = d_flat.reshape(trace.pool2.shape)
-    d_act2 = maxpool2x2_backward(trace.act2.shape, trace.arg2, d_pool2)
+                   d_prob) -> list[tuple[str, np.ndarray]]:
+    """Gradients of a scalar loss given dL/d(prob), a float for one patch
+    or (N,) for a batch, as (name, grad) in named_tensors() order; for a
+    batch, one gradient per patch along each grad's leading axis."""
+    in1, in2, in_fc1, in_fc2 = trace.ins
+    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
+    lead = trace.x.shape[:-3]
+    d_logit = np.reshape(d_prob * trace.prob * (1.0 - trace.prob), (*lead, 1, 1, 1))
+    d_fc1_out, d_w2, d_b2 = conv_backward(in_fc2, fc2, d_logit)
+    d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_out * trace.drop)
+    d_pool2, d_w1, d_b1 = conv_backward(in_fc1, fc1, d_fc1_pre)
+    d_act2 = maxpool2x2_backward(trace.pre2.shape, trace.arg2, d_pool2)
     d_pre2 = relu_backward(trace.pre2, d_act2)
-    d_pool1, d_cw2, d_cb2 = conv_backward(trace.pool1, params.conv2, d_pre2)
-    d_act1 = maxpool2x2_backward(trace.act1.shape, trace.arg1, d_pool1)
+    d_pool1, d_cw2, d_cb2 = conv_backward(in2, params.conv2, d_pre2)
+    d_act1 = maxpool2x2_backward(trace.pre1.shape, trace.arg1, d_pool1)
     d_pre1 = relu_backward(trace.pre1, d_act1)
-    _, d_cw1, d_cb1 = conv_backward(trace.x, params.conv1, d_pre1)
-    return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2, d_w1, d_b1, d_w2, d_b2])
+    _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
+    return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,
+                           d_w1.reshape(*lead, *params.fc1.weights.shape), d_b1,
+                           d_w2.reshape(*lead, *params.fc2.weights.shape), d_b2])

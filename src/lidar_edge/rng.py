@@ -72,14 +72,9 @@ class SplitMix64:
         repeated next_float()."""
         if n == 0:
             return np.zeros(0)
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-            z = z ^ (z >> np.uint64(31))
+        out = _uniforms(np.array(self._state, dtype=np.uint64), n)
         self._state = (self._state + n * _GAMMA) & _MASK
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return out
 
     def normals(self, n: int) -> np.ndarray:
         """Next n standard normals, Box-Muller in stream order."""
@@ -98,3 +93,20 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _uniforms(states: np.ndarray, n: int) -> np.ndarray:
+    """(*states.shape, n): the next n uniforms of the stream in each state."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = states[..., np.newaxis] + idx * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def floats_per_seed(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n): row k is SplitMix64(seeds[k]).floats(n), all
+    streams drawn at once."""
+    return _uniforms(np.array([s & _MASK for s in seeds], dtype=np.uint64), n)

@@ -25,7 +25,7 @@ from .augment import AugmentSpec, sample_and_apply
 from .errors import ConfigError, DivergenceError, ParameterError
 from .evaluation import ConfusionMatrix, confusion, metrics
 from .formats import DatasetManifest, read_pgm, resolve
-from .layers import ConvParams, conv_forward, maxpool2x2_forward, relu, sigmoid
+from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
 from .losses import pixel_loss
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
@@ -119,42 +119,62 @@ def load_split(manifest: DatasetManifest, base_dir, split: str) -> list:
 
 
 def total_loss(trace: ForwardTrace, label: np.ndarray,
-               cfg: TrainConfig) -> tuple[float, np.ndarray, list]:
-    """Multi-task loss: weighted side losses plus the fused-map loss.
+               cfg: TrainConfig) -> tuple:
+    """Multi-task loss of each example: weighted side losses plus the
+    fused-map loss. label has the trace's shape, (H, W) or (N, H, W).
 
-    Returns (scalar, dL/d fused map, [direct dL/d side map i]).
+    Returns (loss, dL/d fused map, [direct dL/d side map i]); the loss is
+    a float for one example and one per example, (N,), for a batch.
     """
     s = len(trace.side_probs)
     lambdas = cfg.lambdas if cfg.lambdas is not None else (1.0,) * s
     if len(lambdas) != s:
         raise ConfigError(f"{len(lambdas)} side-loss weights for {s} side outputs")
-    loss, d_fused = pixel_loss(cfg.loss_kind, trace.fused, label, cfg.class_balance)
-    d_sides = []
-    for lam, side in zip(lambdas, trace.side_probs):
-        side_loss, d_side = pixel_loss(cfg.loss_kind, side, label, cfg.class_balance)
-        loss += lam * side_loss
-        d_sides.append(lam * d_side)
-    return loss, d_fused, d_sides
+    lead = trace.fused.shape[:-2]
+    losses = np.empty(lead)
+    d_fused = np.empty_like(trace.fused)
+    d_sides = [np.empty_like(side) for side in trace.side_probs]
+    for i in np.ndindex(lead):
+        loss, d_fused[i] = pixel_loss(cfg.loss_kind, trace.fused[i], label[i],
+                                      cfg.class_balance)
+        for lam, side, d_side in zip(lambdas, trace.side_probs, d_sides):
+            side_loss, d = pixel_loss(cfg.loss_kind, side[i], label[i], cfg.class_balance)
+            loss += lam * side_loss
+            d_side[i] = lam * d
+        losses[i] = loss
+    return (losses if lead else float(losses)), d_fused, d_sides
+
+
+def _chunks(n: int, size: int):
+    return (slice(start, start + size) for start in range(0, n, size))
 
 
 def validation_f1(params: NestedNetParams, val_samples: list,
-                  threshold: float = 0.5) -> float:
+                  threshold: float = 0.5, batch_size: int = 8) -> float:
+    """Pooled F1 of the fused map at threshold, from batched forwards of
+    batch_size images at a time."""
     cm = ConfusionMatrix()
-    for img, label in val_samples:
-        fused = forward_nested(params, img).fused
-        cm = cm + confusion((fused >= threshold).astype(np.float64), label)
+    for chunk in _chunks(len(val_samples), batch_size):
+        samples = val_samples[chunk]
+        images = np.stack([img for img, _ in samples])[:, np.newaxis]
+        for pred, (_, label) in zip(forward_nested(params, images).fused, samples):
+            cm = cm + confusion((pred >= threshold).astype(np.float64), label)
     return metrics(cm).f1
 
 
-def _fit(params, cfg: TrainConfig, epoch_items, example, val_f1_of, progress,
+def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
          simplex_names: tuple = ()) -> tuple:
     """The epoch loop both variants share: minibatch steps on the gradient
     averaged over each batch, best-val-F1 selection and early stopping.
 
     epoch_items(epoch) lists the epoch's training items in visiting order;
-    example(epoch, position, item) returns (loss, backward), where
-    backward() gives the item's [(name, grad)] and runs only once the loss
-    has been found finite; val_f1_of() scores the current params.
+    batch_of(epoch, start, batch) runs the forward of the items at
+    positions start, start+1, ... and returns (losses, backward): one loss
+    per item, and backward() gives [(name, grads)] with one gradient per
+    item along the leading axis. backward runs only once every loss of
+    the batch has been found finite, and the gradients are averaged item
+    by item in batch order, as if each had been computed alone.
+    val_f1_of() scores the current params.
     """
     tensors = params.named_tensors()
     state, log = OptimizerState(), RunLog()
@@ -165,15 +185,18 @@ def _fit(params, cfg: TrainConfig, epoch_items, example, val_f1_of, progress,
         epoch_loss = 0.0
         for start in range(0, len(items), cfg.batch_size):
             batch = items[start:start + cfg.batch_size]
-            grad_sum = [(name, np.zeros_like(t)) for name, t in tensors]
-            for position, item in enumerate(batch, start):
-                loss, backward = example(epoch, position, item)
+            losses, backward = batch_of(epoch, start, batch)
+            for position, loss in enumerate(losses, start):
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss {loss} at epoch {epoch}, example {position}")
-                for (_, acc), (_, g) in zip(grad_sum, backward()):
-                    acc += (1.0 / len(batch)) * g
-                epoch_loss += loss
+            grads = backward()
+            grad_sum = [(name, np.zeros_like(t)) for name, t in tensors]
+            scaled = [(1.0 / len(batch)) * g for _, g in grads]
+            for i, loss in enumerate(losses):
+                for (_, acc), g in zip(grad_sum, scaled):
+                    acc += g[i]
+                epoch_loss += float(loss)
             optimizer_step(tensors, grad_sum, state, cfg.optimizer,
                            simplex_names=simplex_names)
         epoch_loss /= max(len(items), 1)
@@ -207,23 +230,47 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
         SplitMix64(splitmix64(cfg.seed, 1000 + epoch)).shuffle(order)
         return order
 
-    def example(epoch, position, idx):
-        img, label = train_samples[idx]
+    def batch_of(epoch, start, batch):
+        pairs = [train_samples[idx] for idx in batch]
         if cfg.augment is not None:
-            aug_seed = splitmix64(cfg.seed, epoch * 1_000_003 + idx)
-            img, label = sample_and_apply(img, label, cfg.augment, aug_seed)
-        trace = forward_nested(params, img)
-        loss, d_fused, d_sides = total_loss(trace, label, cfg)
-        return loss, lambda: backward_nested(params, trace, d_fused, d_sides)
+            pairs = [sample_and_apply(img, label, cfg.augment,
+                                      splitmix64(cfg.seed, epoch * 1_000_003 + idx))
+                     for (img, label), idx in zip(pairs, batch)]
+        images = np.stack([img for img, _ in pairs])[:, np.newaxis]
+        trace = forward_nested(params, images, train_mode=True)
+        losses, d_fused, d_sides = total_loss(trace, np.stack([l for _, l in pairs]), cfg)
+        return losses, lambda: backward_nested(params, trace, d_fused, d_sides)
 
-    return _fit(params, cfg, epoch_items, example,
-                lambda: validation_f1(params, val_samples), progress,
-                simplex_names=("alpha",))
+    return _fit(params, cfg, epoch_items, batch_of,
+                lambda: validation_f1(params, val_samples, batch_size=cfg.batch_size),
+                progress, simplex_names=("alpha",))
 
 
-def _extract_patch(img: np.ndarray, row: int, col: int, half: int = 14) -> np.ndarray:
-    padded = np.pad(img, half, mode="edge")
-    return padded[row:row + 2 * half, col:col + 2 * half]
+def draw_patches(samples: list, seed: int, per_image: int) -> tuple[np.ndarray, np.ndarray]:
+    """per_image 28x28 patches per (image, label) pair and their center
+    labels, as one (n, 1, 28, 28) array and one (n,) array.
+
+    Even draws are centered on an edge pixel where the image has one, odd
+    draws on any pixel; each image is edge-padded once for all its draws.
+    """
+    rng = SplitMix64(seed)
+    half = PATCH_SIZE // 2
+    patches = np.empty((len(samples) * per_image, 1, PATCH_SIZE, PATCH_SIZE))
+    labels = np.empty(len(samples) * per_image)
+    k = 0
+    for img, label in samples:
+        padded = np.pad(img, half, mode="edge")
+        pos = np.argwhere(label == 1.0)
+        h, w = img.shape
+        for draw in range(per_image):
+            if draw % 2 == 0 and len(pos):
+                r, c = pos[rng.randint(len(pos))]
+            else:
+                r, c = rng.randint(h), rng.randint(w)
+            patches[k, 0] = padded[r:r + PATCH_SIZE, c:c + PATCH_SIZE]
+            labels[k] = label[r, c]
+            k += 1
+    return patches, labels
 
 
 def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
@@ -238,45 +285,36 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
     if not train_samples or not val_samples:
         raise ParameterError("train and validation splits must be nonempty")
     params = init_patch(arch, cfg.seed)
-
-    def draw_patches(samples, seed, per_image):
-        rng = SplitMix64(seed)
-        out = []
-        for img, label in samples:
-            pos = np.argwhere(label == 1.0)
-            h, w = img.shape
-            for k in range(per_image):
-                if k % 2 == 0 and len(pos):
-                    r, c = pos[rng.randint(len(pos))]
-                else:
-                    r, c = rng.randint(h), rng.randint(w)
-                out.append((_extract_patch(img, r, c), float(label[r, c])))
-        return out
-
-    val_patches = draw_patches(val_samples, splitmix64(cfg.seed, 7), patches_per_image)
+    val_patches, val_labels = draw_patches(val_samples, splitmix64(cfg.seed, 7),
+                                           patches_per_image)
 
     def epoch_items(epoch):
-        items = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
-                             patches_per_image)
-        SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(items)
-        return items
+        patches, labels = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
+                                       patches_per_image)
+        order = list(range(len(labels)))
+        SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(order)
+        return list(zip(patches[order], labels[order]))
 
-    def example(epoch, position, item):
-        patch, y = item
-        drop_seed = splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
-        trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
-        loss, d_prob = pixel_loss(cfg.loss_kind, np.array([trace.prob]),
-                                  np.array([y]), class_balance=False)
-        return loss, lambda: backward_patch(params, trace, float(d_prob[0]))
+    def batch_of(epoch, start, batch):
+        seeds = [splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
+                 for position in range(start, start + len(batch))]
+        trace = forward_patch(params, np.stack([patch for patch, _ in batch]),
+                              train_mode=True, seed=seeds)
+        losses, d_prob = [], np.empty(len(batch))
+        for i, (_, y) in enumerate(batch):
+            loss, d = pixel_loss(cfg.loss_kind, trace.prob[i:i + 1], np.array([y]),
+                                 class_balance=False)
+            losses.append(loss)
+            d_prob[i] = d[0]
+        return losses, lambda: backward_patch(params, trace, d_prob)
 
     def val_f1_of():
-        cm = ConfusionMatrix()
-        for patch, y in val_patches:
-            pred = 1.0 if forward_patch(params, patch).prob >= 0.5 else 0.0
-            cm = cm + confusion(np.array([[pred]]), np.array([[y]]))
-        return metrics(cm).f1
+        probs = np.concatenate([forward_patch(params, val_patches[chunk]).prob
+                                for chunk in _chunks(len(val_labels), cfg.batch_size)])
+        pred = (probs >= 0.5).astype(np.float64)
+        return metrics(confusion(pred[np.newaxis], val_labels[np.newaxis])).f1
 
-    return _fit(params, cfg, epoch_items, example, val_f1_of, progress)
+    return _fit(params, cfg, epoch_items, batch_of, val_f1_of, progress)
 
 
 def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
@@ -293,9 +331,7 @@ def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
     Dropout is off, as in forward_patch outside training.
     """
     h, w = img.shape
-    c2, hidden = params.arch.conv_channels[1], params.arch.hidden
-    fc1 = ConvParams(params.fc1.weights.reshape(hidden, c2, 4, 4), params.fc1.bias, "valid")
-    fc2 = ConvParams(params.fc2.weights.reshape(1, hidden, 1, 1), params.fc2.bias, "valid")
+    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
     padded = np.pad(np.asarray(img, dtype=np.float64), PATCH_SIZE // 2, mode="edge")
     act1 = relu(conv_forward(padded[np.newaxis], params.conv1))
     out = np.zeros((h, w))

@@ -389,6 +389,33 @@ class TestErrors:
         assert err.startswith(f"error: invalid config value for {key}: ")
         assert err.count("\n") == 1
 
+    BAD_SCALARS = [
+        ("train.epochs", 2.5),
+        ("dataset.n", True),
+        ("lidar.height", 64.9),
+        ("eval.n_thresholds", 10 ** 9),
+    ]
+
+    @pytest.mark.parametrize("key, value", BAD_SCALARS,
+                             ids=[f"{key}={value}" for key, value in BAD_SCALARS])
+    def test_bad_scalar_names_its_key(self, workdir, tmp_path, capsys,
+                                      monkeypatch, key, value):
+        """An int key refuses a value int would change, and eval.n_thresholds
+        is capped, both before any data is read."""
+        _, _, out = workdir
+        section, name = key.split(".")
+        doc = {**SMALL_CFG, section: {**SMALL_CFG.get(section, {}), name: value}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        loads = []
+        monkeypatch.setattr(cli, "read_manifest", lambda p: loads.append(p))
+        code = cli.main(["train", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert loads == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bad_line", ['{"id": "x", "range": "x.lri", "intensity": "x.pgm"}',
                                           '{"id": "x", '],
                              ids=["no-label", "not-json"])

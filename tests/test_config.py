@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lidar_edge.config import CONFIG_VERSION, DEFAULTS, Config
+from lidar_edge.config import CONFIG_VERSION, DEFAULTS, MAX_THRESHOLDS, Config
 from lidar_edge.errors import ConfigError
 
 
@@ -169,3 +169,27 @@ class TestListElements:
     def test_element_the_cast_would_change_is_refused(self, tmp_path, doc, key, element):
         with pytest.raises(ConfigError, match=f"for {key}: .*element {element} is not"):
             Config.load(write_cfg(tmp_path, doc))
+
+
+class TestScalarInts:
+    @pytest.mark.parametrize("key, value", [("train.epochs", 2.5), ("dataset.n", True),
+                                            ("lidar.height", 64.9), ("train.batch_size", "4")],
+                             ids=["2.5", "true", "64.9", "string"])
+    def test_value_int_would_change_is_refused(self, tmp_path, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"for {key}: {value!r} "):
+            Config.load(write_cfg(tmp_path, {section: {name: value}}))
+
+    def test_integral_float_is_taken(self, tmp_path):
+        cfg = Config.load(write_cfg(tmp_path, {"train": {"epochs": 3.0}}))
+        assert cfg.train_config().epochs == 3 and type(cfg.train_config().epochs) is int
+
+
+class TestThresholdCap:
+    def test_cap_is_allowed(self, tmp_path):
+        Config.load(write_cfg(tmp_path, {"eval": {"n_thresholds": MAX_THRESHOLDS}}))
+
+    @pytest.mark.parametrize("n", [MAX_THRESHOLDS + 1, 10 ** 9])
+    def test_more_is_refused_before_allocating(self, tmp_path, n):
+        with pytest.raises(ConfigError, match="eval.n_thresholds"):
+            Config.load(write_cfg(tmp_path, {"eval": {"n_thresholds": n}}))

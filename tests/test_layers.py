@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.layers import (ConvParams, DenseParams, conv_backward,
-                               conv_forward, dense_backward, dense_forward,
-                               dropout_mask, maxpool2x2_backward,
+from lidar_edge.layers import (Columns, ConvParams, conv_backward, conv_forward,
+                               dropout_mask, im2col, maxpool2x2_backward,
                                maxpool2x2_forward, relu, relu_backward,
                                sigmoid, sigmoid_backward, upsample_nearest,
                                upsample_nearest_backward)
@@ -177,29 +176,132 @@ class TestActivations:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-class TestDense:
-    def test_forward_formula(self):
-        p = DenseParams(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        bias=np.array([0.5, -0.5]))
-        np.testing.assert_allclose(dense_forward(np.array([1.0, 1.0]), p),
-                                   [3.5, 6.5])
+def naive_maxpool(x):
+    """Per-window max of even-sized (C, H, W) input, by loops."""
+    c, h, w = x.shape
+    out = np.zeros((c, h // 2, w // 2))
+    for ci in range(c):
+        for y in range(h // 2):
+            for xq in range(w // 2):
+                out[ci, y, xq] = x[ci, 2 * y:2 * y + 2, 2 * xq:2 * xq + 2].max()
+    return out
 
-    def test_backward_matches_finite_differences(self):
-        rng = SplitMix64(8)
-        x = rng.floats(5)
-        p = DenseParams(weights=rng.floats(15).reshape(3, 5) - 0.5,
-                        bias=rng.floats(3))
-        rand = rng.floats(3)
-        loss = lambda: (dense_forward(x, p) * rand).sum()
-        dx, dw, db = dense_backward(x, p, rand)
-        np.testing.assert_allclose(dx, fd_grad(loss, x), atol=1e-9)
-        np.testing.assert_allclose(dw, fd_grad(loss, p.weights), atol=1e-9)
-        np.testing.assert_allclose(db, fd_grad(loss, p.bias), atol=1e-9)
 
-    def test_shape_mismatch(self):
-        p = DenseParams(weights=np.zeros((3, 5)), bias=np.zeros(3))
+def loop_col2im_conv_backward(x, p, d_out):
+    """dX of one example the way the per-example layer built it: the
+    kernel-tap loop over (i, j) in row-major order, with no shortcut."""
+    cout, cin, kh, kw = p.weights.shape
+    cols = im2col(x, p)
+    ho, wo = cols.out_hw
+    d_cols = (p.weights.reshape(cout, -1).T @ d_out.reshape(cout, ho * wo)).reshape(
+        cin, kh, kw, ho, wo)
+    ph, pw = (kh // 2, kw // 2) if p.padding == "same" else (0, 0)
+    d_pad = np.zeros((cin, x.shape[1] + 2 * ph, x.shape[2] + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            d_pad[:, i:i + ho, j:j + wo] += d_cols[:, i, j]
+    return d_pad[:, ph:ph + x.shape[1], pw:pw + x.shape[2]]
+
+
+class TestBatchAxis:
+    """Leading axes are batch axes: a batch gives exactly (np.array_equal)
+    the stack of its examples' results, and matches the loop oracles."""
+
+    # (cout, cin, k, padding, h, w); from (2, 2, 5, "valid", 6, 7) on, the
+    # kernel has more taps than the output has cells, and the last two
+    # cover their input, as the patch net's fully connected layers do
+    SHAPES = [(3, 2, 3, "same", 8, 9), (2, 3, 5, "valid", 9, 7), (4, 2, 1, "same", 5, 6),
+              (2, 2, 5, "valid", 6, 7), (5, 3, 4, "valid", 4, 4), (1, 6, 1, "valid", 1, 1)]
+
+    @staticmethod
+    def _conv(cout, cin, k, padding, seed):
+        rng = SplitMix64(seed)
+        return ConvParams(rng.normals(cout * cin * k * k).reshape(cout, cin, k, k),
+                          rng.normals(cout), padding)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_conv_forward_matches_naive_per_example(self, shape):
+        cout, cin, k, padding, h, w = shape
+        p = self._conv(cout, cin, k, padding, 1)
+        x = SplitMix64(2).normals(2 * 3 * cin * h * w).reshape(2, 3, cin, h, w)
+        y = conv_forward(x, p)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(y[idx], naive_conv_forward(x[idx], p),
+                                       rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_conv_batch_is_stack_of_examples(self, shape):
+        cout, cin, k, padding, h, w = shape
+        p = self._conv(cout, cin, k, padding, 3)
+        rng = SplitMix64(4)
+        x = rng.normals(4 * cin * h * w).reshape(4, cin, h, w)
+        y = conv_forward(x, p)
+        d_out = rng.normals(y.size).reshape(y.shape)
+        d_x, d_w, d_b = conv_backward(x, p, d_out)
+        assert d_w.shape == (4, *p.weights.shape) and d_b.shape == (4, cout)
+        for n in range(4):
+            assert np.array_equal(y[n], conv_forward(x[n], p))
+            one = conv_backward(x[n], p, d_out[n])
+            for got, want in zip((d_x[n], d_w[n], d_b[n]), one):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_col2im_adds_taps_in_row_major_order(self, shape):
+        """Either col2im loop gives the kernel-tap loop's dX bit for bit."""
+        cout, cin, k, padding, h, w = shape
+        p = self._conv(cout, cin, k, padding, 5)
+        rng = SplitMix64(6)
+        x = rng.normals(cin * h * w).reshape(cin, h, w)
+        d_out = rng.normals(conv_forward(x, p).size).reshape(conv_forward(x, p).shape)
+        assert np.array_equal(conv_backward(x, p, d_out)[0],
+                              loop_col2im_conv_backward(x, p, d_out))
+
+    def test_backward_reuses_forward_columns(self):
+        p = self._conv(3, 2, 3, "same", 7)
+        x = SplitMix64(8).normals(2 * 2 * 6 * 6).reshape(2, 2, 6, 6)
+        cols = im2col(x, p)
+        assert isinstance(cols, Columns)
+        y = conv_forward(cols, p)
+        assert np.array_equal(y, conv_forward(x, p))
+        d_out = SplitMix64(9).normals(y.size).reshape(y.shape)
+        for got, want in zip(conv_backward(cols, p, d_out), conv_backward(x, p, d_out)):
+            assert np.array_equal(got, want)
+        d_x, d_w, d_b = conv_backward(cols, p, d_out, input_grad=False)
+        assert d_x is None
+        assert np.array_equal(d_w, conv_backward(x, p, d_out)[1])
+
+    def test_columns_of_another_kernel_are_refused(self):
+        p3 = self._conv(2, 2, 3, "same", 1)
+        cols = im2col(np.zeros((2, 6, 6)), p3)
         with pytest.raises(DimensionError):
-            dense_forward(np.zeros(4), p)
+            conv_forward(cols, self._conv(2, 2, 3, "valid", 1))
+        with pytest.raises(DimensionError):
+            conv_backward(cols, self._conv(2, 2, 5, "same", 1), np.zeros((2, 6, 6)))
+
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7)], ids=str)
+    def test_pool_batch_is_stack_of_examples(self, hw):
+        rng = SplitMix64(10)
+        x = rng.normals(3 * 2 * hw[0] * hw[1]).reshape(3, 2, *hw)
+        x[0, 0, :2, :2] = 1.5  # a tie, taken by the first cell
+        pooled, arg = maxpool2x2_forward(x)
+        d_out = rng.normals(pooled.size).reshape(pooled.shape)
+        d_x = maxpool2x2_backward(x.shape, arg, d_out)
+        for n in range(3):
+            one_pooled, one_arg = maxpool2x2_forward(x[n])
+            assert np.array_equal(pooled[n], one_pooled)
+            assert np.array_equal(arg[n], one_arg)
+            assert np.array_equal(d_x[n], maxpool2x2_backward(x[n].shape, one_arg, d_out[n]))
+            if hw[0] % 2 == 0 and hw[1] % 2 == 0:
+                assert np.array_equal(pooled[n], naive_maxpool(x[n]))
+
+    def test_upsample_batch_is_stack_of_examples(self):
+        rng = SplitMix64(11)
+        x = rng.normals(3 * 2 * 4 * 4).reshape(3, 2, 4, 4)
+        d = rng.normals(3 * 2 * 8 * 8).reshape(3, 2, 8, 8)
+        up, back = upsample_nearest(x, 2), upsample_nearest_backward(d, 2)
+        for n in range(3):
+            assert np.array_equal(up[n], upsample_nearest(x[n], 2))
+            assert np.array_equal(back[n], upsample_nearest_backward(d[n], 2))
 
 
 class TestDropout:
@@ -226,3 +328,10 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             dropout_mask((2,), 1.0, 0)
+
+    def test_seed_sequence_stacks_each_seeds_mask(self):
+        masks = dropout_mask((3, 2), 0.5, [5, 6, 2 ** 64 - 1])
+        assert masks.shape == (3, 3, 2)
+        for got, seed in zip(masks, [5, 6, 2 ** 64 - 1]):
+            assert np.array_equal(got, dropout_mask((3, 2), 0.5, seed))
+        assert np.array_equal(dropout_mask((4,), 0.0, [1, 2]), np.ones((2, 4)))

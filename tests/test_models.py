@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.models import (NestedArch, PatchArch, backward_nested,
-                               backward_patch, forward_nested, forward_patch,
-                               fuse_sides, init_nested, init_patch,
-                               side_output)
+from lidar_edge.layers import conv_backward, conv_forward
+from lidar_edge.models import (FullyConnected, NestedArch, PatchArch,
+                               backward_nested, backward_patch, forward_nested,
+                               forward_patch, fuse_sides, init_nested,
+                               init_patch, side_output)
 from lidar_edge.rng import SplitMix64
 
 SMALL = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
@@ -266,3 +267,98 @@ class TestSideOutput:
                          padding="same")
         with pytest.raises(DimensionError):
             side_output(np.zeros((2, 8, 8)), bad, 1)
+
+
+class TestBatchedForwardBackward:
+    """A batch gives exactly (np.array_equal) the stack of its examples'
+    results, in eval and in train mode, for every map and gradient."""
+
+    def test_nested(self):
+        arch = NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8))
+        params = randomize(init_nested(arch, 0), 1)
+        params.alpha[...] = [0.2, 0.5, 0.3]
+        rng = SplitMix64(2)
+        x = rng.floats(3 * 64).reshape(3, 1, 8, 8)
+        d_fused = rng.normals(3 * 64).reshape(3, 8, 8)
+        d_sides = [rng.normals(3 * 64).reshape(3, 8, 8) for _ in range(3)]
+        for train_mode in (False, True):
+            trace = forward_nested(params, x, train_mode=train_mode)
+            grads = backward_nested(params, trace, d_fused, d_sides)
+            assert trace.fused.shape == (3, 8, 8)
+            for n in range(3):
+                one = forward_nested(params, x[n, 0])
+                assert np.array_equal(trace.fused[n], one.fused)
+                for got, want in zip(trace.side_probs, one.side_probs):
+                    assert np.array_equal(got[n], want)
+                one_grads = backward_nested(params, one, d_fused[n],
+                                            [d[n] for d in d_sides])
+                for (name, got), (_, want) in zip(grads, one_grads, strict=True):
+                    assert np.array_equal(got[n], want), name
+
+    def test_patch(self):
+        arch = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
+        params = randomize(init_patch(arch, 0), 3)
+        rng = SplitMix64(4)
+        x = rng.floats(3 * 784).reshape(3, 1, 28, 28)
+        d_prob = rng.normals(3)
+        seeds = [11, 12, 2 ** 63 + 5]
+        for train_mode in (False, True):
+            trace = forward_patch(params, x, train_mode=train_mode, seed=seeds)
+            grads = backward_patch(params, trace, d_prob)
+            assert trace.prob.shape == (3,)
+            for n in range(3):
+                one = forward_patch(params, x[n], train_mode=train_mode, seed=seeds[n])
+                assert trace.prob[n] == one.prob
+                assert np.array_equal(trace.drop[n], one.drop)
+                one_grads = backward_patch(params, one, float(d_prob[n]))
+                for (name, got), (_, want) in zip(grads, one_grads, strict=True):
+                    assert np.array_equal(got[n], want), name
+
+    def test_patch_needs_one_dropout_seed_per_patch(self):
+        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4), 0)
+        with pytest.raises(DimensionError):
+            forward_patch(params, np.zeros((3, 1, 28, 28)), train_mode=True, seed=[1, 2])
+
+
+class TestFullyConnected:
+    """A fully connected layer runs as the valid convolution conv() views
+    it as; its weights stay flat, as they are saved."""
+
+    def test_forward_formula(self):
+        fc = FullyConnected(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                            bias=np.array([0.5, -0.5]), in_shape=(2, 1, 1))
+        np.testing.assert_allclose(conv_forward(np.array([1.0, 1.0]).reshape(2, 1, 1),
+                                                fc.conv()).reshape(-1), [3.5, 6.5])
+
+    def test_backward_matches_finite_differences(self):
+        rng = SplitMix64(8)
+        fc = FullyConnected(weights=rng.floats(3 * 12).reshape(3, 12) - 0.5,
+                            bias=rng.floats(3), in_shape=(3, 2, 2))
+        x = rng.floats(12).reshape(3, 2, 2)
+        rand = rng.floats(3).reshape(3, 1, 1)
+        loss = lambda: float((conv_forward(x, fc.conv()) * rand).sum())
+        dx, dw, db = conv_backward(x, fc.conv(), rand)
+        eps = 1e-5
+        for tensor, got in ((x, dx), (fc.weights, dw.reshape(fc.weights.shape)),
+                            (fc.bias, db)):
+            for idx in np.ndindex(tensor.shape):
+                orig = tensor[idx]
+                tensor[idx] = orig + eps
+                hi = loss()
+                tensor[idx] = orig - eps
+                lo = loss()
+                tensor[idx] = orig
+                assert abs((hi - lo) / (2 * eps) - got[idx]) < 1e-9
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            FullyConnected(weights=np.zeros((3, 5)), bias=np.zeros(3), in_shape=(2, 2, 1))
+        fc = FullyConnected(weights=np.zeros((3, 4)), bias=np.zeros(3), in_shape=(1, 2, 2))
+        with pytest.raises(DimensionError):
+            conv_forward(np.zeros((2, 2, 2)), fc.conv())
+
+    def test_conv_view_shares_the_saved_tensor(self):
+        p = init_patch(PatchArch(), 0)
+        conv = p.fc1.conv()
+        assert conv.weights.shape == (32, 8, 4, 4)
+        assert np.shares_memory(conv.weights, p.fc1.weights)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from lidar_edge.augment import AugmentSpec, sample_and_apply
 from lidar_edge.errors import ConfigError, DivergenceError, ParameterError
+from lidar_edge.evaluation import ConfusionMatrix, confusion, metrics
 from lidar_edge.formats import DatasetManifest, ManifestEntry
-from lidar_edge.models import (NestedArch, PatchArch, forward_nested, forward_patch,
-                               init_nested, init_patch)
-from lidar_edge.optim import OptimizerConfig
-from lidar_edge.rng import SplitMix64
-from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, grad_check,
-                                 patch_prob_map, runlog_csv, split_dataset,
+from lidar_edge.losses import pixel_loss
+from lidar_edge.models import (NestedArch, PatchArch, backward_nested, backward_patch,
+                               forward_nested, forward_patch, init_nested, init_patch)
+from lidar_edge.optim import OptimizerConfig, OptimizerState, optimizer_step
+from lidar_edge.rng import SplitMix64, splitmix64
+from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, _fit, draw_patches,
+                                 grad_check, patch_prob_map, runlog_csv, split_dataset,
                                  total_loss, train_nested, train_patch,
                                  validation_f1)
 
@@ -258,6 +261,176 @@ class TestDensePatchProbMap:
         img = np.full((13, 18), 0.6) if pattern == "constant" else ((rows + cols) % 2) * 0.9
         np.testing.assert_allclose(patch_prob_map(params, img),
                                    sliding_prob_map(params, img), rtol=0, atol=1e-12)
+
+
+def per_example_epochs(params, cfg, epoch_items, example, val_f1_of):
+    """The oracle for the batched epoch loop: every example through its
+    own forward and backward, its gradient added into the batch average
+    as soon as it is found (acc += g / len(batch)), one optimizer step
+    per batch. Returns the runlog lines and the tensors after each epoch."""
+    tensors = params.named_tensors()
+    state, lines, snapshots = OptimizerState(), [], []
+    for epoch in range(1, cfg.epochs + 1):
+        items, epoch_loss = epoch_items(epoch), 0.0
+        for start in range(0, len(items), cfg.batch_size):
+            batch = items[start:start + cfg.batch_size]
+            grad_sum = [(name, np.zeros_like(t)) for name, t in tensors]
+            for position, item in enumerate(batch, start):
+                loss, grads = example(epoch, position, item)
+                for (_, acc), (_, g) in zip(grad_sum, grads):
+                    acc += (1.0 / len(batch)) * g
+                epoch_loss += loss
+            optimizer_step(tensors, grad_sum, state, cfg.optimizer,
+                           simplex_names=("alpha",))
+        lines.append(f"{epoch},{epoch_loss / len(items):.10f},{val_f1_of():.6f},0.000")
+        snapshots.append([t.copy() for _, t in tensors])
+    return lines, snapshots
+
+
+def per_example_nested(train, val, arch, cfg):
+    params = init_nested(arch, cfg.seed)
+
+    def epoch_items(epoch):
+        order = list(range(len(train)))
+        SplitMix64(splitmix64(cfg.seed, 1000 + epoch)).shuffle(order)
+        return order
+
+    def example(epoch, position, idx):
+        img, label = sample_and_apply(*train[idx], cfg.augment,
+                                      splitmix64(cfg.seed, epoch * 1_000_003 + idx))
+        trace = forward_nested(params, img)
+        loss, d_fused, d_sides = total_loss(trace, label, cfg)
+        return loss, backward_nested(params, trace, d_fused, d_sides)
+
+    def val_f1_of():
+        cm = ConfusionMatrix()
+        for img, label in val:
+            cm = cm + confusion((forward_nested(params, img).fused >= 0.5) * 1.0, label)
+        return metrics(cm).f1
+
+    return per_example_epochs(params, cfg, epoch_items, example, val_f1_of)
+
+
+def per_example_patches(samples, seed, per_image):
+    """One (patch, label) pair per draw, each cut from its own padded copy."""
+    rng, out = SplitMix64(seed), []
+    for img, label in samples:
+        pos = np.argwhere(label == 1.0)
+        for k in range(per_image):
+            if k % 2 == 0 and len(pos):
+                r, c = pos[rng.randint(len(pos))]
+            else:
+                r, c = rng.randint(img.shape[0]), rng.randint(img.shape[1])
+            out.append((np.pad(img, 14, mode="edge")[r:r + 28, c:c + 28], label[r, c]))
+    return out
+
+
+def per_example_patch(train, val, arch, cfg, per_image):
+    params = init_patch(arch, cfg.seed)
+    val_patches = per_example_patches(val, splitmix64(cfg.seed, 7), per_image)
+
+    def epoch_items(epoch):
+        items = per_example_patches(train, splitmix64(cfg.seed, 2000 + epoch), per_image)
+        SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(items)
+        return items
+
+    def example(epoch, position, item):
+        patch, y = item
+        trace = forward_patch(params, patch, train_mode=True,
+                              seed=splitmix64(cfg.seed, 4000 + epoch * 100_003 + position))
+        loss, d_prob = pixel_loss(cfg.loss_kind, np.array([trace.prob]), np.array([y]), False)
+        return loss, backward_patch(params, trace, float(d_prob[0]))
+
+    def val_f1_of():
+        cm = ConfusionMatrix()
+        for patch, y in val_patches:
+            pred = 1.0 if forward_patch(params, patch).prob >= 0.5 else 0.0
+            cm = cm + confusion(np.array([[pred]]), np.array([[y]]))
+        return metrics(cm).f1
+
+    return per_example_epochs(params, cfg, epoch_items, example, val_f1_of)
+
+
+class TestBatchedEpochs:
+    """The batched epoch loop is byte-identical to the per-example one:
+    same runlog lines, same bits in every tensor of the selected epoch."""
+
+    CFG = dict(epochs=2, batch_size=3, patience=10, seed=5,
+               optimizer=OptimizerConfig(kind="adam", learning_rate=5e-3))
+
+    @staticmethod
+    def _assert_same(params, log, ref):
+        lines, snapshots = ref
+        assert runlog_csv(log).splitlines()[1:] == lines
+        for (name, got), want in zip(params.named_tensors(), snapshots[log.best_epoch - 1],
+                                     strict=True):
+            assert np.array_equal(got, want), name
+
+    def test_nested(self):
+        samples = toy_samples(10, seed=3)
+        arch = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
+        cfg = TrainConfig(**self.CFG, augment=AugmentSpec())
+        params, log = train_nested(samples[:7], samples[7:], arch, cfg)
+        self._assert_same(params, log, per_example_nested(samples[:7], samples[7:], arch, cfg))
+
+    def test_patch(self):
+        samples = toy_samples(4, seed=4, h=12, w=12)
+        arch = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
+        cfg = TrainConfig(**self.CFG)
+        params, log = train_patch(samples[:3], samples[3:], arch, cfg, patches_per_image=5)
+        self._assert_same(params, log, per_example_patch(samples[:3], samples[3:], arch, cfg, 5))
+
+
+class TestBatchLoop:
+    def test_first_non_finite_loss_is_named_before_any_backward(self):
+        params = init_nested(NestedArch(stages=1, widths=(1,), input_hw=(2, 2)), 0)
+        ran = []
+
+        def batch_of(epoch, start, batch):
+            def backward():
+                ran.append(start)
+                return [(name, np.zeros((len(batch), *t.shape)))
+                        for name, t in params.named_tensors()]
+            losses = [1.0, 1.0, 1.0, 1.0] if start == 0 else [1.0, np.nan, np.inf, 1.0]
+            return losses, backward
+
+        with pytest.raises(DivergenceError, match="epoch 1, example 5$"):
+            _fit(params, TrainConfig(epochs=1, batch_size=4), lambda e: list(range(8)),
+                 batch_of, lambda: 0.0, None)
+        assert ran == [0]  # the second batch never ran its backward
+
+    def test_nested_names_the_diverging_example_within_its_batch(self):
+        samples = toy_samples(8)
+        samples[5] = (np.full((8, 8), np.nan), samples[5][1])
+        order = list(range(8))
+        SplitMix64(splitmix64(0, 1001)).shuffle(order)
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        with pytest.raises(DivergenceError, match=f"example {order.index(5)}$"), \
+                np.errstate(all="ignore"):
+            train_nested(samples, samples, TestTrainNested.ARCH, cfg)
+
+    def test_validation_f1_does_not_depend_on_chunking(self):
+        samples = toy_samples(7)
+        params = init_nested(TestTrainNested.ARCH, 2)
+        scores = {validation_f1(params, samples, batch_size=b) for b in (1, 3, 7, 100)}
+        assert len(scores) == 1
+
+
+class TestDrawPatches:
+    def test_one_owned_array_per_draw(self):
+        """The patches own their memory: a patch keeps no padded image alive."""
+        samples = toy_samples(3, h=12, w=12)
+        patches, labels = draw_patches(samples, 9, 6)
+        assert patches.shape == (18, 1, 28, 28) and labels.shape == (18,)
+        assert patches.base is None and labels.base is None
+        assert patches[0].base is patches
+
+    def test_matches_per_patch_extraction(self):
+        samples = toy_samples(3, h=12, w=12)
+        patches, labels = draw_patches(samples, 9, 6)
+        want = per_example_patches(samples, 9, 6)
+        assert np.array_equal(patches[:, 0], np.stack([p for p, _ in want]))
+        assert np.array_equal(labels, [y for _, y in want])
 
 
 class TestRunLogCSV:
