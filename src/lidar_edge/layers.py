@@ -114,17 +114,10 @@ def conv_backward(x, p: ConvParams, d_out: np.ndarray,
     d_cols = d_cols.reshape(*lead, cin, kh, kw, ho, wo)
     ph, pw = (kh // 2, kw // 2) if p.padding == "same" else (0, 0)
     d_pad = np.zeros((*lead, cin, h + 2 * ph, w + 2 * pw))
-    # col2im: every input cell sums its kernel taps in row-major (i, j)
-    # order. Looping over output cells in reverse row-major order adds
-    # them in that same order, so the shorter loop of the two is taken.
-    if kh * kw <= ho * wo:
-        for i in range(kh):
-            for j in range(kw):
-                d_pad[..., i:i + ho, j:j + wo] += d_cols[..., i, j, :, :]
-    else:
-        for r in range(ho - 1, -1, -1):
-            for c in range(wo - 1, -1, -1):
-                d_pad[..., r:r + kh, c:c + kw] += d_cols[..., r, c]
+    # col2im: every input cell sums its kernel taps in row-major (i, j) order
+    for i in range(kh):
+        for j in range(kw):
+            d_pad[..., i:i + ho, j:j + wo] += d_cols[..., i, j, :, :]
     return d_pad[..., ph:ph + h, pw:pw + w], d_w, d_b
 
 

@@ -150,7 +150,8 @@ def _chunks(n: int, size: int):
 
 
 def validation_f1(params: NestedNetParams, val_samples: list,
-                  threshold: float = 0.5, batch_size: int = 8) -> float:
+                  threshold: float = 0.5,
+                  batch_size: int = TrainConfig.batch_size) -> float:
     """Pooled F1 of the fused map at threshold, from batched forwards of
     batch_size images at a time."""
     cm = ConfusionMatrix()

@@ -189,7 +189,7 @@ def naive_maxpool(x):
 
 def loop_col2im_conv_backward(x, p, d_out):
     """dX of one example the way the per-example layer built it: the
-    kernel-tap loop over (i, j) in row-major order, with no shortcut."""
+    kernel-tap loop over (i, j) in row-major order."""
     cout, cin, kh, kw = p.weights.shape
     cols = im2col(x, p)
     ho, wo = cols.out_hw
@@ -207,9 +207,8 @@ class TestBatchAxis:
     """Leading axes are batch axes: a batch gives exactly (np.array_equal)
     the stack of its examples' results, and matches the loop oracles."""
 
-    # (cout, cin, k, padding, h, w); from (2, 2, 5, "valid", 6, 7) on, the
-    # kernel has more taps than the output has cells, and the last two
-    # cover their input, as the patch net's fully connected layers do
+    # (cout, cin, k, padding, h, w); the last two kernels cover their
+    # input, as the patch net's fully connected layers do
     SHAPES = [(3, 2, 3, "same", 8, 9), (2, 3, 5, "valid", 9, 7), (4, 2, 1, "same", 5, 6),
               (2, 2, 5, "valid", 6, 7), (5, 3, 4, "valid", 4, 4), (1, 6, 1, "valid", 1, 1)]
 
@@ -247,7 +246,7 @@ class TestBatchAxis:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_col2im_adds_taps_in_row_major_order(self, shape):
-        """Either col2im loop gives the kernel-tap loop's dX bit for bit."""
+        """conv_backward gives the per-example kernel-tap loop's dX bit for bit."""
         cout, cin, k, padding, h, w = shape
         p = self._conv(cout, cin, k, padding, 5)
         rng = SplitMix64(6)
