@@ -177,13 +177,6 @@ class AugmentSpec:
             raise ParameterError("occluder_count must be nonnegative")
 
 
-IDENTITY_SPEC = AugmentSpec(rotation_deg=(0, 0), translate_px=(0, 0),
-                            scale=(1, 1), shear=(0, 0), flip_h_prob=0.0,
-                            flip_v_prob=0.0, gain=(1, 1), offset=(0, 0),
-                            noise_sigma=(0, 0), salt_pepper=(0, 0),
-                            occluder_count=0)
-
-
 def sample_and_apply(img: np.ndarray, label: np.ndarray, spec: AugmentSpec,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw one augmentation from the spec and apply it.

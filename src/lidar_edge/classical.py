@@ -24,10 +24,6 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T.copy()
 
-# Roberts cross, anchored at the top-left of each 2x2 window
-ROBERTS_1 = np.array([[1.0, 0.0], [0.0, -1.0]])
-ROBERTS_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class GradientField:

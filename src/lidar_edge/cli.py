@@ -93,17 +93,8 @@ def _load_config(args) -> Config:
     return cfg
 
 
-def _out_dir(cfg: Config) -> Path:
-    return Path(cfg.raw["paths"]["out_dir"])
-
-
-def _model_path(cfg: Config) -> Path:
-    explicit = cfg.raw["paths"]["model"]
-    return Path(explicit) if explicit else _out_dir(cfg) / "model.ledm"
-
-
 def _load_params(cfg: Config):
-    model_path = _model_path(cfg)
+    model_path = cfg.model_path()
     if not model_path.exists():
         raise ModelLoadError(f"model file not found: {model_path}")
     return load_model(model_path)
@@ -112,7 +103,7 @@ def _load_params(cfg: Config):
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     d = cfg.raw["dataset"]
-    out = _out_dir(cfg) / "dataset"
+    out = cfg.out_dir() / "dataset"
     manifest = generate_dataset(int(d["n"]), cfg.lidar(), cfg.scene_policy(),
                                 float(d["delta"]), int(d["seed"]), out)
     manifest = split_dataset(manifest, tuple(d["ratios"]), int(d["seed"]))
@@ -129,7 +120,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = cfg.out_dir()
     dataset_dir = out / "dataset"
     manifest_path = dataset_dir / "manifest.jsonl"
     if not manifest_path.exists():
@@ -152,12 +143,12 @@ def cmd_train(args) -> int:
         params, log = train_patch(train_samples, val_samples,
                                   cfg.patch_arch(), train_cfg, progress=progress)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(params, _model_path(cfg))
+    save_model(params, cfg.model_path())
     with open(out / "runlog.csv", "w", encoding="ascii") as f:
         f.write(runlog_csv(log))
     best = max(r.val_f1 for r in log.records)
     print(f"best validation F1: {best:.4f} (epoch {log.best_epoch}); "
-          f"model saved to {_model_path(cfg)}")
+          f"model saved to {cfg.model_path()}")
     return EXIT_OK
 
 
@@ -186,7 +177,7 @@ def cmd_detect(args) -> int:
     if detector.model is not None:
         params = _load_params(cfg)
         if not isinstance(params, MODEL_KINDS[detector.model]):
-            print(f"error: {_model_path(cfg)} is not a {detector.model} model",
+            print(f"error: {cfg.model_path()} is not a {detector.model} model",
                   file=sys.stderr)
             return EXIT_USAGE
         if args.algorithm == "cnn":
@@ -231,7 +222,7 @@ def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = cfg.out_dir()
     dataset_dir = out / "dataset"
     manifest_path = dataset_dir / "manifest.jsonl"
     if not manifest_path.exists():

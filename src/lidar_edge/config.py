@@ -8,8 +8,8 @@ after the file is parsed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .augment import AugmentSpec
 from .errors import ConfigError
@@ -24,8 +24,8 @@ MODEL_VARIANTS = ("nested", "patch")
 DEFAULTS = {
     "config_version": CONFIG_VERSION,
     "lidar": {
-        "height": 64, "width": 64, "h_fov_deg": 90.0, "v_fov_deg": 30.0,
-        "max_range": 100.0, "noise_sigma": 0.05, "dropout_prob": 0.01,
+        "height": 64, "width": 64, "max_range": 100.0, "noise_sigma": 0.05,
+        "dropout_prob": 0.01,
     },
     "dataset": {
         "n": 280, "delta": 0.5, "ratios": [0.70, 0.15, 0.15], "seed": 42,
@@ -112,6 +112,24 @@ def _tuple_of(cast):
     return cast_all
 
 
+def _boolean(value):
+    """A JSON true or false; anything else, "false" and 0 included, is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _or_none(cast):
+    """cast, or None for a JSON null."""
+    return lambda value: None if value is None else cast(value)
+
+
 @dataclass
 class Config:
     raw: dict = field(default_factory=lambda: _merge(DEFAULTS, {}))
@@ -148,7 +166,8 @@ class Config:
                 raise ConfigError(f"invalid config value for eval.n_thresholds: "
                                   f"{n_thresholds} (at most {MAX_THRESHOLDS})")
             for view in (self.lidar, self.scene_policy, self.augment_spec,
-                         self.nested_arch, self.patch_arch, self.train_config):
+                         self.nested_arch, self.patch_arch, self.train_config,
+                         self.model_path):
                 view()
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
@@ -190,8 +209,6 @@ class Config:
     def lidar(self) -> LidarConfig:
         d = self._section("lidar")
         return LidarConfig(height=d("height", int), width=d("width", int),
-                           h_fov=d("h_fov_deg", math.radians),
-                           v_fov=d("v_fov_deg", math.radians),
                            max_range=d("max_range", float),
                            noise_sigma=d("noise_sigma", float),
                            dropout_prob=d("dropout_prob", float))
@@ -244,13 +261,20 @@ class Config:
                                eps=t("eps", float), rho=t("rho", float))
 
     def train_config(self) -> TrainConfig:
-        raw, t = self.raw["train"], self._section("train")
-        weights = _tuple_of(float)
+        t = self._section("train")
         return TrainConfig(epochs=t("epochs", int),
                            batch_size=t("batch_size", int),
                            optimizer=self.optimizer(),
-                           loss_kind=raw["loss"],
-                           class_balance=bool(raw["class_balance"]),
-                           lambdas=t("lambdas", lambda v: None if v is None else weights(v)),
-                           augment=self.augment_spec() if raw["augment_enabled"] else None,
+                           loss_kind=self.raw["train"]["loss"],
+                           class_balance=t("class_balance", _boolean),
+                           lambdas=t("lambdas", _or_none(_tuple_of(float))),
+                           augment=self.augment_spec() if t("augment_enabled", _boolean) else None,
                            patience=t("patience", int), seed=t("seed", int))
+
+    def out_dir(self) -> Path:
+        return Path(self._section("paths")("out_dir", _text))
+
+    def model_path(self) -> Path:
+        """paths.model, or model.ledm in the output directory when it is null."""
+        explicit = self._section("paths")("model", _or_none(_text))
+        return Path(explicit) if explicit else self.out_dir() / "model.ledm"

@@ -138,28 +138,15 @@ def best_f1(counts: list[ConfusionMatrix], grid: np.ndarray) -> tuple[float, flo
     return float(grid[k]), f1s[k]
 
 
-def _prob_sweep(probs: list, truths: list, n_thresholds: int):
-    if len(probs) != len(truths) or not probs:
-        raise DimensionError("probability and truth sets are misaligned or empty")
-    grid = threshold_grid(n_thresholds)
-    return grid, sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)),
-                       n_thresholds)
-
-
 def roc(probs: list, truths: list, n_thresholds: int = 51) -> list[tuple[float, float, float]]:
     """(threshold, TPR, FPR) at n equally spaced thresholds, descending,
     with counts pooled over the whole set."""
-    grid, counts = _prob_sweep(probs, truths, n_thresholds)
+    if len(probs) != len(truths) or not probs:
+        raise DimensionError("probability and truth sets are misaligned or empty")
+    grid = threshold_grid(n_thresholds)
+    counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)), n_thresholds)
     return [(float(t), metrics(cm).recall, cm.fp / (cm.fp + cm.tn) if cm.fp + cm.tn else 0.0)
             for t, cm in zip(grid[::-1], counts[::-1])]
-
-
-def best_f1_threshold(probs: list, truths: list,
-                      n_thresholds: int = 51) -> tuple[float, float]:
-    """Threshold on the same grid as roc() maximizing pooled F1;
-    ties go to the smaller threshold."""
-    grid, counts = _prob_sweep(probs, truths, n_thresholds)
-    return best_f1(counts, grid)
 
 
 def compare_detectors(samples: list, detectors: list,

@@ -109,8 +109,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
-    seed: int = 0
-    version: str = "1"
 
     def counts(self) -> dict[str, int]:
         out = {tag: 0 for tag in SPLIT_TAGS}

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-BORDER_MODES = ("zero", "replicate", "valid")
+# radius 3 * MAX_SIGMA = 300: replicate padding adds at most 600 rows or
+# columns, and the kernel has at most 601 taps; tuning uses sigmas 1-2.5
+MAX_SIGMA = 100.0
 
 
 def as_image(data, copy: bool = False) -> np.ndarray:
@@ -60,14 +62,6 @@ def as_kernel(weights) -> np.ndarray:
     return k
 
 
-def _pad(img: np.ndarray, ry: int, rx: int, border: str) -> np.ndarray:
-    if border == "zero":
-        return np.pad(img, ((ry, ry), (rx, rx)), mode="constant")
-    if border == "replicate":
-        return np.pad(img, ((ry, ry), (rx, rx)), mode="edge")
-    raise ParameterError(f"unknown border mode {border!r}")
-
-
 def convolve2d(img: np.ndarray, kernel: np.ndarray, border: str = "zero") -> np.ndarray:
     """2-D cross-correlation of `img` with an odd-sized kernel.
 
@@ -84,17 +78,19 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray, border: str = "zero") -> np.
             )
         padded = img
     elif border in ("zero", "replicate"):
-        padded = _pad(img, kh // 2, kw // 2, border)
+        padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
+                        mode="constant" if border == "zero" else "edge")
     else:
-        raise ParameterError(f"border must be one of {BORDER_MODES}, got {border!r}")
+        raise ParameterError(f"border must be zero, replicate or valid, got {border!r}")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
     return np.einsum("ijkl,kl->ij", windows, kernel, optimize=True)
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian, radius ceil(3*sigma)."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    """Normalized 1-D Gaussian, radius ceil(3*sigma), for a sigma in
+    (0, MAX_SIGMA]."""
+    if not 0 < sigma <= MAX_SIGMA:
+        raise ParameterError(f"sigma must lie in (0, {MAX_SIGMA:g}], got {sigma}")
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))
@@ -107,71 +103,3 @@ def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     k = gaussian_kernel1d(sigma)
     out = convolve2d(img, k[np.newaxis, :], border="replicate")
     return convolve2d(out, k[:, np.newaxis], border="replicate")
-
-
-def median_filter(img: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Median over the (2r+1)^2 replicate-padded neighborhood.
-
-    Window size is odd so the median is the middle order statistic;
-    stated as the lower-middle rule for determinism either way.
-    """
-    img = as_image(img)
-    radius = int(radius)
-    if radius < 1:
-        raise ParameterError(f"radius must be >= 1, got {radius}")
-    padded = _pad(img, radius, radius, "replicate")
-    side = 2 * radius + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-    flat = windows.reshape(img.shape[0], img.shape[1], side * side)
-    # lower-middle order statistic: index (n-1)//2 of the sorted window
-    return np.partition(flat, (side * side - 1) // 2, axis=2)[:, :, (side * side - 1) // 2]
-
-
-def normalize(img: np.ndarray, mode: str = "minmax01") -> np.ndarray:
-    """Rescale intensities: 'minmax01' maps [min,max] to [0,1]; 'zscore'
-    subtracts the mean and divides by the population std. Constant
-    images come out all-zero in both modes (zero divisor replaced by 1)."""
-    img = as_image(img)
-    if mode == "minmax01":
-        lo, hi = img.min(), img.max()
-        span = hi - lo
-        return (img - lo) / (span if span > 0 else 1.0)
-    if mode == "zscore":
-        std = img.std()
-        return (img - img.mean()) / (std if std > 0 else 1.0)
-    raise ParameterError(f"unknown normalize mode {mode!r}")
-
-
-def resize(img: np.ndarray, height: int, width: int, mode: str = "bilinear") -> np.ndarray:
-    """Resample to (height, width).
-
-    'bilinear' for intensities, 'nearest' for binary labels. Pixel
-    centers follow the align-corners=false convention: source coordinate
-    of output pixel i is (i + 0.5) * in/out - 0.5, clamped to the frame.
-    """
-    img = as_image(img)
-    height, width = int(height), int(width)
-    if height < 1 or width < 1:
-        raise ParameterError(f"target dims must be >= 1, got {(height, width)}")
-    in_h, in_w = img.shape
-    if (in_h, in_w) == (height, width):
-        return img.copy()
-    ys = (np.arange(height) + 0.5) * (in_h / height) - 0.5
-    xs = (np.arange(width) + 0.5) * (in_w / width) - 0.5
-    if mode == "nearest":
-        yi = np.clip(np.round(ys).astype(int), 0, in_h - 1)
-        xi = np.clip(np.round(xs).astype(int), 0, in_w - 1)
-        return img[np.ix_(yi, xi)]
-    if mode == "bilinear":
-        ys = np.clip(ys, 0.0, in_h - 1.0)
-        xs = np.clip(xs, 0.0, in_w - 1.0)
-        y0 = np.floor(ys).astype(int)
-        x0 = np.floor(xs).astype(int)
-        y1 = np.minimum(y0 + 1, in_h - 1)
-        x1 = np.minimum(x0 + 1, in_w - 1)
-        wy = (ys - y0)[:, np.newaxis]
-        wx = (xs - x0)[np.newaxis, :]
-        top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-        bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-        return top * (1 - wy) + bot * wy
-    raise ParameterError(f"unknown resize mode {mode!r}")

@@ -10,7 +10,6 @@ SplitMix64 streams so datasets are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,12 +35,9 @@ def tof_to_distance(tof: float, c: float = SPEED_OF_LIGHT) -> float:
 class LidarConfig:
     height: int = 64
     width: int = 64
-    h_fov: float = math.radians(90.0)
-    v_fov: float = math.radians(30.0)
     max_range: float = 100.0
     noise_sigma: float = 0.05
     dropout_prob: float = 0.0
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.max_range <= 0:
@@ -161,32 +157,6 @@ def range_to_intensity(ranges: np.ndarray, max_range: float) -> np.ndarray:
     return np.clip(1.0 - ranges / max_range, 0.0, 1.0)
 
 
-def beam_angles(cfg: LidarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(elevation per row, azimuth per column) on the uniform angular
-    grid centered at zero; row 0 is the top (positive elevation)."""
-    az = cfg.h_fov * ((np.arange(cfg.width) + 0.5) / cfg.width - 0.5)
-    el = -cfg.v_fov * ((np.arange(cfg.height) + 0.5) / cfg.height - 0.5)
-    return el, az
-
-
-def range_image_to_point_cloud(ranges: np.ndarray, cfg: LidarConfig) -> np.ndarray:
-    """Spherical-to-Cartesian conversion of every returned beam.
-
-    Returns an (n, 3) array of (x, y, z); pixels at exactly max_range
-    count as no-return and are omitted.
-    """
-    ranges = as_image(ranges)
-    el, az = beam_angles(cfg)
-    phi = np.broadcast_to(el[:, np.newaxis], ranges.shape)
-    theta = np.broadcast_to(az[np.newaxis, :], ranges.shape)
-    keep = ranges < cfg.max_range
-    r = ranges[keep]
-    phi, theta = phi[keep], theta[keep]
-    return np.column_stack([r * np.cos(phi) * np.cos(theta),
-                            r * np.cos(phi) * np.sin(theta),
-                            r * np.sin(phi)])
-
-
 @dataclass(frozen=True)
 class ScenePolicy:
     """Parameter ranges for random scene sampling."""
@@ -255,7 +225,7 @@ def generate_dataset(n: int, cfg: LidarConfig, policy: ScenePolicy,
         raise ParameterError(f"sample count must be >= 1, got {n}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = DatasetManifest(seed=seed)
+    manifest = DatasetManifest()
     width = len(str(n - 1))
     for i in range(n):
         sub = splitmix64(seed, i)

@@ -44,6 +44,8 @@ class NestedArch:
         if self.stages < 1 or len(self.widths) != self.stages:
             raise ParameterError(
                 f"need one width per stage, got {self.widths} for S={self.stages}")
+        if min(self.widths) < 1:
+            raise ParameterError(f"stage widths must be >= 1, got {self.widths}")
         div = 2 ** (self.stages - 1)
         if self.input_hw[0] % div or self.input_hw[1] % div:
             raise ParameterError(
@@ -96,6 +98,9 @@ class PatchArch:
     def __post_init__(self):
         if self.input_hw != (PATCH_SIZE, PATCH_SIZE):
             raise ParameterError(f"patch input is fixed at {PATCH_SIZE}x{PATCH_SIZE}")
+        if len(self.conv_channels) != 2 or min(*self.conv_channels, self.hidden) < 1:
+            raise ParameterError(f"need two conv channel counts and a hidden size, all >= 1, "
+                                 f"got {self.conv_channels} and {self.hidden}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ParameterError("dropout_rate must lie in [0, 1)")
 
@@ -213,28 +218,6 @@ def _keeper(train_mode: bool):
     return im2col if train_mode else (lambda x, p: x)
 
 
-def side_output(feature: np.ndarray, head: ConvParams, factor: int) -> np.ndarray:
-    """1x1 conv -> nearest upsample -> sigmoid, one probability map."""
-    if head.weights.shape[0] != 1 or head.weights.shape[2:] != (1, 1):
-        raise DimensionError(f"side head must be 1x1 with one output, got {head.weights.shape}")
-    logit = conv_forward(feature, head)
-    return sigmoid(upsample_nearest(logit, factor))[0]
-
-
-def fuse_sides(sides: list, alpha: np.ndarray) -> np.ndarray:
-    """Pixelwise convex combination of side maps."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if len(sides) != alpha.size:
-        raise ParameterError(f"{len(sides)} side maps vs {alpha.size} weights")
-    if np.any(alpha < -1e-9) or abs(alpha.sum() - 1.0) > 1e-9:
-        raise ParameterError(f"alpha must lie on the simplex, got {alpha}")
-    shape = sides[0].shape
-    for s in sides:
-        if s.shape != shape:
-            raise DimensionError("side maps differ in shape")
-    return sum(a * s for a, s in zip(alpha, sides))
-
-
 def forward_nested(params: NestedNetParams, x: np.ndarray,
                    train_mode: bool = False) -> ForwardTrace:
     """Full forward pass of one image (H, W) or (1, H, W), or of a batch
@@ -266,9 +249,9 @@ def forward_nested(params: NestedNetParams, x: np.ndarray,
             st.pooled, st.pool_arg = maxpool2x2_forward(feat)
             feat_in = st.pooled
         trace.stages.append(st)
-    # plain weighted sum, not the strict fuse_sides: gradients w.r.t.
-    # alpha are taken on the unconstrained weights, and feasibility is
-    # restored by the optimizer's simplex projection after each step
+    # plain weighted sum with no simplex check: gradients w.r.t. alpha
+    # are taken on the unconstrained weights, and feasibility is restored
+    # by the optimizer's simplex projection after each step
     trace.fused = sum(a * s for a, s in zip(params.alpha, trace.side_probs))
     return trace
 

@@ -8,8 +8,6 @@ on every platform.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -57,15 +55,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("randint bound must be positive")
         return self.next_u64() % n
-
-    def normal_pair(self) -> tuple[float, float]:
-        # Box-Muller; u1 nudged away from 0 so log() stays finite.
-        u1 = self.next_float()
-        u2 = self.next_float()
-        if u1 <= 0.0:
-            u1 = 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
 
     def floats(self, n: int) -> np.ndarray:
         """Next n uniforms in [0, 1), vectorized, same sequence as

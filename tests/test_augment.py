@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from lidar_edge.augment import (IDENTITY_SPEC, AffineParams, AugmentSpec,
-                                add_gaussian_noise, add_salt_pepper,
-                                adjust_photometric, affine_transform, occlude,
-                                sample_and_apply)
+from lidar_edge.augment import (AffineParams, AugmentSpec, add_gaussian_noise,
+                                add_salt_pepper, adjust_photometric,
+                                affine_transform, occlude, sample_and_apply)
 from lidar_edge.errors import ParameterError
 from lidar_edge.rng import SplitMix64
+
+IDENTITY_SPEC = AugmentSpec(rotation_deg=(0, 0), translate_px=(0, 0),
+                            scale=(1, 1), shear=(0, 0), flip_h_prob=0.0,
+                            flip_v_prob=0.0, gain=(1, 1), offset=(0, 0),
+                            noise_sigma=(0, 0), salt_pepper=(0, 0),
+                            occluder_count=0)
 
 
 def checker(h=8, w=8):

@@ -5,9 +5,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lidar_edge.classical import (ROBERTS_1, ROBERTS_2, SOBEL_X, SOBEL_Y,
-                                  canny, canny_levels, magnitude_levels,
-                                  roberts, sobel, threshold_magnitude)
+from lidar_edge.classical import (SOBEL_X, SOBEL_Y, canny, canny_levels,
+                                  magnitude_levels, roberts, sobel,
+                                  threshold_magnitude)
 from lidar_edge.classical import _hysteresis, _thinned_gradient
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.rng import SplitMix64
@@ -60,10 +60,6 @@ class TestSobel:
 
 
 class TestRoberts:
-    def test_kernels(self):
-        np.testing.assert_array_equal(ROBERTS_1, [[1, 0], [0, -1]])
-        np.testing.assert_array_equal(ROBERTS_2, [[0, 1], [-1, 0]])
-
     def test_matches_direct_differences(self):
         img = SplitMix64(2).floats(30).reshape(5, 6)
         f = roberts(img)

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidar_edge
 from lidar_edge import classical, cli, layers, models, training
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
 from lidar_edge.modelio import save_model
@@ -103,6 +109,24 @@ class TestDetect:
         assert edges.shape == (16, 16)
         assert set(np.unique(edges)) <= {0.0, 1.0}
         assert edges.any()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1", "1e300"])
+    def test_bad_sigma_is_usage_error(self, pgm_image, tmp_path, sigma):
+        """Exit 2 with one error line. It runs in a child process whose
+        address space is capped at 1 GiB, so a kernel sized from the sigma
+        fails there and never reaches the host."""
+        limit = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(lidar_edge.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lidar_edge.cli", "detect", "--algorithm", "canny",
+             f"--sigma={sigma}", "--out", str(tmp_path), str(pgm_image),
+             str(tmp_path / "out.pgm")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == cli.EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: sigma must lie in ")
+        assert done.stderr.count("\n") == 1
 
     def test_sobel_and_roberts(self, workdir, pgm_image, tmp_path):
         _, cfg_path, _ = workdir
@@ -322,8 +346,14 @@ class TestErrors:
         assert code == cli.EXIT_IO
 
     @pytest.mark.parametrize("override", [{"train": {"epochs": "abc"}},
-                                          {"model": {"variant": "transformer"}}],
-                             ids=["epochs-not-int", "unknown-variant"])
+                                          {"model": {"variant": "transformer"}},
+                                          {"model": {"widths": [0, 16, 32]}},
+                                          {"model": {"widths": [8, -1, 32]}},
+                                          {"model": {"patch_channels": [4, 0]}},
+                                          {"model": {"patch_hidden": 0}}],
+                             ids=["epochs-not-int", "unknown-variant", "zero-width",
+                                  "negative-width", "zero-patch-channels",
+                                  "zero-patch-hidden"])
     def test_bad_config_value_fails_before_loading_data(self, workdir, tmp_path,
                                                         capsys, override, monkeypatch):
         _, _, out = workdir
@@ -344,6 +374,9 @@ class TestErrors:
         ("dataset.scene.min_size", {"dataset": {"scene": {"min_size": [1]}}}),
         ("train.lambdas", {"train": {"lambdas": 3}}),
         ("eval.n_thresholds", {"eval": {"n_thresholds": "many"}}),
+        ("train.augment_enabled", {"train": {"augment_enabled": "false"}}),
+        ("train.class_balance", {"train": {"class_balance": "no"}}),
+        ("paths.model", {"paths": {"model": 5}}),
     ])
     def test_bad_config_value_names_its_key(self, workdir, tmp_path, capsys, key, override):
         _, _, out = workdir

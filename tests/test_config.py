@@ -1,7 +1,6 @@
 """JSON configuration: defaults, merging, overrides, typed views."""
 
 import json
-import math
 
 import pytest
 
@@ -83,10 +82,8 @@ class TestOverride:
 
 
 class TestTypedViews:
-    def test_lidar_converts_fov_to_radians(self):
+    def test_lidar_grid_dims(self):
         lc = Config.load(None).lidar()
-        assert lc.h_fov == pytest.approx(math.radians(90.0))
-        assert lc.v_fov == pytest.approx(math.radians(30.0))
         assert (lc.height, lc.width) == (64, 64)
 
     def test_scene_policy_fields(self):
@@ -128,8 +125,13 @@ class TestValueNamesItsKey:
     @pytest.mark.parametrize("doc, key", [
         ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
         ({"augment": {"gain": 2}}, "augment.gain"),
-        ({"lidar": {"v_fov_deg": "wide"}}, "lidar.v_fov_deg"),
+        ({"lidar": {"max_range": "far"}}, "lidar.max_range"),
         ({"model": {"patch_hidden": None}}, "model.patch_hidden"),
+        ({"train": {"augment_enabled": "false"}}, "train.augment_enabled"),
+        ({"train": {"class_balance": "no"}}, "train.class_balance"),
+        ({"train": {"class_balance": 1}}, "train.class_balance"),
+        ({"paths": {"out_dir": 5}}, "paths.out_dir"),
+        ({"paths": {"model": 5}}, "paths.model"),
     ])
     def test_load(self, tmp_path, doc, key):
         with pytest.raises(ConfigError, match=f"invalid config value for {key}: "):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.evaluation import (ConfusionMatrix, best_f1, best_f1_threshold,
-                                   compare_detectors, comparison_csv,
-                                   comparison_table, confusion, metrics,
-                                   prob_levels, roc, sweep, threshold_grid)
+from lidar_edge.evaluation import (ConfusionMatrix, best_f1, compare_detectors,
+                                   comparison_csv, comparison_table, confusion,
+                                   metrics, prob_levels, roc, sweep,
+                                   threshold_grid)
 from lidar_edge.rng import SplitMix64
 
 
@@ -150,6 +150,14 @@ class TestROC:
             roc([], [], 11)
         with pytest.raises(ParameterError):
             roc([self.prob], [self.truth], 1)
+
+
+def best_f1_threshold(probs, truths, n_thresholds):
+    """The tuning of a probability-map detector, as cli._tuned_detectors
+    runs it: the best pooled F1 over one sweep of the threshold grid."""
+    grid = threshold_grid(n_thresholds)
+    levels = ((prob_levels(p, grid), t) for p, t in zip(probs, truths))
+    return best_f1(sweep(levels, n_thresholds), grid)
 
 
 class TestBestF1Threshold:

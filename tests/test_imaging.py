@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.imaging import (as_edge_map, as_image, convolve2d,
-                                gaussian_filter, gaussian_kernel1d,
-                                median_filter, normalize, resize)
+from lidar_edge.imaging import (MAX_SIGMA, as_edge_map, as_image, convolve2d,
+                                gaussian_filter, gaussian_kernel1d)
 from lidar_edge.rng import SplitMix64
 
 
@@ -94,101 +93,16 @@ class TestGaussianFilter:
         with pytest.raises(ParameterError):
             gaussian_filter(np.zeros((3, 3)), 0.0)
 
+    def test_sigma_cap_is_inclusive(self):
+        assert gaussian_kernel1d(MAX_SIGMA).size == 2 * 300 + 1
+        with pytest.raises(ParameterError, match="sigma must lie in"):
+            gaussian_kernel1d(np.nextafter(MAX_SIGMA, np.inf))
+
     def test_output_within_input_range(self):
         img = SplitMix64(9).floats(64).reshape(8, 8)
         out = gaussian_filter(img, 2.0)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
-
-
-class TestMedianFilter:
-    def test_constant_unchanged(self):
-        img = np.full((5, 5), 0.25)
-        np.testing.assert_array_equal(median_filter(img, 1), img)
-
-    def test_salt_pixel_removed(self):
-        img = np.zeros((5, 5))
-        img[2, 2] = 1.0
-        np.testing.assert_array_equal(median_filter(img, 1), np.zeros((5, 5)))
-
-    def test_matches_sort_oracle(self):
-        rng = SplitMix64(11)
-        img = rng.floats(64).reshape(8, 8)
-        padded = np.pad(img, 1, mode="edge")
-        want = np.zeros_like(img)
-        for y in range(8):
-            for x in range(8):
-                window = sorted(padded[y:y + 3, x:x + 3].ravel())
-                want[y, x] = window[4]
-        np.testing.assert_array_equal(median_filter(img, 1), want)
-
-    def test_bad_radius(self):
-        with pytest.raises(ParameterError):
-            median_filter(np.zeros((3, 3)), 0)
-
-
-class TestNormalize:
-    def test_minmax_endpoints(self):
-        img = np.array([[2.0, 4.0, 6.0]])
-        np.testing.assert_allclose(normalize(img, "minmax01"),
-                                   [[0.0, 0.5, 1.0]], rtol=1e-15)
-
-    def test_constant_zscore_all_zero(self):
-        img = np.full((4, 4), 3.0)
-        np.testing.assert_array_equal(normalize(img, "zscore"), np.zeros((4, 4)))
-
-    def test_constant_minmax_all_zero(self):
-        img = np.full((4, 4), 3.0)
-        np.testing.assert_array_equal(normalize(img, "minmax01"), np.zeros((4, 4)))
-
-    def test_zscore_direct_formula(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        mean, std = 2.5, np.sqrt(1.25)
-        np.testing.assert_allclose(normalize(img, "zscore"), (img - mean) / std,
-                                   rtol=1e-14)
-
-    def test_minmax_idempotent(self):
-        img = SplitMix64(5).floats(30).reshape(5, 6) * 7 - 3
-        once = normalize(img, "minmax01")
-        twice = normalize(once, "minmax01")
-        np.testing.assert_allclose(twice, once, atol=1e-15)
-        assert once.min() >= 0.0 and once.max() <= 1.0
-
-
-class TestResize:
-    def test_same_dims_identity(self):
-        img = SplitMix64(2).floats(20).reshape(4, 5)
-        for mode in ("bilinear", "nearest"):
-            np.testing.assert_array_equal(resize(img, 4, 5, mode), img)
-
-    def test_nearest_column_duplication(self):
-        img = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = resize(img, 4, 4, "nearest")
-        want = np.array([[0, 0, 1, 1]] * 4, dtype=float)
-        np.testing.assert_array_equal(out, want)
-
-    def test_bilinear_matches_interpolation_oracle(self):
-        img = np.array([[0.0, 1.0], [0.5, 0.25]])
-        out = resize(img, 3, 3, "bilinear")
-        want = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                ys = min(max((i + 0.5) * 2 / 3 - 0.5, 0.0), 1.0)
-                xs = min(max((j + 0.5) * 2 / 3 - 0.5, 0.0), 1.0)
-                y0, x0 = int(ys), int(xs)
-                y1, x1 = min(y0 + 1, 1), min(x0 + 1, 1)
-                wy, wx = ys - y0, xs - x0
-                want[i, j] = (img[y0, x0] * (1 - wy) * (1 - wx)
-                              + img[y0, x1] * (1 - wy) * wx
-                              + img[y1, x0] * wy * (1 - wx)
-                              + img[y1, x1] * wy * wx)
-        np.testing.assert_allclose(out, want, rtol=1e-12)
-
-    def test_nearest_keeps_binary(self):
-        rng = SplitMix64(13)
-        label = (rng.floats(64).reshape(8, 8) < 0.3).astype(float)
-        out = resize(label, 13, 5, "nearest")
-        assert set(np.unique(out)) <= {0.0, 1.0}
 
 
 class TestValidation:

@@ -1,16 +1,13 @@
 """Synthetic LiDAR scene rendering, labeling, and dataset generation."""
 
-import math
-
 import numpy as np
 import pytest
 
 from lidar_edge.errors import ParameterError
 from lidar_edge.formats import read_lri, read_manifest, read_pgm
 from lidar_edge.lidar import (SPEED_OF_LIGHT, Disk, HalfPlane, LidarConfig,
-                              Rect, Scene, ScenePolicy, beam_angles,
-                              generate_dataset, ground_truth_edges,
-                              range_image_to_point_cloud, range_to_intensity,
+                              Rect, Scene, ScenePolicy, generate_dataset,
+                              ground_truth_edges, range_to_intensity,
                               render_scene, sample_scene, tof_to_distance)
 
 
@@ -153,42 +150,6 @@ class TestIntensity:
     def test_clipped_to_unit_interval(self):
         out = range_to_intensity(np.array([[120.0]]), 100.0)
         assert out[0, 0] == 0.0
-
-
-class TestPointCloud:
-    def test_boresight_pixel_lies_on_x_axis(self):
-        cfg = LidarConfig(height=1, width=1, noise_sigma=0.0)
-        pts = range_image_to_point_cloud(np.array([[10.0]]), cfg)
-        # single centered beam: elevation = azimuth = 0
-        np.testing.assert_allclose(pts, [[10.0, 0.0, 0.0]], atol=1e-12)
-
-    def test_radius_preserved(self):
-        cfg = LidarConfig(height=8, width=8)
-        ranges = np.full((8, 8), 42.0)
-        pts = range_image_to_point_cloud(ranges, cfg)
-        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 42.0, rtol=1e-12)
-
-    def test_max_range_pixels_omitted(self):
-        cfg = LidarConfig(height=4, width=4, max_range=100.0)
-        ranges = np.full((4, 4), 100.0)
-        ranges[0, 0] = 30.0
-        assert range_image_to_point_cloud(ranges, cfg).shape == (1, 3)
-
-    def test_top_row_has_positive_z(self):
-        cfg = LidarConfig(height=6, width=6)
-        ranges = np.full((6, 6), 20.0)
-        pts = range_image_to_point_cloud(ranges, cfg).reshape(6, 6, 3)
-        assert np.all(pts[0, :, 2] > 0)   # top row looks up
-        assert np.all(pts[-1, :, 2] < 0)  # bottom row looks down
-
-    def test_angles_span_fov(self):
-        cfg = LidarConfig(height=10, width=20)
-        el, az = beam_angles(cfg)
-        assert el.shape == (10,) and az.shape == (20,)
-        # pixel centers: half a pixel inside the nominal field of view
-        assert az[0] == pytest.approx(-cfg.h_fov / 2 * (1 - 1 / 20))
-        assert az[-1] == -az[0]
-        assert abs(el.sum()) < 1e-12 and abs(az.sum()) < 1e-12
 
 
 class TestSceneSampling:

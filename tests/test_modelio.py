@@ -224,6 +224,8 @@ class TestHostileDescriptor:
 INVALID = {
     # a CRC-valid nested descriptor with no stages at all
     "zero-stages": (_crafted(1, struct.pack("<III", 0, 64, 64)), "cnn"),
+    # a CRC-valid nested descriptor whose one stage has no channels
+    "zero-width": (_crafted(1, struct.pack("<IIII", 1, 0, 64, 64)), "cnn"),
     # a CRC-valid patch descriptor whose dropout rate is NaN
     "nan-dropout": (_crafted(2, struct.pack("<IIIIII", 3, 4, 8, 32, 28, 28)
                              + struct.pack("<d", float("nan"))), "patchcnn"),

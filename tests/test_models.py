@@ -7,8 +7,7 @@ from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.layers import conv_backward, conv_forward
 from lidar_edge.models import (FullyConnected, NestedArch, PatchArch,
                                backward_nested, backward_patch, forward_nested,
-                               forward_patch, fuse_sides, init_nested,
-                               init_patch, side_output)
+                               forward_patch, init_nested, init_patch)
 from lidar_edge.rng import SplitMix64
 
 SMALL = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
@@ -32,6 +31,17 @@ class TestArch:
     def test_input_divisibility(self):
         with pytest.raises(ParameterError):
             NestedArch(stages=3, widths=(2, 2, 2), input_hw=(10, 12))
+
+    @pytest.mark.parametrize("widths", [(0, 16, 32), (8, -1, 32)])
+    def test_width_below_one_refused(self, widths):
+        with pytest.raises(ParameterError, match="widths must be >= 1"):
+            NestedArch(stages=3, widths=widths)
+
+    @pytest.mark.parametrize("channels, hidden", [((0, 8), 32), ((4, -2), 32),
+                                                  ((4, 8), 0), ((4,), 32)])
+    def test_patch_size_below_one_refused(self, channels, hidden):
+        with pytest.raises(ParameterError, match="all >= 1"):
+            PatchArch(conv_channels=channels, hidden=hidden)
 
     def test_default_shape(self):
         arch = NestedArch()
@@ -112,24 +122,6 @@ class TestForwardNested:
         params = init_nested(SMALL, 0)
         with pytest.raises(DimensionError):
             forward_nested(params, np.zeros((8, 10)))
-
-
-class TestFuseSides:
-    def test_weighted_sum(self):
-        sides = [np.full((2, 2), 0.2), np.full((2, 2), 0.8)]
-        np.testing.assert_allclose(fuse_sides(sides, np.array([0.25, 0.75])),
-                                   np.full((2, 2), 0.65))
-
-    def test_rejects_off_simplex(self):
-        sides = [np.zeros((2, 2)), np.zeros((2, 2))]
-        with pytest.raises(ParameterError):
-            fuse_sides(sides, np.array([0.6, 0.6]))
-        with pytest.raises(ParameterError):
-            fuse_sides(sides, np.array([-0.2, 1.2]))
-
-    def test_count_mismatch(self):
-        with pytest.raises(ParameterError):
-            fuse_sides([np.zeros((2, 2))], np.array([0.5, 0.5]))
 
 
 class TestBackwardNested:
@@ -258,15 +250,6 @@ class TestPatchNet:
         params = init_patch(PatchArch(), 0)
         with pytest.raises(DimensionError):
             forward_patch(params, np.zeros((27, 28)))
-
-
-class TestSideOutput:
-    def test_requires_1x1_single_channel_head(self):
-        from lidar_edge.layers import ConvParams
-        bad = ConvParams(weights=np.zeros((1, 2, 3, 3)), bias=np.zeros(1),
-                         padding="same")
-        with pytest.raises(DimensionError):
-            side_output(np.zeros((2, 8, 8)), bad, 1)
 
 
 class TestBatchedForwardBackward:
