@@ -27,7 +27,8 @@ from .errors import (ConfigError, DivergenceError, LidarEdgeError,
                      ModelLoadError, ParameterError)
 from .evaluation import (best_f1, comparison_csv, comparison_table,
                          compare_detectors, prob_levels, sweep, threshold_grid)
-from .formats import read_lri, read_manifest, read_pgm, write_manifest, write_pgm
+from .formats import (read_lri, read_manifest, read_pgm, write_atomic, write_manifest,
+                      write_pgm)
 from .lidar import generate_dataset, range_to_intensity
 from .modelio import load_model, save_model
 from .models import NestedNetParams, PatchNetParams, forward_nested
@@ -52,15 +53,19 @@ class Detector(NamedTuple):
     model: str | None = None
 
 
-def _above(prob: np.ndarray, t: float) -> np.ndarray:
-    return (prob >= t).astype(np.float64)
+def _above(t: float) -> Callable:
+    """The edge map prob >= t of a probability map, for t in [0, 1]; any
+    other t, NaN included, would give an all-0 or all-1 map and is refused."""
+    if not 0.0 <= t <= 1.0:
+        raise ParameterError(f"threshold must lie in [0, 1], got {t}")
+    return lambda prob: (prob >= t).astype(np.float64)
 
 
 # in the row order of `compare`
 DETECTORS = {
     "cnn": Detector(
         lambda m, im, grid: prob_levels(forward_nested(m, im).fused, grid),
-        lambda m, im, t: _above(forward_nested(m, im).fused, t), model="nested"),
+        lambda m, im, t: _above(t)(forward_nested(m, im).fused), model="nested"),
     "canny": Detector(
         lambda m, im, grid, sigma: classical.canny_levels(im, grid, sigma),
         lambda m, im, t, sigma: classical.canny(im, sigma=sigma, low=t / 2.0, high=t),
@@ -144,8 +149,7 @@ def cmd_train(args) -> int:
                                   cfg.patch_arch(), train_cfg, progress=progress)
     out.mkdir(parents=True, exist_ok=True)
     save_model(params, cfg.model_path())
-    with open(out / "runlog.csv", "w", encoding="ascii") as f:
-        f.write(runlog_csv(log))
+    write_atomic(out / "runlog.csv", runlog_csv(log).encode("ascii"))
     best = max(r.val_f1 for r in log.records)
     print(f"best validation F1: {best:.4f} (epoch {log.best_epoch}); "
           f"model saved to {cfg.model_path()}")
@@ -175,6 +179,7 @@ def cmd_detect(args) -> int:
     img = _read_input_image(input_path)
     out_path = Path(args.output)
     if detector.model is not None:
+        above = _above(args.threshold)
         params = _load_params(cfg)
         if not isinstance(params, MODEL_KINDS[detector.model]):
             print(f"error: {cfg.model_path()} is not a {detector.model} model",
@@ -188,7 +193,7 @@ def cmd_detect(args) -> int:
         write_pgm(out_path.with_suffix(".prob.pgm"), prob)
         for i, side in enumerate(sides):
             write_pgm(out_path.with_suffix(f".side{i}.pgm"), side)
-        edge = _above(prob, args.threshold)
+        edge = above(prob)
     elif args.algorithm == "canny":
         edge = classical.canny(img, sigma=args.sigma, low=args.low, high=args.high)
     else:
@@ -243,8 +248,7 @@ def cmd_compare(args) -> int:
     detectors = _tuned_detectors(cfg, val_samples, params, requested)
     reports = compare_detectors(test_samples, detectors,
                                 tolerance=int(cfg.raw["eval"]["tolerance"]))
-    with open(out / "comparison.csv", "w", encoding="ascii") as f:
-        f.write(comparison_csv(reports))
+    write_atomic(out / "comparison.csv", comparison_csv(reports).encode("ascii"))
     print(comparison_table(reports), end="")
     return EXIT_OK
 

@@ -81,6 +81,7 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
 
 
 MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
+MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x width arrays
 
 
 def _exactly(cast):
@@ -157,14 +158,17 @@ class Config:
         """Build every typed view once, so a value of the wrong type or
         range fails here, before any work starts, rather than where the
         view is first used."""
-        d, e = self._section("dataset"), self._section("eval")
+        d, e, lidar = self._section("dataset"), self._section("eval"), self._section("lidar")
         try:
             d("n", int), d("delta", float), d("seed", int), d("ratios", _tuple_of(float))
             e("tolerance", int)
-            n_thresholds = e("n_thresholds", int)
-            if n_thresholds > MAX_THRESHOLDS:
-                raise ConfigError(f"invalid config value for eval.n_thresholds: "
-                                  f"{n_thresholds} (at most {MAX_THRESHOLDS})")
+            bounded = (("eval.n_thresholds", e("n_thresholds", int), MAX_THRESHOLDS),
+                       ("lidar.height", lidar("height", int), MAX_GRID_SIDE),
+                       ("lidar.width", lidar("width", int), MAX_GRID_SIDE))
+            for key, value, most in bounded:
+                if value > most:
+                    raise ConfigError(f"invalid config value for {key}: "
+                                      f"{value} (at most {most})")
             for view in (self.lidar, self.scene_policy, self.augment_spec,
                          self.nested_arch, self.patch_arch, self.train_config,
                          self.model_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,21 @@ from .errors import ParameterError
 from .imaging import as_image
 
 SPLIT_TAGS = ("train", "val", "test", "unassigned")
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path whole or not at all: into a temporary file in
+    the same directory, renamed over path once complete. A write that
+    fails midway leaves the old file as it was and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -126,12 +142,10 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             if p in seen:
                 raise ParameterError(f"duplicate path {p}")
             seen.add(p)
-    with open(path, "w", encoding="ascii") as f:
-        for e in manifest.entries:
-            f.write(json.dumps(
-                {"id": e.id, "range": e.range, "intensity": e.intensity,
-                 "label": e.label, "split": e.split},
-                sort_keys=False) + "\n")
+    write_atomic(path, "".join(
+        json.dumps({"id": e.id, "range": e.range, "intensity": e.intensity,
+                    "label": e.label, "split": e.split}) + "\n"
+        for e in manifest.entries).encode("ascii"))
 
 
 def read_manifest(path) -> DatasetManifest:

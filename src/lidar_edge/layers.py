@@ -13,6 +13,7 @@ differences in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, padding: str) -> tuple[np.ndarray, 
     elif kh > h or kw > w:
         raise DimensionError(f"kernel ({kh},{kw}) larger than input {x.shape} in valid mode")
     ho, wo = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
+    if kh * kw == 1 or ho * wo == 1:  # a 1x1 kernel, or one covering x: x is its columns
+        return x.reshape(*lead, cin * kh * kw, ho * wo), (ho, wo)
     *s_lead, s_c, s_h, s_w = x.strides
     win = np.lib.stride_tricks.as_strided(  # (..., C, kh, kw, Ho, Wo), a view of x
         x, (*lead, cin, kh, kw, ho, wo), (*s_lead, s_c, s_h, s_w, s_h, s_w), writeable=False)
@@ -111,14 +114,45 @@ def conv_backward(x, p: ConvParams, d_out: np.ndarray,
     if not input_grad:
         return None, d_w, d_b
     d_cols = np.matmul(p.weights.reshape(cout, -1).T, d_mat)
-    d_cols = d_cols.reshape(*lead, cin, kh, kw, ho, wo)
     ph, pw = (kh // 2, kw // 2) if p.padding == "same" else (0, 0)
-    d_pad = np.zeros((*lead, cin, h + 2 * ph, w + 2 * pw))
-    # col2im: every input cell sums its kernel taps in row-major (i, j) order
-    for i in range(kh):
-        for j in range(kw):
-            d_pad[..., i:i + ho, j:j + wo] += d_cols[..., i, j, :, :]
+    d_pad = _col2im(d_cols, cin, (kh, kw), (ho, wo), (h + 2 * ph, w + 2 * pw))
     return d_pad[..., ph:ph + h, pw:pw + w], d_w, d_b
+
+
+def _col2im(d_cols: np.ndarray, cin: int, kernel: tuple, out_hw: tuple,
+            pad_hw: tuple) -> np.ndarray:
+    """Fold column gradients (..., cin*kh*kw, Ho*Wo) back onto the padded
+    input (..., cin, Hp, Wp): every cell sums its kernel taps in
+    row-major (i, j) order, starting from +0.0.
+
+    The columns list each cell's taps in that order, so one np.add.at
+    per example, which adds into zeros in the order of its index, is
+    that sum. When no two taps share a cell (a 1x1 kernel, or one that
+    covers its input), the fold is a reshape, and adding +0.0 is the sum
+    from +0.0.
+    """
+    lead = d_cols.shape[:-2]
+    if kernel[0] * kernel[1] == 1 or out_hw[0] * out_hw[1] == 1:
+        return d_cols.reshape(*lead, cin, *pad_hw) + 0.0
+    index = _col2im_index(cin, *kernel, *out_hw, *pad_hw)
+    weights = d_cols.reshape(-1, index.size)
+    d_pad = np.zeros((len(weights), cin * pad_hw[0] * pad_hw[1]))
+    for n, example in enumerate(weights):
+        np.add.at(d_pad[n], index, example)
+    return d_pad.reshape(*lead, cin, *pad_hw)
+
+
+@lru_cache(maxsize=32)
+def _col2im_index(cin: int, kh: int, kw: int, ho: int, wo: int,
+                  hp: int, wp: int) -> np.ndarray:
+    """For one example, the flat index into the padded input (cin, Hp, Wp)
+    of each column entry, in the columns' (cin, kh, kw, Ho, Wo) order."""
+    c = np.arange(cin).reshape(-1, 1, 1, 1, 1) * (hp * wp)
+    row = (np.arange(kh).reshape(-1, 1, 1, 1) + np.arange(ho).reshape(-1, 1)) * wp
+    col = np.arange(kw).reshape(-1, 1, 1) + np.arange(wo)
+    index = (c + row + col).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

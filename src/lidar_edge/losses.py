@@ -9,46 +9,53 @@ from .errors import DimensionError
 BCE_EPS = 1e-7
 
 
-def bce_loss(pred: np.ndarray, label: np.ndarray,
-             class_balance: bool = False) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. pred.
+def pixel_losses(kind: str, pred: np.ndarray, label: np.ndarray,
+                 class_balance: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The loss of each example along the leading axis, (N,), and the
+    gradient w.r.t. pred; each example's loss is the mean over its
+    trailing axes, computed as if it were scored alone.
 
-    Predictions are clamped to [eps, 1-eps] before the logs. With
-    class_balance on, the positive/negative terms get per-image weights
-    w+ = |neg|/|total| and w- = |pos|/|total|, so the rarer class counts
-    more; degenerate all-one or all-zero labels fall back to weights 1.
+    "bce" is binary cross-entropy with predictions clamped to
+    [eps, 1-eps] before the logs. With class_balance on, the positive and
+    negative terms of an example get the weights w+ = |neg|/|total| and
+    w- = |pos|/|total|, so its rarer class counts more; an all-one or
+    all-zero label falls back to weights 1. "mse" is the squared error.
     """
     pred = np.asarray(pred, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
-    if pred.shape != label.shape:
-        raise DimensionError(f"pred {pred.shape} vs label {label.shape}")
-    n = pred.size
+    if pred.shape != label.shape or pred.ndim < 2:
+        raise DimensionError(f"pred {pred.shape} vs label {label.shape}, "
+                             f"or no axis to reduce after the example axis")
+    rows = (len(pred), -1)
+    n = int(np.prod(pred.shape[1:]))
+    if kind == "mse":
+        diff = pred - label
+        return (diff * diff).reshape(rows).mean(axis=1), 2.0 * diff / n
+    if kind != "bce":
+        raise ValueError(f"unknown loss kind {kind!r}")
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     w_pos = w_neg = 1.0
     if class_balance:
-        pos = float(label.sum())
-        if 0.0 < pos < n:
-            w_pos = (n - pos) / n
-            w_neg = pos / n
-    loss = -(w_pos * label * np.log(p) + w_neg * (1.0 - label) * np.log1p(-p)).sum() / n
+        pos = label.reshape(rows).sum(axis=1)
+        balanced = (0.0 < pos) & (pos < n)
+        per_example = (len(pred),) + (1,) * (pred.ndim - 1)
+        w_pos = np.where(balanced, (n - pos) / n, 1.0).reshape(per_example)
+        w_neg = np.where(balanced, pos / n, 1.0).reshape(per_example)
+    terms = w_pos * label * np.log(p) + w_neg * (1.0 - label) * np.log1p(-p)
+    loss = -terms.reshape(rows).sum(axis=1) / n
     grad = (-w_pos * label / p + w_neg * (1.0 - label) / (1.0 - p)) / n
-    return float(loss), grad
-
-
-def mse_loss(pred: np.ndarray, label: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. pred."""
-    pred = np.asarray(pred, dtype=np.float64)
-    label = np.asarray(label, dtype=np.float64)
-    if pred.shape != label.shape:
-        raise DimensionError(f"pred {pred.shape} vs label {label.shape}")
-    diff = pred - label
-    return float((diff * diff).mean()), 2.0 * diff / pred.size
+    return loss, grad
 
 
 def pixel_loss(kind: str, pred: np.ndarray, label: np.ndarray,
                class_balance: bool) -> tuple[float, np.ndarray]:
-    if kind == "bce":
-        return bce_loss(pred, label, class_balance)
-    if kind == "mse":
-        return mse_loss(pred, label)
-    raise ValueError(f"unknown loss kind {kind!r}")
+    """The loss of one example and its gradient: pixel_losses of a batch of one."""
+    losses, grad = pixel_losses(kind, np.asarray(pred)[np.newaxis],
+                                np.asarray(label)[np.newaxis], class_balance)
+    return float(losses[0]), grad[0]
+
+
+def bce_loss(pred: np.ndarray, label: np.ndarray,
+             class_balance: bool = False) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy of one example and its gradient w.r.t. pred."""
+    return pixel_loss("bce", pred, label, class_balance)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (CorruptModelError, MagicError, ParameterError,
                      TruncationError, VersionError)
+from .formats import write_atomic
 from .models import NestedArch, NestedNetParams, PatchArch, PatchNetParams
 
 MAGIC = b"LEDM"
@@ -58,9 +59,7 @@ def save_model(params, path) -> None:
     for _, tensor in params.named_tensors():
         body += _pack_tensor(tensor)
     payload = MAGIC + head + body
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    write_atomic(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def _tensor_shapes(arch) -> list[tuple]:

@@ -26,7 +26,7 @@ from .errors import ConfigError, DivergenceError, ParameterError
 from .evaluation import ConfusionMatrix, confusion, metrics
 from .formats import DatasetManifest, read_pgm, resolve
 from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
-from .losses import pixel_loss
+from .losses import pixel_loss, pixel_losses
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch)
@@ -131,18 +131,18 @@ def total_loss(trace: ForwardTrace, label: np.ndarray,
     if len(lambdas) != s:
         raise ConfigError(f"{len(lambdas)} side-loss weights for {s} side outputs")
     lead = trace.fused.shape[:-2]
-    losses = np.empty(lead)
-    d_fused = np.empty_like(trace.fused)
-    d_sides = [np.empty_like(side) for side in trace.side_probs]
-    for i in np.ndindex(lead):
-        loss, d_fused[i] = pixel_loss(cfg.loss_kind, trace.fused[i], label[i],
+    batch = (-1, *trace.fused.shape[-2:])
+    label = np.reshape(label, batch)
+    losses, d_fused = pixel_losses(cfg.loss_kind, trace.fused.reshape(batch), label,
+                                   cfg.class_balance)
+    d_sides = []
+    for lam, side in zip(lambdas, trace.side_probs):
+        side_losses, d = pixel_losses(cfg.loss_kind, side.reshape(batch), label,
                                       cfg.class_balance)
-        for lam, side, d_side in zip(lambdas, trace.side_probs, d_sides):
-            side_loss, d = pixel_loss(cfg.loss_kind, side[i], label[i], cfg.class_balance)
-            loss += lam * side_loss
-            d_side[i] = lam * d
-        losses[i] = loss
-    return (losses if lead else float(losses)), d_fused, d_sides
+        losses += lam * side_losses
+        d_sides.append((lam * d).reshape(side.shape))
+    return ((losses if lead else float(losses[0])), d_fused.reshape(trace.fused.shape),
+            d_sides)
 
 
 def _chunks(n: int, size: int):
@@ -179,6 +179,11 @@ def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
     """
     tensors = params.named_tensors()
     state, log = OptimizerState(), RunLog()
+    grad_sum = np.empty(sum(t.size for _, t in tensors))
+    grad_views, offset = [], 0
+    for name, t in tensors:
+        grad_views.append((name, grad_sum[offset:offset + t.size].reshape(t.shape)))
+        offset += t.size
     best, best_f1, stale = copy.deepcopy(params), -1.0, 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -187,18 +192,22 @@ def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
         for start in range(0, len(items), cfg.batch_size):
             batch = items[start:start + cfg.batch_size]
             losses, backward = batch_of(epoch, start, batch)
-            for position, loss in enumerate(losses, start):
-                if not np.isfinite(loss):
-                    raise DivergenceError(
-                        f"non-finite loss {loss} at epoch {epoch}, example {position}")
-            grads = backward()
-            grad_sum = [(name, np.zeros_like(t)) for name, t in tensors]
-            scaled = [(1.0 / len(batch)) * g for _, g in grads]
-            for i, loss in enumerate(losses):
-                for (_, acc), g in zip(grad_sum, scaled):
-                    acc += g[i]
-                epoch_loss += float(loss)
-            optimizer_step(tensors, grad_sum, state, cfg.optimizer,
+            losses = np.asarray(losses, dtype=np.float64)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise DivergenceError(
+                    f"non-finite loss {losses[i]} at epoch {epoch}, example {start + i}")
+            # one row per example, laid out as grad_sum; rows added in batch order
+            per_example = np.concatenate([g.reshape(len(batch), -1) for _, g in backward()],
+                                         axis=1)
+            per_example *= 1.0 / len(batch)
+            grad_sum.fill(0.0)
+            for row in per_example:
+                grad_sum += row
+            for loss in losses.tolist():
+                epoch_loss += loss
+            optimizer_step(tensors, grad_views, state, cfg.optimizer,
                            simplex_names=simplex_names)
         epoch_loss /= max(len(items), 1)
         val_f1 = val_f1_of()
@@ -289,25 +298,25 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
     val_patches, val_labels = draw_patches(val_samples, splitmix64(cfg.seed, 7),
                                            patches_per_image)
 
+    draw = None  # the epoch's (patches, labels), in draw order
+
     def epoch_items(epoch):
-        patches, labels = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
-                                       patches_per_image)
-        order = list(range(len(labels)))
+        nonlocal draw
+        draw = None  # let the last epoch's patches go before drawing the next
+        draw = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
+                            patches_per_image)
+        order = list(range(len(draw[1])))
         SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(order)
-        return list(zip(patches[order], labels[order]))
+        return order
 
     def batch_of(epoch, start, batch):
+        patches, labels = draw
         seeds = [splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
                  for position in range(start, start + len(batch))]
-        trace = forward_patch(params, np.stack([patch for patch, _ in batch]),
-                              train_mode=True, seed=seeds)
-        losses, d_prob = [], np.empty(len(batch))
-        for i, (_, y) in enumerate(batch):
-            loss, d = pixel_loss(cfg.loss_kind, trace.prob[i:i + 1], np.array([y]),
-                                 class_balance=False)
-            losses.append(loss)
-            d_prob[i] = d[0]
-        return losses, lambda: backward_patch(params, trace, d_prob)
+        trace = forward_patch(params, patches[batch], train_mode=True, seed=seeds)
+        losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
+                                      labels[batch][:, np.newaxis], class_balance=False)
+        return losses, lambda: backward_patch(params, trace, d_prob[:, 0])
 
     def val_f1_of():
         probs = np.concatenate([forward_patch(params, val_patches[chunk]).prob

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import lidar_edge
 from lidar_edge import classical, cli, layers, models, training
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
 from lidar_edge.modelio import save_model
+from test_formats import tear_writes_to
 
 SMALL_CFG = {
     "lidar": {"height": 16, "width": 16},
@@ -67,6 +69,27 @@ class TestGenData:
         a = (out / "dataset" / "sample_0000.pgm").read_bytes()
         b = (other / "dataset" / "sample_0000.pgm").read_bytes()
         assert a != b
+
+
+    def test_huge_grid_refused_before_allocating(self, tmp_path):
+        """Exit 2 naming the key. It runs in a child process whose address
+        space is capped at 1 GiB, so rendering a 100000 x 100000 grid fails
+        there and never reaches the host."""
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps({"lidar": {"height": 100_000, "width": 100_000}}),
+                            encoding="utf-8")
+        limit = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(lidar_edge.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lidar_edge.cli", "gen-data", "--n", "1",
+             "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == cli.EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: invalid config value for lidar.height: 100000 ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrain:
@@ -225,6 +248,35 @@ class TestDetect:
         assert calls == {"conv_forward": 37, "forward_patch": 0}
         assert read_pgm(out.with_suffix(".prob.pgm")).shape == (64, 64)
 
+    @pytest.mark.parametrize("algorithm", ["cnn", "patchcnn"])
+    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
+    def test_threshold_outside_unit_interval_is_usage_error(
+            self, workdir, pgm_image, tmp_path, capsys, monkeypatch, algorithm, threshold):
+        """Refused before any model is loaded: a probability map compared
+        with such a threshold is all 0 or all 1."""
+        _, cfg_path, out_dir = workdir
+        loads = []
+        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        out = tmp_path / "o.pgm"
+        code = cli.main(["detect", str(pgm_image), str(out), "--config", str(cfg_path),
+                         "--out", str(out_dir), "--algorithm", algorithm,
+                         f"--threshold={threshold}"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold must lie in [0, 1]") and err.count("\n") == 1
+        assert loads == [] and list(tmp_path.iterdir()) == [pgm_image]
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_bounds_accepted(self, workdir, pgm_image, tmp_path, threshold):
+        _, cfg_path, out_dir = workdir
+        out = tmp_path / "o.pgm"
+        assert cli.main(["detect", str(pgm_image), str(out), "--config", str(cfg_path),
+                         "--out", str(out_dir), "--algorithm", "cnn",
+                         f"--threshold={threshold}"]) == cli.EXIT_OK
+        edge = read_pgm(out)
+        assert set(np.unique(edge)) <= {0.0, 1.0}
+        assert edge.all() or threshold == "1"
+
     def test_cnn_without_model(self, workdir, pgm_image, tmp_path):
         _, cfg_path, _ = workdir
         code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
@@ -311,6 +363,32 @@ class TestCompare:
         code = cli.main(["compare", "--config", str(cfg_path),
                          "--out", str(tmp_path / "nowhere")])
         assert code == cli.EXIT_MISSING
+
+
+class TestAtomicArtifacts:
+    """A command whose artifact write fails midway exits 3 and leaves the
+    artifact of the run before it intact, and no temporary file."""
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["gen-data"], "dataset/manifest.jsonl"),
+        (["train"], "model.ledm"),
+        (["train"], "runlog.csv"),
+        (["compare", "--detectors", "sobel"], "comparison.csv"),
+    ], ids=["manifest", "model", "runlog", "comparison"])
+    def test_failed_write_keeps_previous_artifact(self, workdir, tmp_path, monkeypatch,
+                                                  argv, artifact):
+        _, cfg_path, out = workdir
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        if not (run / artifact).exists():
+            assert cli.main([*argv, "--config", str(cfg_path), "--out", str(run)]) == 0
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        tear_writes_to(monkeypatch, Path(artifact).name)
+        code = cli.main([*argv, "--config", str(cfg_path), "--out", str(run)])
+        assert code == cli.EXIT_IO
+        after = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert after[run / artifact] == before[run / artifact]
+        assert set(after) == set(before)
 
 
 class TestGradcheck:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lidar_edge.config import CONFIG_VERSION, DEFAULTS, MAX_THRESHOLDS, Config
+from lidar_edge.config import CONFIG_VERSION, DEFAULTS, MAX_GRID_SIDE, MAX_THRESHOLDS, Config
 from lidar_edge.errors import ConfigError
 
 
@@ -195,3 +195,19 @@ class TestThresholdCap:
     def test_more_is_refused_before_allocating(self, tmp_path, n):
         with pytest.raises(ConfigError, match="eval.n_thresholds"):
             Config.load(write_cfg(tmp_path, {"eval": {"n_thresholds": n}}))
+
+
+class TestGridCap:
+    def test_cap_is_allowed(self, tmp_path):
+        cfg = Config.load(write_cfg(tmp_path, {"lidar": {"height": MAX_GRID_SIDE,
+                                                         "width": MAX_GRID_SIDE}}))
+        assert cfg.lidar().height == cfg.lidar().width == MAX_GRID_SIDE
+
+    @pytest.mark.parametrize("key", ["height", "width"])
+    @pytest.mark.parametrize("side", [MAX_GRID_SIDE + 1, 100_000])
+    def test_more_is_refused_naming_its_key(self, tmp_path, key, side):
+        with pytest.raises(ConfigError, match=f"lidar.{key}: {side} "):
+            Config.load(write_cfg(tmp_path, {"lidar": {key: side}}))
+
+    def test_default_grid_unaffected(self):
+        assert Config().lidar().height == Config().lidar().width == 64

@@ -1,15 +1,47 @@
 """PGM / range-raster / manifest round trips and error paths."""
 
+import builtins
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+from lidar_edge import formats
 from lidar_edge.errors import ParameterError
 from lidar_edge.formats import (DatasetManifest, ManifestEntry, read_lri,
-                                read_manifest, read_pgm, write_lri,
+                                read_manifest, read_pgm, write_atomic, write_lri,
                                 write_manifest, write_pgm)
+from lidar_edge.modelio import load_model, save_model
+from lidar_edge.models import NestedArch, init_nested
 from lidar_edge.rng import SplitMix64
+
+
+class TornWrite:
+    """A file whose write stores half the data, then fails as a full disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def tear_writes_to(monkeypatch, name):
+    """Make every write to a file whose name contains name fail midway."""
+    def torn_open(file, mode="r", *args, **kwargs):
+        f = builtins.open(file, mode, *args, **kwargs)
+        return TornWrite(f) if name in os.path.basename(file) and "w" in mode else f
+    monkeypatch.setattr(formats, "open", torn_open, raising=False)
 
 
 class TestPGM:
@@ -174,3 +206,51 @@ class TestManifest:
             f.write(bad_line.encode("latin-1") + b"\n")
         with pytest.raises(ParameterError, match=r"manifest\.jsonl:6: "):
             read_manifest(p)
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file(self, tmp_path):
+        p = tmp_path / "a.bin"
+        p.write_bytes(b"old")
+        write_atomic(p, b"new contents")
+        assert p.read_bytes() == b"new contents"
+        assert os.listdir(tmp_path) == ["a.bin"]
+
+    @pytest.mark.parametrize("old", [b"old contents", None], ids=["over-old", "fresh"])
+    def test_write_failing_midway_keeps_the_old_file(self, tmp_path, monkeypatch, old):
+        p = tmp_path / "a.bin"
+        if old is not None:
+            p.write_bytes(old)
+        tear_writes_to(monkeypatch, "a.bin")
+        with pytest.raises(OSError, match="No space left"):
+            write_atomic(p, b"x" * 1000)
+        assert os.listdir(tmp_path) == ([] if old is None else ["a.bin"])
+        assert old is None or p.read_bytes() == old
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.bin"
+        p.write_bytes(b"old")
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EXDEV, "rename failed")
+        monkeypatch.setattr(formats.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomic(p, b"new")
+        assert os.listdir(tmp_path) == ["a.bin"] and p.read_bytes() == b"old"
+
+    def test_checkpoint_and_manifest_are_written_atomically(self, tmp_path, monkeypatch):
+        model, manifest = tmp_path / "model.ledm", tmp_path / "manifest.jsonl"
+        params = init_nested(NestedArch(stages=1, widths=(2,), input_hw=(4, 4)), 0)
+        save_model(params, model)
+        write_manifest(manifest, DatasetManifest(entries=[
+            ManifestEntry(id="0", range="0.lri", intensity="0.pgm", label="0_l.pgm")]))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        tear_writes_to(monkeypatch, "")
+        params.alpha[...] = 0.5
+        with pytest.raises(OSError):
+            save_model(params, model)
+        with pytest.raises(OSError):
+            write_manifest(manifest, DatasetManifest())
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        assert load_model(model).alpha.tolist() == [1.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.layers import (Columns, ConvParams, conv_backward, conv_forward,
+from lidar_edge.layers import (_col2im, _im2col, Columns, ConvParams, conv_backward, conv_forward,
                                dropout_mask, im2col, maxpool2x2_backward,
                                maxpool2x2_forward, relu, relu_backward,
                                sigmoid, sigmoid_backward, upsample_nearest,
@@ -201,6 +201,63 @@ def loop_col2im_conv_backward(x, p, d_out):
         for j in range(kw):
             d_pad[:, i:i + ho, j:j + wo] += d_cols[:, i, j]
     return d_pad[:, ph:ph + x.shape[1], pw:pw + x.shape[2]]
+
+
+def loop_col2im(d_cols, cin, kernel, out_hw, pad_hw):
+    """The col2im oracle: a kernel-tap loop over (i, j) in row-major
+    order, adding into zeros."""
+    (kh, kw), (ho, wo), lead = kernel, out_hw, d_cols.shape[:-2]
+    taps = d_cols.reshape(*lead, cin, kh, kw, ho, wo)
+    d_pad = np.zeros((*lead, cin, *pad_hw))
+    for i in range(kh):
+        for j in range(kw):
+            d_pad[..., i:i + ho, j:j + wo] += taps[..., i, j, :, :]
+    return d_pad
+
+
+class TestCol2im:
+    """_col2im equals the tap loop byte for byte, signed zeros included."""
+
+    # (cin, kh, kw, h, w, padding): 3x3 and 5x5 same and valid, non-square
+    # and odd sizes, 1x1 kernels, kernels that cover their (padded) input
+    CASES = [(2, 3, 3, 8, 9, "same"), (3, 5, 5, 9, 7, "valid"), (2, 5, 5, 7, 5, "same"),
+             (2, 5, 3, 7, 6, "valid"), (3, 1, 1, 5, 6, "same"), (2, 1, 1, 3, 1, "valid"),
+             (2, 4, 4, 4, 4, "valid"), (6, 1, 1, 1, 1, "valid"), (2, 3, 3, 1, 1, "same"),
+             (1, 3, 3, 3, 3, "valid")]
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_matches_tap_loop(self, case, lead):
+        cin, kh, kw, h, w, padding = case
+        ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+        pad_hw = (h + 2 * ph, w + 2 * pw)
+        out_hw = (pad_hw[0] - kh + 1, pad_hw[1] - kw + 1)
+        rng = SplitMix64(sum(case[:5]) + len(lead))
+        shape = (*lead, cin * kh * kw, out_hw[0] * out_hw[1])
+        d_cols = rng.normals(int(np.prod(shape))).reshape(shape)
+        d_cols[rng.floats(d_cols.size).reshape(shape) < 0.2] = -0.0
+        # every tap of channel 0 is -0.0, so its cells must sum to +0.0
+        d_cols.reshape(*lead, cin, -1)[..., 0, :] = -0.0
+        got = _col2im(d_cols, cin, (kh, kw), out_hw, pad_hw)
+        want = loop_col2im(d_cols, cin, (kh, kw), out_hw, pad_hw)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[..., 0, :, :]).any()
+
+    @pytest.mark.parametrize("case", [(3, 1, 1, 5, 6, "same"), (2, 4, 4, 4, 4, "valid"),
+                                      (2, 3, 3, 1, 1, "same")], ids=str)
+    def test_reshaped_columns_match_strided_windows(self, case):
+        """A 1x1 kernel, or one that covers its input, takes its columns
+        by reshaping the input: the same array as the strided windows."""
+        cin, kh, kw, h, w, padding = case
+        x = SplitMix64(3).normals(2 * cin * h * w).reshape(2, cin, h, w)
+        got, out_hw = _im2col(x, kh, kw, padding)
+        ph, pw = (kh // 2, kw // 2) if padding == "same" else (0, 0)
+        x_pad = np.pad(x, [(0, 0), (0, 0), (ph, ph), (pw, pw)])
+        win = np.lib.stride_tricks.sliding_window_view(x_pad, (kh, kw), axis=(-2, -1))
+        want = win.transpose(0, 1, 4, 5, 2, 3).reshape(2, cin * kh * kw, -1)
+        assert out_hw == win.shape[2:4]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBatchAxis:

@@ -4,8 +4,35 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError
-from lidar_edge.losses import BCE_EPS, bce_loss, mse_loss, pixel_loss
+from lidar_edge.losses import BCE_EPS, bce_loss, pixel_loss, pixel_losses
 from lidar_edge.rng import SplitMix64
+
+
+def mse_loss(pred, label):
+    return pixel_loss("mse", pred, label, False)
+
+
+def oracle_bce(pred, label, class_balance=False):
+    """The loss of one example as the per-example code computed it."""
+    n = pred.size
+    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+    w_pos = w_neg = 1.0
+    if class_balance:
+        pos = float(label.sum())
+        if 0.0 < pos < n:
+            w_pos = (n - pos) / n
+            w_neg = pos / n
+    loss = -(w_pos * label * np.log(p) + w_neg * (1.0 - label) * np.log1p(-p)).sum() / n
+    grad = (-w_pos * label / p + w_neg * (1.0 - label) / (1.0 - p)) / n
+    return float(loss), grad
+
+
+def oracle_mse(pred, label):
+    diff = pred - label
+    return float((diff * diff).mean()), 2.0 * diff / pred.size
+
+
+ORACLES = {"bce": oracle_bce, "mse": lambda pred, label, _: oracle_mse(pred, label)}
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -102,9 +129,64 @@ class TestMSE:
 class TestDispatcher:
     def test_routes_by_kind(self):
         pred, label = np.array([[0.6]]), np.array([[1.0]])
-        assert pixel_loss("bce", pred, label, False) == bce_loss(pred, label)
-        assert pixel_loss("mse", pred, label, False) == mse_loss(pred, label)
+        for kind, oracle in ORACLES.items():
+            loss, grad = pixel_loss(kind, pred, label, False)
+            want_loss, want_grad = oracle(pred, label, False)
+            assert loss == want_loss and np.array_equal(grad, want_grad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             pixel_loss("hinge", np.zeros((1, 1)), np.zeros((1, 1)), False)
+
+
+def example_batch(seed, shape):
+    """Predictions and binary labels of shape (N, ...): random rows, then
+    an all-0 and an all-1 label, then predictions at exactly 0 and 1 that
+    the clamp must catch."""
+    rng = SplitMix64(seed)
+    size = int(np.prod(shape))
+    pred = rng.floats(size).reshape(shape)
+    label = (rng.floats(size).reshape(shape) < 0.3).astype(np.float64)
+    label[1] = 0.0
+    label[2] = 1.0
+    pred[3].reshape(-1)[::2] = 0.0
+    pred[3].reshape(-1)[1::2] = 1.0
+    return pred, label
+
+
+class TestPerExampleLosses:
+    """pixel_losses scores each example as the per-example code did, to
+    the bit."""
+
+    SHAPES = [(5, 1), (5, 3), (5, 8, 8), (6, 7, 9), (4, 2, 5, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("kind, balance", [("bce", False), ("bce", True), ("mse", False)])
+    def test_matches_example_by_example(self, shape, kind, balance):
+        pred, label = example_batch(len(shape) * 10 + shape[-1], shape)
+        losses, grad = pixel_losses(kind, pred, label, balance)
+        assert losses.shape == (shape[0],) and grad.shape == shape
+        for i in range(shape[0]):
+            want_loss, want_grad = ORACLES[kind](pred[i], label[i], balance)
+            assert losses[i].tobytes() == np.float64(want_loss).tobytes(), (i, kind)
+            assert grad[i].tobytes() == want_grad.tobytes(), (i, kind)
+            one_loss, one_grad = pixel_loss(kind, pred[i], label[i], balance)
+            assert one_loss == want_loss and one_grad.tobytes() == want_grad.tobytes()
+
+    def test_degenerate_labels_keep_weights_one(self):
+        pred, label = example_batch(1, (4, 6))
+        balanced, _ = pixel_losses("bce", pred, label, True)
+        plain, _ = pixel_losses("bce", pred, label, False)
+        assert balanced[1] == plain[1] and balanced[2] == plain[2]
+        assert balanced[0] != plain[0]
+
+    def test_clamped_predictions_stay_finite(self):
+        pred, label = example_batch(2, (4, 6))
+        losses, grad = pixel_losses("bce", pred, label, True)
+        assert np.all(np.isfinite(losses)) and np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("pred, label", [(np.zeros((2, 3)), np.zeros((2, 4))),
+                                             (np.zeros(3), np.zeros(3))], ids=str)
+    def test_shapes_refused(self, pred, label):
+        with pytest.raises(DimensionError):
+            pixel_losses("bce", pred, label, False)

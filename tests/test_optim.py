@@ -9,6 +9,35 @@ from lidar_edge.optim import (OptimizerConfig, OptimizerState, optimizer_step,
 from lidar_edge.rng import SplitMix64
 
 
+def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
+    """The oracle: each rule applied tensor by tensor, with per-tensor
+    state in slots[name][key]; t is the step number, from 1."""
+    for (name, p), (_, g) in zip(tensors, grads):
+        store = slots.setdefault(name, {})
+        if cfg.kind == "sgd":
+            v = store.setdefault("velocity", np.zeros(p.shape))
+            v *= cfg.momentum
+            v -= cfg.learning_rate * g
+            p += v
+        elif cfg.kind == "adam":
+            m = store.setdefault("m", np.zeros(p.shape))
+            s = store.setdefault("v", np.zeros(p.shape))
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            s *= cfg.beta2
+            s += (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = s / (1.0 - cfg.beta2 ** t)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        else:
+            s = store.setdefault("sq", np.zeros(p.shape))
+            s *= cfg.rho
+            s += (1.0 - cfg.rho) * g * g
+            p -= cfg.learning_rate * g / (np.sqrt(s) + cfg.eps)
+        if name in simplex_names:
+            p[...] = project_simplex(p)
+
+
 def step(params, grads, cfg, state=None, simplex_names=()):
     state = state or OptimizerState()
     optimizer_step([(n, p) for n, p in params], [(n, g) for n, g in grads],
@@ -160,8 +189,48 @@ class TestStepMechanics:
             optimizer_step([("a", np.zeros(2))], [("a", np.zeros(3))],
                            OptimizerState(), OptimizerConfig(kind="sgd", learning_rate=1.0))
 
+    def test_state_of_other_tensors_refused(self):
+        cfg = OptimizerConfig(kind="adam", learning_rate=0.1)
+        state = step([("a", np.zeros(3))], [("a", np.ones(3))], cfg)
+        with pytest.raises(DimensionError):
+            step([("a", np.zeros(4))], [("a", np.ones(4))], cfg, state)
+
     def test_bad_config(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(kind="adagrad")
         with pytest.raises(ParameterError):
             OptimizerConfig(kind="sgd", learning_rate=0.0)
+
+
+class TestFlatUpdateMatchesPerTensor:
+    """One flat update over all tensors gives the per-tensor rules' params
+    and state to the bit, step after step."""
+
+    SHAPES = {"conv.weights": (3, 2, 3, 3), "conv.bias": (3,), "fc.weights": (4, 7),
+              "scalar": (1,), "alpha": (3,)}
+
+    @pytest.mark.parametrize("cfg", [
+        OptimizerConfig(kind="sgd", learning_rate=0.05),
+        OptimizerConfig(kind="sgd", learning_rate=0.05, momentum=0.9),
+        OptimizerConfig(kind="adam", learning_rate=0.01),
+        OptimizerConfig(kind="rmsprop", learning_rate=0.02, rho=0.8),
+    ], ids=["sgd", "sgd-momentum", "adam", "rmsprop"])
+    def test_several_steps(self, cfg):
+        rng = SplitMix64(11)
+        flat = {n: rng.normals(int(np.prod(s))).reshape(s) for n, s in self.SHAPES.items()}
+        flat["alpha"] = np.array([0.2, 0.5, 0.3])
+        ref = {n: t.copy() for n, t in flat.items()}
+        state, slots = OptimizerState(), {}
+        for t in range(1, 8):
+            grads = [(n, rng.normals(int(np.prod(s))).reshape(s) * 10.0 ** (t % 3 - 1))
+                     for n, s in self.SHAPES.items()]
+            grads[1][1][0] = -0.0
+            optimizer_step(list(flat.items()), grads, state, cfg, simplex_names=("alpha",))
+            per_tensor_step(list(ref.items()), grads, slots, t, cfg, simplex_names=("alpha",))
+            for name in self.SHAPES:
+                assert flat[name].tobytes() == ref[name].tobytes(), (t, name)
+        assert state.step == 7
+        for key, values in state.slots.items():
+            want = np.concatenate([slots[n][key].reshape(-1) for n in self.SHAPES])
+            assert values.tobytes() == want.tobytes(), key
+        assert np.all(flat["alpha"] >= 0) and flat["alpha"].sum() == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Dataset splitting, the multi-task loss, training loops, gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lidar_edge import training
 from lidar_edge.augment import AugmentSpec, sample_and_apply
 from lidar_edge.errors import ConfigError, DivergenceError, ParameterError
 from lidar_edge.evaluation import ConfusionMatrix, confusion, metrics
@@ -431,6 +434,57 @@ class TestDrawPatches:
         want = per_example_patches(samples, 9, 6)
         assert np.array_equal(patches[:, 0], np.stack([p for p, _ in want]))
         assert np.array_equal(labels, [y for _, y in want])
+
+
+class TestPatchEpoch:
+    """An epoch of train_patch holds one (n, 1, 28, 28) array of patches
+    and visits its rows in the seeded shuffled order."""
+
+    TRAIN, VAL = toy_samples(16, h=12, w=12), toy_samples(1, seed=1, h=12, w=12)
+    PER_IMAGE, CFG = 96, TrainConfig(epochs=1, batch_size=4, seed=5)
+
+    def shuffled_draw(self):
+        """The rows the epoch must visit: patches[order] as drawn before."""
+        patches, labels = draw_patches(self.TRAIN, splitmix64(self.CFG.seed, 2001),
+                                       self.PER_IMAGE)
+        order = list(range(len(labels)))
+        SplitMix64(splitmix64(self.CFG.seed, 3001)).shuffle(order)
+        return patches[order], labels[order]
+
+    def test_batches_are_the_shuffled_rows(self, monkeypatch):
+        seen_patches, seen_labels = [], []
+        forward, losses = training.forward_patch, training.pixel_losses
+
+        def recording_forward(params, x, train_mode=False, seed=0):
+            if train_mode:
+                seen_patches.append(x.copy())
+            return forward(params, x, train_mode=train_mode, seed=seed)
+
+        def recording_losses(kind, pred, label, class_balance):
+            seen_labels.append(label.copy())
+            return losses(kind, pred, label, class_balance)
+
+        monkeypatch.setattr(training, "forward_patch", recording_forward)
+        monkeypatch.setattr(training, "pixel_losses", recording_losses)
+        train_patch(self.TRAIN, self.VAL, PatchArch(), self.CFG,
+                    patches_per_image=self.PER_IMAGE)
+        patches, labels = self.shuffled_draw()
+        assert [len(b) for b in seen_patches] == [4] * (len(labels) // 4)
+        assert np.concatenate(seen_patches).tobytes() == patches.tobytes()
+        assert np.concatenate(seen_labels)[:, 0].tobytes() == labels.tobytes()
+
+    def test_no_second_copy_of_the_patches(self):
+        """Not in an epoch, nor where one epoch's draw follows another's."""
+        one_array = len(self.TRAIN) * self.PER_IMAGE * 28 * 28 * 8
+        tracemalloc.start()
+        try:
+            train_patch(self.TRAIN, self.VAL, PatchArch(),
+                        TrainConfig(epochs=2, batch_size=4, seed=5),
+                        patches_per_image=self.PER_IMAGE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert one_array <= peak < 1.5 * one_array, (peak, one_array)
 
 
 class TestRunLogCSV:
