@@ -180,9 +180,10 @@ def canny(img: np.ndarray, sigma: float = 1.0, low: float = 0.1,
           high: float = 0.2) -> np.ndarray:
     """Canny pipeline: Gaussian smoothing, Sobel gradients, non-maximum
     suppression, double threshold at fractions of the peak magnitude,
-    hysteresis linking."""
-    if not (0.0 <= low < high <= 1.0):
-        raise ParameterError(f"need 0 <= low < high <= 1, got low={low} high={high}")
+    hysteresis linking. low == high is allowed: at (0, 0) every pixel of
+    a non-flat image is marked."""
+    if not (0.0 <= low <= high <= 1.0):
+        raise ParameterError(f"need 0 <= low <= high <= 1, got low={low} high={high}")
     thinned, peak = _thinned_gradient(img, sigma)
     # flat images leave only floating-point cancellation residue; treat as empty
     if peak < 1e-12:

@@ -8,6 +8,7 @@ after the file is parsed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,12 +86,13 @@ MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x wi
 
 
 def _exactly(cast):
-    """cast for a number that cast leaves as it is: a value that is not a
-    number (strings and booleans included), or that cast would change
-    (2.5 to int, NaN to float), is refused."""
+    """cast for a finite number that cast leaves as it is: a value that is
+    not a number (strings and booleans included), that cast would change
+    (2.5 to int, NaN to float), or that is infinite is refused."""
     def exact(value):
         out = cast(value)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or out != value:
+        if (isinstance(value, bool) or not isinstance(value, (int, float)) or out != value
+                or out in (math.inf, -math.inf)):
             raise ValueError(f"{value!r} is not a valid {cast.__name__}")
         return out
     exact.__name__ = cast.__name__
@@ -99,8 +101,8 @@ def _exactly(cast):
 
 def _tuple_of(cast):
     """A cast for a list of numbers that cast leaves as they are: an
-    element that is not a number, or that cast would change (16.5 to
-    int, NaN to float), is refused."""
+    element that is not a finite number, or that cast would change (16.5
+    to int, NaN to float), is refused."""
     element = _exactly(cast)
 
     def cast_all(values):
@@ -142,8 +144,9 @@ class Config:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        # ValueError covers bad JSON, bad UTF-8 and integers of over 4300 digits
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: invalid JSON ({type(exc).__name__}: {exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config root must be an object")
         merged = _merge(DEFAULTS, doc)
@@ -180,15 +183,16 @@ class Config:
 
     def _section(self, name: str):
         """get(key, cast) = cast(value of name.key); a value that cast
-        refuses, or an int key's value that int would change, raises
-        ConfigError naming its dotted key."""
+        refuses, or an int or float key's value that is not a finite
+        number its cast leaves as it is, raises ConfigError naming its
+        dotted key."""
         node = self.raw
         for part in name.split("."):
             node = node[part]
 
         def get(key, cast):
-            if cast is int:  # an int key never takes 2.5 as 2, nor true as 1
-                cast = _exactly(int)
+            if cast in (int, float):  # never 2.5 as 2, true as 1, "0.01" or NaN
+                cast = _exactly(cast)
             try:
                 return cast(node[key])
             except (ValueError, TypeError, OverflowError) as exc:

@@ -161,7 +161,7 @@ def read_manifest(path) -> DatasetManifest:
                 e = ManifestEntry(id=obj["id"], range=obj["range"],
                                   intensity=obj["intensity"], label=obj["label"],
                                   split=obj.get("split", "unassigned"))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ParameterError(f"{path}:{lineno}: bad manifest line "
                                      f"({type(exc).__name__}: {exc})") from exc
             if not all(isinstance(v, str) for v in vars(e).values()):

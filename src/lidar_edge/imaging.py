@@ -63,25 +63,16 @@ def as_kernel(weights) -> np.ndarray:
 
 
 def convolve2d(img: np.ndarray, kernel: np.ndarray, border: str = "zero") -> np.ndarray:
-    """2-D cross-correlation of `img` with an odd-sized kernel.
-
-    border 'zero' or 'replicate' keep the input dims; 'valid' computes
-    only where the kernel fits, shrinking by (kh-1, kw-1).
-    """
+    """2-D cross-correlation of `img` with an odd-sized kernel, the same
+    size as img: the border is padded with zeros ('zero') or with its
+    edge pixels ('replicate')."""
     img = as_image(img)
     kernel = as_kernel(kernel)
+    if border not in ("zero", "replicate"):
+        raise ParameterError(f"border must be zero or replicate, got {border!r}")
     kh, kw = kernel.shape
-    if border == "valid":
-        if kh > img.shape[0] or kw > img.shape[1]:
-            raise DimensionError(
-                f"kernel {kernel.shape} larger than image {img.shape} in valid mode"
-            )
-        padded = img
-    elif border in ("zero", "replicate"):
-        padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
-                        mode="constant" if border == "zero" else "edge")
-    else:
-        raise ParameterError(f"border must be zero, replicate or valid, got {border!r}")
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
+                    mode="constant" if border == "zero" else "edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
     return np.einsum("ijkl,kl->ij", windows, kernel, optimize=True)
 

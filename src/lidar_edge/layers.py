@@ -156,18 +156,14 @@ def _col2im_index(cin: int, kh: int, kw: int, ho: int, wo: int,
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-2 2x2 max pooling of (..., C, H, W).
+    """Stride-2 2x2 max pooling of (..., C, H, W) with H and W even.
 
-    Odd spatial dims are padded on the right/bottom by edge replication
-    before pooling. Returns (pooled, argmax) where argmax holds the
-    row-major index (0..3) of the first maximum inside each window.
+    Returns (pooled, argmax) where argmax holds the row-major index
+    (0..3) of the first maximum inside each window.
     """
-    if x.ndim < 3:
-        raise DimensionError(f"expected (..., C, H, W), got {x.shape}")
+    if x.ndim < 3 or x.shape[-2] % 2 or x.shape[-1] % 2:
+        raise DimensionError(f"expected (..., C, H, W) with H and W even, got {x.shape}")
     h, w = x.shape[-2:]
-    if h % 2 or w % 2:
-        x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, h % 2), (0, w % 2)], mode="edge")
-        h, w = x.shape[-2:]
     lead = x.shape[:-2]
     win = x.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
     flat = win.reshape(*lead, h // 2, w // 2, 4)
@@ -182,21 +178,12 @@ def _window_cells(arg: np.ndarray) -> np.ndarray:
 
 def maxpool2x2_backward(x_shape: tuple, arg: np.ndarray,
                         d_out: np.ndarray) -> np.ndarray:
-    """Route each window's gradient to its argmax position.
-
-    x_shape is the ORIGINAL (possibly odd) input shape; gradient flowing
-    into replicated pad cells folds back onto the edge source cells.
-    """
+    """Route each window's gradient to its argmax position in the input
+    of shape x_shape."""
     *lead, h, w = x_shape
-    hp, wp = h + h % 2, w + w % 2
-    flat = np.zeros((*lead, hp // 2, wp // 2, 4))
+    flat = np.zeros((*lead, h // 2, w // 2, 4))
     flat.reshape(-1)[_window_cells(arg)] = d_out.reshape(-1)
-    d_pad = flat.reshape(*lead, hp // 2, wp // 2, 2, 2).swapaxes(-3, -2).reshape(*lead, hp, wp)
-    if hp != h:
-        d_pad[..., h - 1, :] += d_pad[..., h, :]
-    if wp != w:
-        d_pad[..., :, w - 1] += d_pad[..., :, w]
-    return d_pad[..., :h, :w]
+    return flat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2).reshape(*lead, h, w)
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

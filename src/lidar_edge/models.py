@@ -8,7 +8,8 @@ convex combination of the side maps with weights alpha on the
 probability simplex.
 
 Patch classifier: conv5x5-valid / ReLU / pool, twice, then two fully
-connected layers (ReLU + inverted dropout between them) ending in a
+connected layers (ReLU + inverted dropout between them), each run as
+the valid convolution whose kernel covers its input, ending in a
 single sigmoid unit that scores the patch's center pixel. Input is a
 fixed 28x28 single-channel patch.
 
@@ -106,48 +107,35 @@ class PatchArch:
 
 
 @dataclass
-class FullyConnected:
-    """A fully connected layer over a (C, kh, kw) feature block, stored
-    flat as it is saved: weights (out, C*kh*kw), bias (out,). It has no
-    forward of its own: conv() views it as the valid kh x kw convolution
-    that the forward, the backward and the dense pass all run."""
-    weights: np.ndarray
-    bias: np.ndarray
-    in_shape: tuple
-
-    def __post_init__(self):
-        if self.weights.shape != (self.bias.size, int(np.prod(self.in_shape))):
-            raise DimensionError(f"fully connected W{self.weights.shape} "
-                                 f"b{self.bias.shape} over {self.in_shape}")
-
-    def conv(self) -> ConvParams:
-        return ConvParams(self.weights.reshape(-1, *self.in_shape), self.bias, "valid")
-
-
-@dataclass
 class PatchNetParams:
+    """fc1 and fc2 are held as the valid convolutions whose kernels cover
+    their whole input, which is what a fully connected layer is (Long et
+    al. 2015); named_tensors() gives their weights flat, (out, in), as
+    views of those kernels, which is how they are saved and updated."""
     arch: PatchArch
     conv1: ConvParams      # 5x5 valid, 1 -> C1
     conv2: ConvParams      # 5x5 valid, C1 -> C2
-    fc1: FullyConnected    # (C2, 4, 4) -> hidden
-    fc2: FullyConnected    # (hidden, 1, 1) -> 1
+    fc1: ConvParams        # 4x4 valid over (C2, 4, 4) -> hidden
+    fc2: ConvParams        # 1x1 over (hidden, 1, 1) -> 1
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        fw1, fw2 = self.fc1.weights, self.fc2.weights
         return [("conv1.weights", self.conv1.weights), ("conv1.bias", self.conv1.bias),
                 ("conv2.weights", self.conv2.weights), ("conv2.bias", self.conv2.bias),
-                ("fc1.weights", self.fc1.weights), ("fc1.bias", self.fc1.bias),
-                ("fc2.weights", self.fc2.weights), ("fc2.bias", self.fc2.bias)]
+                ("fc1.weights", fw1.reshape(len(fw1), -1)), ("fc1.bias", self.fc1.bias),
+                ("fc2.weights", fw2.reshape(len(fw2), -1)), ("fc2.bias", self.fc2.bias)]
 
     @classmethod
     def from_tensors(cls, arch: PatchArch, tensors: list) -> "PatchNetParams":
-        """The params of arch built on its tensors, given in named_tensors() order."""
+        """The params of arch built on its tensors, given in named_tensors()
+        order; the flat fc weights are viewed as kernels, not copied."""
         if len(tensors) != 8:
             raise DimensionError(f"{len(tensors)} tensors for the patch net, expected 8")
         cw1, cb1, cw2, cb2, fw1, fb1, fw2, fb2 = tensors
         return cls(arch=arch, conv1=ConvParams(cw1, cb1, padding="valid"),
                    conv2=ConvParams(cw2, cb2, padding="valid"),
-                   fc1=FullyConnected(fw1, fb1, (arch.conv_channels[1], 4, 4)),
-                   fc2=FullyConnected(fw2, fb2, (arch.hidden, 1, 1)))
+                   fc1=ConvParams(fw1.reshape(len(fw1), -1, 4, 4), fb1, padding="valid"),
+                   fc2=ConvParams(fw2.reshape(len(fw2), -1, 1, 1), fb2, padding="valid"))
 
 
 def _he_uniform(rng: SplitMix64, shape: tuple, fan_in: int) -> np.ndarray:
@@ -188,14 +176,12 @@ class StageTrace:
     in_b: np.ndarray | Columns      # conv_b's input (ReLU of pre_a), likewise
     pre_b: np.ndarray
     in_side: np.ndarray | Columns   # the side head's input (ReLU of pre_b), likewise
-    pooled: np.ndarray | None = None
     pool_arg: np.ndarray | None = None
 
 
 @dataclass
 class ForwardTrace:
     stages: list = field(default_factory=list)
-    side_logits: list = field(default_factory=list)    # at stage resolution
     side_probs: list = field(default_factory=list)     # at input resolution
     fused: np.ndarray | None = None
 
@@ -243,11 +229,9 @@ def forward_nested(params: NestedNetParams, x: np.ndarray,
         in_side = keep(feat, head)
         st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, pre_b=pre_b, in_side=in_side)
         logit = conv_forward(in_side, head)
-        trace.side_logits.append(logit)
         trace.side_probs.append(sigmoid(upsample_nearest(logit, 2 ** s))[..., 0, :, :])
         if s + 1 < params.arch.stages:
-            st.pooled, st.pool_arg = maxpool2x2_forward(feat)
-            feat_in = st.pooled
+            feat_in, st.pool_arg = maxpool2x2_forward(feat)
         trace.stages.append(st)
     # plain weighted sum with no simplex check: gradients w.r.t. alpha
     # are taken on the unconstrained weights, and feasibility is restored
@@ -301,15 +285,11 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
 
 @dataclass
 class PatchTrace:
-    x: np.ndarray
     ins: tuple          # inputs of conv1, conv2, fc1, fc2; Columns in train mode
     pre1: np.ndarray
-    pool1: np.ndarray
     arg1: np.ndarray
     pre2: np.ndarray
-    pool2: np.ndarray
     arg2: np.ndarray
-    flat: np.ndarray    # pool2 as fc1 reads it, (..., 16*C2)
     fc1_pre: np.ndarray
     drop: np.ndarray
     prob: float | np.ndarray
@@ -329,15 +309,14 @@ def forward_patch(params: PatchNetParams, patch: np.ndarray,
     if x.shape[-3:] != (1, PATCH_SIZE, PATCH_SIZE):
         raise DimensionError(f"patch must be 1x28x28, got {x.shape}")
     keep = _keeper(train_mode)
-    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
     in1 = keep(x, params.conv1)
     pre1 = conv_forward(in1, params.conv1)                # C1 x 24 x 24
     pool1, arg1 = maxpool2x2_forward(relu(pre1))          # C1 x 12 x 12
     in2 = keep(pool1, params.conv2)
     pre2 = conv_forward(in2, params.conv2)                # C2 x 8 x 8
     pool2, arg2 = maxpool2x2_forward(relu(pre2))          # C2 x 4 x 4
-    in_fc1 = keep(pool2, fc1)
-    fc1_pre = conv_forward(in_fc1, fc1)                   # hidden x 1 x 1
+    in_fc1 = keep(pool2, params.fc1)
+    fc1_pre = conv_forward(in_fc1, params.fc1)            # hidden x 1 x 1
     fc1_act = relu(fc1_pre)
     if train_mode and params.arch.dropout_rate > 0:
         drop = dropout_mask(fc1_act.shape[-3:], params.arch.dropout_rate, seed)
@@ -345,12 +324,11 @@ def forward_patch(params: PatchNetParams, patch: np.ndarray,
             raise DimensionError(f"dropout masks {drop.shape} for activations {fc1_act.shape}")
     else:
         drop = np.ones_like(fc1_act)
-    in_fc2 = keep(fc1_act * drop, fc2)
-    logit = conv_forward(in_fc2, fc2)                     # 1 x 1 x 1
-    return PatchTrace(x=x, ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, pool1=pool1,
-                      arg1=arg1, pre2=pre2, pool2=pool2, arg2=arg2,
-                      flat=pool2.reshape(*pool2.shape[:-3], -1), fc1_pre=fc1_pre,
-                      drop=drop, prob=sigmoid(logit).reshape(x.shape[:-3])[()])
+    in_fc2 = keep(fc1_act * drop, params.fc2)
+    logit = conv_forward(in_fc2, params.fc2)              # 1 x 1 x 1
+    return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, arg1=arg1, pre2=pre2,
+                      arg2=arg2, fc1_pre=fc1_pre, drop=drop,
+                      prob=sigmoid(logit).reshape(x.shape[:-3])[()])
 
 
 def backward_patch(params: PatchNetParams, trace: PatchTrace,
@@ -359,18 +337,17 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     or (N,) for a batch, as (name, grad) in named_tensors() order; for a
     batch, one gradient per patch along each grad's leading axis."""
     in1, in2, in_fc1, in_fc2 = trace.ins
-    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
-    lead = trace.x.shape[:-3]
+    lead = np.shape(trace.prob)
     d_logit = np.reshape(d_prob * trace.prob * (1.0 - trace.prob), (*lead, 1, 1, 1))
-    d_fc1_out, d_w2, d_b2 = conv_backward(in_fc2, fc2, d_logit)
+    d_fc1_out, d_w2, d_b2 = conv_backward(in_fc2, params.fc2, d_logit)
     d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_out * trace.drop)
-    d_pool2, d_w1, d_b1 = conv_backward(in_fc1, fc1, d_fc1_pre)
+    d_pool2, d_w1, d_b1 = conv_backward(in_fc1, params.fc1, d_fc1_pre)
     d_act2 = maxpool2x2_backward(trace.pre2.shape, trace.arg2, d_pool2)
     d_pre2 = relu_backward(trace.pre2, d_act2)
     d_pool1, d_cw2, d_cb2 = conv_backward(in2, params.conv2, d_pre2)
     d_act1 = maxpool2x2_backward(trace.pre1.shape, trace.arg1, d_pool1)
     d_pre1 = relu_backward(trace.pre1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
-    return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,
-                           d_w1.reshape(*lead, *params.fc1.weights.shape), d_b1,
-                           d_w2.reshape(*lead, *params.fc2.weights.shape), d_b2])
+    return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,  # fc grads flat, as named
+                           d_w1.reshape(*lead, params.arch.hidden, -1), d_b1,
+                           d_w2.reshape(*lead, 1, -1), d_b2])

@@ -256,20 +256,18 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
                 progress, simplex_names=("alpha",))
 
 
-def draw_patches(samples: list, seed: int, per_image: int) -> tuple[np.ndarray, np.ndarray]:
-    """per_image 28x28 patches per (image, label) pair and their center
-    labels, as one (n, 1, 28, 28) array and one (n,) array.
+def draw_centers(samples: list, seed: int, per_image: int) -> tuple[np.ndarray, np.ndarray]:
+    """per_image patch centers per (image, label) pair and their labels,
+    as one (n, 3) array of (image index, row, column) and one (n,) array.
 
     Even draws are centered on an edge pixel where the image has one, odd
-    draws on any pixel; each image is edge-padded once for all its draws.
+    draws on any pixel.
     """
     rng = SplitMix64(seed)
-    half = PATCH_SIZE // 2
-    patches = np.empty((len(samples) * per_image, 1, PATCH_SIZE, PATCH_SIZE))
+    centers = np.empty((len(samples) * per_image, 3), dtype=np.intp)
     labels = np.empty(len(samples) * per_image)
     k = 0
-    for img, label in samples:
-        padded = np.pad(img, half, mode="edge")
+    for i, (img, label) in enumerate(samples):
         pos = np.argwhere(label == 1.0)
         h, w = img.shape
         for draw in range(per_image):
@@ -277,10 +275,24 @@ def draw_patches(samples: list, seed: int, per_image: int) -> tuple[np.ndarray, 
                 r, c = pos[rng.randint(len(pos))]
             else:
                 r, c = rng.randint(h), rng.randint(w)
-            patches[k, 0] = padded[r:r + PATCH_SIZE, c:c + PATCH_SIZE]
+            centers[k] = i, r, c
             labels[k] = label[r, c]
             k += 1
-    return patches, labels
+    return centers, labels
+
+
+def cut_patches(samples: list, centers: np.ndarray) -> np.ndarray:
+    """The 28x28 patches of the sample images at centers, as one
+    (n, 1, 28, 28) array; a patch reaching past its image's border
+    repeats the edge pixels, as an edge-padded image would (take's
+    "clip" mode moves an index outside the image onto its edge)."""
+    offsets = np.arange(PATCH_SIZE) - PATCH_SIZE // 2
+    rows, cols = centers[:, 1:2] + offsets, centers[:, 2:3] + offsets
+    patches = np.empty((len(centers), 1, PATCH_SIZE, PATCH_SIZE))
+    for k, i in enumerate(centers[:, 0]):
+        patches[k, 0] = (samples[i][0].take(rows[k], axis=0, mode="clip")
+                         .take(cols[k], axis=1, mode="clip"))
+    return patches
 
 
 def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
@@ -295,32 +307,32 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
     if not train_samples or not val_samples:
         raise ParameterError("train and validation splits must be nonempty")
     params = init_patch(arch, cfg.seed)
-    val_patches, val_labels = draw_patches(val_samples, splitmix64(cfg.seed, 7),
+    val_centers, val_labels = draw_centers(val_samples, splitmix64(cfg.seed, 7),
                                            patches_per_image)
-
-    draw = None  # the epoch's (patches, labels), in draw order
+    draw = None  # the epoch's (centers, labels); each step cuts its own patches
 
     def epoch_items(epoch):
         nonlocal draw
-        draw = None  # let the last epoch's patches go before drawing the next
-        draw = draw_patches(train_samples, splitmix64(cfg.seed, 2000 + epoch),
+        draw = draw_centers(train_samples, splitmix64(cfg.seed, 2000 + epoch),
                             patches_per_image)
         order = list(range(len(draw[1])))
         SplitMix64(splitmix64(cfg.seed, 3000 + epoch)).shuffle(order)
         return order
 
     def batch_of(epoch, start, batch):
-        patches, labels = draw
+        centers, labels = draw
         seeds = [splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
                  for position in range(start, start + len(batch))]
-        trace = forward_patch(params, patches[batch], train_mode=True, seed=seeds)
+        trace = forward_patch(params, cut_patches(train_samples, centers[batch]),
+                              train_mode=True, seed=seeds)
         losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
                                       labels[batch][:, np.newaxis], class_balance=False)
         return losses, lambda: backward_patch(params, trace, d_prob[:, 0])
 
     def val_f1_of():
-        probs = np.concatenate([forward_patch(params, val_patches[chunk]).prob
-                                for chunk in _chunks(len(val_labels), cfg.batch_size)])
+        probs = np.concatenate([
+            forward_patch(params, cut_patches(val_samples, val_centers[chunk])).prob
+            for chunk in _chunks(len(val_labels), cfg.batch_size)])
         pred = (probs >= 0.5).astype(np.float64)
         return metrics(confusion(pred[np.newaxis], val_labels[np.newaxis])).f1
 
@@ -336,12 +348,11 @@ def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
     groups per pool (shift-and-stitch, Sermanet et al. 2014): pool-1
     offset (a, b) and pool-2 offset (a2, b2) hold the pixels at rows
     a + 2*a2 + 4n and columns b + 2*b2 + 4m. fc1 reads a 4x4 window of
-    pooled features, so it runs as a 4x4 valid convolution and fc2 as a
-    1x1 one (Long et al. 2015); the reshape keeps fc1's flat feature order.
-    Dropout is off, as in forward_patch outside training.
+    pooled features, so its 4x4 valid convolution slides over the pooled
+    map, and so does fc2's 1x1 one (Long et al. 2015). Every slice pooled
+    here has an even length. Dropout is off, as in forward_patch outside training.
     """
     h, w = img.shape
-    fc1, fc2 = params.fc1.conv(), params.fc2.conv()
     padded = np.pad(np.asarray(img, dtype=np.float64), PATCH_SIZE // 2, mode="edge")
     act1 = relu(conv_forward(padded[np.newaxis], params.conv1))
     out = np.zeros((h, w))
@@ -359,7 +370,7 @@ def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
             if nk == 0 or nl == 0:
                 continue
             pool2, _ = maxpool2x2_forward(act2[:, a2:a2 + 2 * (nk + 3), b2:b2 + 2 * (nl + 3)])
-            logit = conv_forward(relu(conv_forward(pool2, fc1)), fc2)
+            logit = conv_forward(relu(conv_forward(pool2, params.fc1)), params.fc2)
             out[a + 2 * a2::4, b + 2 * b2::4] = sigmoid(logit)[0]
     return out
 

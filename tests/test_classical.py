@@ -196,7 +196,8 @@ class TestLevelMaps:
         for img in oracle_images():
             levels = canny_levels(img, GRID, sigma)
             assert np.all(levels > 0)  # t = 0 marks every pixel
-            for k, t in enumerate(GRID[1:], start=1):
+            start = int(np.all(img == img[0, 0]))  # canny(0, 0) of a flat image is empty
+            for k, t in enumerate(GRID[start:], start=start):
                 t = float(t)
                 np.testing.assert_array_equal(
                     (levels > k).astype(np.float64),
@@ -206,6 +207,7 @@ class TestLevelMaps:
         flat = np.full((16, 16), 0.4)
         assert not magnitude_levels(sobel(flat), GRID).any()
         np.testing.assert_array_equal(canny_levels(flat, GRID, 1.0), 1)
+        assert not canny(flat, low=0.0, high=0.0).any()
 
     def test_canny_levels_bad_sigma(self):
         with pytest.raises(ParameterError):

@@ -346,6 +346,22 @@ class TestCompare:
         rows = (out / "comparison.csv").read_text().strip().split("\n")[1:]
         assert [r.split(",")[0] for r in rows] == ["cnn", "canny", "sobel", "roberts"]
 
+    def test_canny_tuned_to_threshold_zero_scores(self, workdir, tmp_path):
+        """On labels that are all edges, tuning picks Canny t = 0, which
+        marks every pixel, and the test split is scored at it."""
+        _, cfg_path, out = workdir
+        run = tmp_path / "run"
+        shutil.copytree(out / "dataset", run / "dataset")
+        for entry in read_manifest(run / "dataset" / "manifest.jsonl").entries:
+            label = run / "dataset" / entry.label
+            write_pgm(label, np.ones(read_pgm(label).shape))
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(run),
+                         "--detectors", "canny"]) == cli.EXIT_OK
+        header, row = (run / "comparison.csv").read_text().strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["algorithm"] == "canny"
+        assert float(fields["threshold"]) == 0.0 and float(fields["f1"]) == 1.0
+
     def test_untunable_detector_rejected(self, workdir):
         _, cfg_path, out = workdir
         code = cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
@@ -528,8 +544,8 @@ class TestErrors:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bad_line", ['{"id": "x", "range": "x.lri", "intensity": "x.pgm"}',
-                                          '{"id": "x", '],
-                             ids=["no-label", "not-json"])
+                                          '{"id": "x", ', "[" * 200_000],
+                             ids=["no-label", "not-json", "deep-nesting"])
     def test_bad_manifest_line_is_usage_error(self, workdir, tmp_path, capsys, bad_line):
         _, cfg_path, out = workdir
         dataset = tmp_path / "run" / "dataset"
@@ -543,3 +559,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "manifest.jsonl:3: " in err
+
+    @pytest.mark.parametrize("content", [b"[" * 200_000,
+                                         b'{"dataset": {"n": ' + b"1" * 5000 + b"}}",
+                                         b'{"a": "\xff"}'],
+                             ids=["deep-nesting", "5000-digits", "bad-utf8"])
+    def test_unparsable_config_is_usage_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "o"
+        code = cli.main(["gen-data", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"0.01"', "true"])
+    @pytest.mark.parametrize("key", ["dataset.delta", "lidar.noise_sigma",
+                                     "train.learning_rate"])
+    def test_float_key_refuses_non_finite_and_non_numbers(self, tmp_path, capsys, key, value):
+        """Exit 2 naming the key before anything is written."""
+        section, name = key.split(".")
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"{section}": {{"{name}": {value}}}}}', encoding="utf-8")
+        out = tmp_path / "o"
+        code = cli.main(["gen-data", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()

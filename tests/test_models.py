@@ -5,7 +5,7 @@ import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.layers import conv_backward, conv_forward
-from lidar_edge.models import (FullyConnected, NestedArch, PatchArch,
+from lidar_edge.models import (NestedArch, PatchArch, PatchNetParams,
                                backward_nested, backward_patch, forward_nested,
                                forward_patch, init_nested, init_patch)
 from lidar_edge.rng import SplitMix64
@@ -81,11 +81,12 @@ class TestInit:
         np.testing.assert_array_equal(trace.fused, np.full((8, 8), 0.5))
 
     def test_patch_init_shapes(self):
-        p = init_patch(PatchArch(), 0)
-        assert p.conv1.weights.shape == (4, 1, 5, 5)
-        assert p.conv2.weights.shape == (8, 4, 5, 5)
-        assert p.fc1.weights.shape == (32, 16 * 8)
-        assert p.fc2.weights.shape == (1, 32)
+        """The named (saved) shapes; the fc weights are flat."""
+        named = dict(init_patch(PatchArch(), 0).named_tensors())
+        assert named["conv1.weights"].shape == (4, 1, 5, 5)
+        assert named["conv2.weights"].shape == (8, 4, 5, 5)
+        assert named["fc1.weights"].shape == (32, 16 * 8)
+        assert named["fc2.weights"].shape == (1, 32)
 
 
 class TestForwardNested:
@@ -102,7 +103,8 @@ class TestForwardNested:
     def test_side_logit_resolutions_halve(self):
         params = init_nested(NestedArch(), 0)
         trace = forward_nested(params, np.zeros((64, 64)))
-        assert [l.shape[1] for l in trace.side_logits] == [64, 32, 16]
+        # each side head reads its stage's features at the stage's resolution
+        assert [st.in_side.shape[-1] for st in trace.stages] == [64, 32, 16]
 
     def test_fused_is_convex_combination(self):
         params = randomize(init_nested(SMALL, 1), 9)
@@ -195,10 +197,10 @@ class TestPatchNet:
         params = init_patch(PatchArch(), 0)
         trace = forward_patch(params, SplitMix64(1).floats(784).reshape(28, 28))
         assert trace.pre1.shape == (4, 24, 24)
-        assert trace.pool1.shape == (4, 12, 12)
+        assert trace.arg1.shape == (4, 12, 12)
         assert trace.pre2.shape == (8, 8, 8)
-        assert trace.pool2.shape == (8, 4, 4)
-        assert trace.flat.shape == (128,)
+        assert trace.arg2.shape == (8, 4, 4)
+        assert trace.fc1_pre.shape == (32, 1, 1)
         assert 0.0 < trace.prob < 1.0
 
     def test_eval_mode_has_no_dropout(self):
@@ -304,26 +306,33 @@ class TestBatchedForwardBackward:
 
 
 class TestFullyConnected:
-    """A fully connected layer runs as the valid convolution conv() views
-    it as; its weights stay flat, as they are saved."""
+    """The patch net's fc1 and fc2 run as the valid convolutions whose
+    kernels cover their whole input; named_tensors() gives their weights
+    flat, as they are saved, and those flat tensors are the kernels."""
+
+    ARCH = PatchArch(conv_channels=(2, 3), hidden=5)
 
     def test_forward_formula(self):
-        fc = FullyConnected(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                            bias=np.array([0.5, -0.5]), in_shape=(2, 1, 1))
-        np.testing.assert_allclose(conv_forward(np.array([1.0, 1.0]).reshape(2, 1, 1),
-                                                fc.conv()).reshape(-1), [3.5, 6.5])
+        p = randomize(init_patch(self.ARCH, 0), 8)
+        named = dict(p.named_tensors())
+        rng = SplitMix64(9)
+        for fc, in_shape in (("fc1", (3, 4, 4)), ("fc2", (5, 1, 1))):
+            x = rng.floats(int(np.prod(in_shape))).reshape(in_shape)
+            np.testing.assert_allclose(
+                conv_forward(x, getattr(p, fc)).reshape(-1),
+                named[f"{fc}.weights"] @ x.reshape(-1) + named[f"{fc}.bias"], rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
+        p = randomize(init_patch(self.ARCH, 0), 10)
+        named = dict(p.named_tensors())
         rng = SplitMix64(8)
-        fc = FullyConnected(weights=rng.floats(3 * 12).reshape(3, 12) - 0.5,
-                            bias=rng.floats(3), in_shape=(3, 2, 2))
-        x = rng.floats(12).reshape(3, 2, 2)
-        rand = rng.floats(3).reshape(3, 1, 1)
-        loss = lambda: float((conv_forward(x, fc.conv()) * rand).sum())
-        dx, dw, db = conv_backward(x, fc.conv(), rand)
+        x = rng.floats(3 * 16).reshape(3, 4, 4)
+        rand = rng.floats(5).reshape(5, 1, 1)
+        loss = lambda: float((conv_forward(x, p.fc1) * rand).sum())
+        dx, dw, db = conv_backward(x, p.fc1, rand)
         eps = 1e-5
-        for tensor, got in ((x, dx), (fc.weights, dw.reshape(fc.weights.shape)),
-                            (fc.bias, db)):
+        for tensor, got in ((x, dx), (named["fc1.weights"], dw.reshape(5, 48)),
+                            (named["fc1.bias"], db)):
             for idx in np.ndindex(tensor.shape):
                 orig = tensor[idx]
                 tensor[idx] = orig + eps
@@ -334,14 +343,21 @@ class TestFullyConnected:
                 assert abs((hi - lo) / (2 * eps) - got[idx]) < 1e-9
 
     def test_shape_mismatch(self):
+        p = init_patch(self.ARCH, 0)
+        for wrong in (np.zeros((2, 4, 4)), np.zeros((3, 3, 3))):  # channels, size
+            with pytest.raises(DimensionError):
+                conv_forward(wrong, p.fc1)
+        tensors = [t for _, t in p.named_tensors()]
+        tensors[5] = np.zeros(4)  # an fc1 bias one short of its 5 units
         with pytest.raises(DimensionError):
-            FullyConnected(weights=np.zeros((3, 5)), bias=np.zeros(3), in_shape=(2, 2, 1))
-        fc = FullyConnected(weights=np.zeros((3, 4)), bias=np.zeros(3), in_shape=(1, 2, 2))
-        with pytest.raises(DimensionError):
-            conv_forward(np.zeros((2, 2, 2)), fc.conv())
+            PatchNetParams.from_tensors(self.ARCH, tensors)
 
     def test_conv_view_shares_the_saved_tensor(self):
         p = init_patch(PatchArch(), 0)
-        conv = p.fc1.conv()
-        assert conv.weights.shape == (32, 8, 4, 4)
-        assert np.shares_memory(conv.weights, p.fc1.weights)
+        assert p.fc1.weights.shape == (32, 8, 4, 4)
+        assert p.fc2.weights.shape == (1, 32, 1, 1)
+        named = dict(p.named_tensors())
+        assert np.shares_memory(named["fc1.weights"], p.fc1.weights)
+        assert np.shares_memory(named["fc2.weights"], p.fc2.weights)
+        named["fc2.weights"][...] = 0.0  # the forward runs the kernel the name holds
+        assert forward_patch(p, np.ones((28, 28))).prob == 0.5
