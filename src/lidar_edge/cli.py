@@ -86,38 +86,51 @@ MODEL_KINDS = {"nested": NestedNetParams, "patch": PatchNetParams}
 
 def _load_config(args) -> Config:
     cfg = Config.load(args.config)
-    for dotted, attr, cast in (
-        ("dataset.n", "n", int), ("dataset.seed", "seed", int),
-        ("train.epochs", "epochs", int), ("train.optimizer", "optimizer", str),
-        ("paths.out_dir", "out", str),
-    ):
+    for dotted, attr in (("dataset.n", "n"), ("dataset.seed", "seed"),
+                         ("train.epochs", "epochs"), ("train.optimizer", "optimizer"),
+                         ("paths.out_dir", "out")):
         value = getattr(args, attr, None)
         if value is not None:
-            cfg.override(dotted, cast(value))
+            cfg.override(dotted, value)
     cfg.check()
     return cfg
 
 
-def _load_params(cfg: Config):
+def _load_params(cfg: Config, kind: str):
+    """The model at cfg.model_path(), which must be of the MODEL_KINDS kind."""
     model_path = cfg.model_path()
     if not model_path.exists():
         raise ModelLoadError(f"model file not found: {model_path}")
-    return load_model(model_path)
+    params = load_model(model_path)
+    if not isinstance(params, MODEL_KINDS[kind]):
+        raise ConfigError(f"{model_path} is not a {kind} model")
+    return params
+
+
+def _load_splits(cfg: Config, *splits) -> list | None:
+    """The (image, label) samples of each named split of the dataset in
+    the output directory; None, once said on stderr, when it has no
+    manifest."""
+    dataset_dir = cfg.out_dir() / "dataset"
+    manifest_path = dataset_dir / "manifest.jsonl"
+    if not manifest_path.exists():
+        print(f"error: dataset manifest not found: {manifest_path}", file=sys.stderr)
+        return None
+    manifest = read_manifest(manifest_path)
+    return [load_split(manifest, dataset_dir, split) for split in splits]
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    d = cfg.raw["dataset"]
+    d = cfg.section("dataset")
     out = cfg.out_dir() / "dataset"
-    manifest = generate_dataset(int(d["n"]), cfg.lidar(), cfg.scene_policy(),
-                                float(d["delta"]), int(d["seed"]), out)
-    manifest = split_dataset(manifest, tuple(d["ratios"]), int(d["seed"]))
+    manifest = generate_dataset(d["n"], cfg.lidar(), cfg.scene_policy(),
+                                d["delta"], d["seed"], out)
+    manifest = split_dataset(manifest, d["ratios"], d["seed"])
     write_manifest(out / "manifest.jsonl", manifest)
-    summary = {"n": len(manifest.entries), "splits": manifest.counts(),
-               "seed": int(d["seed"])}
-    with open(out / "dataset_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    summary = {"n": len(manifest.entries), "splits": manifest.counts(), "seed": d["seed"]}
+    write_atomic(out / "dataset_summary.json",
+                 (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("ascii"))
     print(f"wrote {summary['n']} samples to {out} "
           f"(splits: {summary['splits']})")
     return EXIT_OK
@@ -125,17 +138,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = cfg.out_dir()
-    dataset_dir = out / "dataset"
-    manifest_path = dataset_dir / "manifest.jsonl"
-    if not manifest_path.exists():
-        print(f"error: dataset manifest not found: {manifest_path}", file=sys.stderr)
+    splits = _load_splits(cfg, "train", "val")
+    if splits is None:
         return EXIT_MISSING
-    manifest = read_manifest(manifest_path)
-    train_samples = load_split(manifest, dataset_dir, "train")
-    val_samples = load_split(manifest, dataset_dir, "val")
+    train_samples, val_samples = splits
     train_cfg = cfg.train_config()
-    variant = cfg.raw["model"]["variant"]
+    variant = cfg.section("model")["variant"]
 
     def progress(rec):
         print(f"epoch {rec.epoch:3d}  train_loss {rec.train_loss:.6f}  "
@@ -147,6 +155,7 @@ def cmd_train(args) -> int:
     else:  # the config has checked that it is "patch"
         params, log = train_patch(train_samples, val_samples,
                                   cfg.patch_arch(), train_cfg, progress=progress)
+    out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     save_model(params, cfg.model_path())
     write_atomic(out / "runlog.csv", runlog_csv(log).encode("ascii"))
@@ -180,11 +189,7 @@ def cmd_detect(args) -> int:
     out_path = Path(args.output)
     if detector.model is not None:
         above = _above(args.threshold)
-        params = _load_params(cfg)
-        if not isinstance(params, MODEL_KINDS[detector.model]):
-            print(f"error: {cfg.model_path()} is not a {detector.model} model",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        params = _load_params(cfg, detector.model)
         if args.algorithm == "cnn":
             trace = forward_nested(params, img)
             prob, sides = trace.fused, trace.side_probs
@@ -208,7 +213,7 @@ def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
     split: one sweep of the threshold grid per setting, by pooled F1.
     Ties go to the smaller threshold, then to the earlier setting.
     Detectors that need a model are left out when params is None."""
-    grid = threshold_grid(int(cfg.raw["eval"]["n_thresholds"]))
+    grid = threshold_grid(cfg.section("eval")["n_thresholds"])
     detectors = []
     for name in TUNABLE:
         det = DETECTORS[name]
@@ -227,12 +232,6 @@ def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = cfg.out_dir()
-    dataset_dir = out / "dataset"
-    manifest_path = dataset_dir / "manifest.jsonl"
-    if not manifest_path.exists():
-        print(f"error: dataset manifest not found: {manifest_path}", file=sys.stderr)
-        return EXIT_MISSING
     requested = [a.strip() for a in args.detectors.split(",") if a.strip()]
     if not requested:
         print("error: empty detector list", file=sys.stderr)
@@ -241,14 +240,15 @@ def cmd_compare(args) -> int:
         if name not in TUNABLE:
             print(f"error: unknown detector {name!r}", file=sys.stderr)
             return EXIT_USAGE
-    manifest = read_manifest(manifest_path)
-    val_samples = load_split(manifest, dataset_dir, "val")
-    test_samples = load_split(manifest, dataset_dir, "test")
-    params = _load_params(cfg) if "cnn" in requested else None
+    splits = _load_splits(cfg, "val", "test")
+    if splits is None:
+        return EXIT_MISSING
+    val_samples, test_samples = splits
+    params = _load_params(cfg, DETECTORS["cnn"].model) if "cnn" in requested else None
     detectors = _tuned_detectors(cfg, val_samples, params, requested)
     reports = compare_detectors(test_samples, detectors,
-                                tolerance=int(cfg.raw["eval"]["tolerance"]))
-    write_atomic(out / "comparison.csv", comparison_csv(reports).encode("ascii"))
+                                tolerance=cfg.section("eval")["tolerance"])
+    write_atomic(cfg.out_dir() / "comparison.csv", comparison_csv(reports).encode("ascii"))
     print(comparison_table(reports), end="")
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Versioned JSON configuration for the command-line pipeline.
 
-Every section has defaults; unknown keys anywhere in the document are
-rejected so typos fail loudly. Flag overrides from the CLI are applied
-after the file is parsed.
+DEFAULTS is the schema: every key has a default, each value is read the
+way its default is (see _read), and unknown keys anywhere in the
+document are rejected so typos fail loudly. Flag overrides from the CLI
+are applied after the file is parsed.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .augment import AugmentSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .lidar import LidarConfig, ScenePolicy
+from .losses import LOSSES
 from .models import NestedArch, PatchArch
 from .optim import OPTIMIZERS, OptimizerConfig
-from .training import TrainConfig
+from .training import TrainConfig, check_ratios
 
 CONFIG_VERSION = 1
-MODEL_VARIANTS = ("nested", "patch")
 
 DEFAULTS = {
     "config_version": CONFIG_VERSION,
@@ -81,56 +82,59 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+# what a key whose default is null takes besides null
+_OR_NULL = {"train.lambdas": [0.0], "paths.model": ""}
+# the only values a key may take
+_CHOICES = {"train.optimizer": OPTIMIZERS, "train.loss": LOSSES,
+            "model.variant": ("nested", "patch")}
 MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
 MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x width arrays
+_AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
+            "lidar.width": MAX_GRID_SIDE}
 
 
-def _exactly(cast):
-    """cast for a finite number that cast leaves as it is: a value that is
-    not a number (strings and booleans included), that cast would change
-    (2.5 to int, NaN to float), or that is infinite is refused."""
-    def exact(value):
-        out = cast(value)
-        if (isinstance(value, bool) or not isinstance(value, (int, float)) or out != value
-                or out in (math.inf, -math.inf)):
-            raise ValueError(f"{value!r} is not a valid {cast.__name__}")
-        return out
-    exact.__name__ = cast.__name__
-    return exact
-
-
-def _tuple_of(cast):
-    """A cast for a list of numbers that cast leaves as they are: an
-    element that is not a finite number, or that cast would change (16.5
-    to int, NaN to float), is refused."""
-    element = _exactly(cast)
-
-    def cast_all(values):
-        if not isinstance(values, (list, tuple)):
-            raise TypeError(f"expected a list, got {type(values).__name__}")
+def _read(default, value):
+    """value read the way default is, or ValueError: a bool default takes
+    true or false only; an int or float default a finite number that the
+    cast leaves as it is (never 2.5 as 2, true as 1, "0.01" or NaN); a str
+    default a string; a list default a list whose elements are each read
+    the way default[0] is, returned as a tuple."""
+    kind = type(default)
+    if kind is list:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{value!r} is not a list")
         try:
-            return tuple(element(v) for v in values)
+            return tuple(_read(default[0], v) for v in value)
         except ValueError as exc:
             raise ValueError(f"element {exc}") from None
-    return cast_all
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):  # int(NaN), int(inf), float(10 ** 400)
+            out = None
+        if out == value and out not in (math.inf, -math.inf):
+            return out
+    raise ValueError(f"{value!r} is not a valid {kind.__name__}")
 
 
-def _boolean(value):
-    """A JSON true or false; anything else, "false" and 0 included, is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {type(value).__name__}")
-    return value
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _or_none(cast):
-    """cast, or None for a JSON null."""
-    return lambda value: None if value is None else cast(value)
+def _read_key(dotted: str, default, value):
+    """_read for the key at dotted, with its null rule, choices and cap; a
+    value refused raises ConfigError naming the key."""
+    try:
+        if default is None:
+            if value is None:
+                return None
+            default = _OR_NULL[dotted]
+        out = _read(default, value)
+        if dotted in _CHOICES and out not in _CHOICES[dotted]:
+            raise ValueError(f"not one of {', '.join(_CHOICES[dotted])}")
+        if dotted in _AT_MOST and out > _AT_MOST[dotted]:
+            raise ValueError(f"at most {_AT_MOST[dotted]}")
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value for {dotted}: {value!r} ({exc})") from exc
+    return out
 
 
 @dataclass
@@ -149,56 +153,43 @@ class Config:
             raise ConfigError(f"{path}: invalid JSON ({type(exc).__name__}: {exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config root must be an object")
-        merged = _merge(DEFAULTS, doc)
-        if merged["config_version"] != CONFIG_VERSION:
-            raise ConfigError(
-                f"unsupported config_version {merged['config_version']}")
-        cfg = cls(raw=merged)
+        cfg = cls(raw=_merge(DEFAULTS, doc))
         cfg.check()
         return cfg
 
     def check(self) -> None:
-        """Build every typed view once, so a value of the wrong type or
-        range fails here, before any work starts, rather than where the
-        view is first used."""
-        d, e, lidar = self._section("dataset"), self._section("eval"), self._section("lidar")
+        """Read every key and build every typed view once, so a value of
+        the wrong kind or range fails here, before any work starts,
+        rather than where it is first used."""
+        version = _read_key("config_version", CONFIG_VERSION, self.raw["config_version"])
+        if version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config_version {version}")
+        self.section("eval")
         try:
-            d("n", int), d("delta", float), d("seed", int), d("ratios", _tuple_of(float))
-            e("tolerance", int)
-            bounded = (("eval.n_thresholds", e("n_thresholds", int), MAX_THRESHOLDS),
-                       ("lidar.height", lidar("height", int), MAX_GRID_SIDE),
-                       ("lidar.width", lidar("width", int), MAX_GRID_SIDE))
-            for key, value, most in bounded:
-                if value > most:
-                    raise ConfigError(f"invalid config value for {key}: "
-                                      f"{value} (at most {most})")
-            for view in (self.lidar, self.scene_policy, self.augment_spec,
-                         self.nested_arch, self.patch_arch, self.train_config,
+            check_ratios(self.section("dataset")["ratios"])
+        except ParameterError as exc:
+            raise ConfigError(f"invalid config value for dataset.ratios: {exc}") from exc
+        try:
+            for view in (self.nested_arch, self.patch_arch, self.train_config,
                          self.model_path):
                 view()
+            lidar, scene = self.lidar(), self.scene_policy()
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
-        if self.raw["model"]["variant"] not in MODEL_VARIANTS:
-            raise ConfigError(f"unknown model variant {self.raw['model']['variant']!r}")
+        try:
+            scene.validate(lidar)
+        except ParameterError as exc:
+            raise ConfigError(f"invalid config value for dataset.scene: {exc}") from exc
 
-    def _section(self, name: str):
-        """get(key, cast) = cast(value of name.key); a value that cast
-        refuses, or an int or float key's value that is not a finite
-        number its cast leaves as it is, raises ConfigError naming its
-        dotted key."""
-        node = self.raw
+    def section(self, name: str) -> dict:
+        """Every leaf of the section at the dotted name ("lidar",
+        "dataset.scene"), read the way its default is; nested sections
+        are left out. A value refused raises ConfigError naming its key."""
+        defaults, node = DEFAULTS, self.raw
         for part in name.split("."):
-            node = node[part]
-
-        def get(key, cast):
-            if cast in (int, float):  # never 2.5 as 2, true as 1, "0.01" or NaN
-                cast = _exactly(cast)
-            try:
-                return cast(node[key])
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError(f"invalid config value for {name}.{key}: "
-                                  f"{node[key]!r} ({exc})") from exc
-        return get
+            defaults, node = defaults[part], node[part]
+        return {key: _read_key(f"{name}.{key}", default, node[key])
+                for key, default in defaults.items() if not isinstance(default, dict)}
 
     def override(self, dotted_key: str, value) -> None:
         """Apply one CLI override like ('dataset.n', 10)."""
@@ -215,74 +206,44 @@ class Config:
     # typed views -----------------------------------------------------
 
     def lidar(self) -> LidarConfig:
-        d = self._section("lidar")
-        return LidarConfig(height=d("height", int), width=d("width", int),
-                           max_range=d("max_range", float),
-                           noise_sigma=d("noise_sigma", float),
-                           dropout_prob=d("dropout_prob", float))
+        return LidarConfig(**self.section("lidar"))
 
     def scene_policy(self) -> ScenePolicy:
-        d = self._section("dataset.scene")
-        return ScenePolicy(min_primitives=d("min_primitives", int),
-                           max_primitives=d("max_primitives", int),
-                           kinds=d("kinds", tuple),
-                           min_range=d("min_range", float),
-                           max_range_frac=d("max_range_frac", float),
-                           min_size=d("min_size", int),
-                           max_size=d("max_size", int),
-                           background_lo=d("background_lo", float),
-                           background_hi=d("background_hi", float))
+        return ScenePolicy(**self.section("dataset.scene"))
 
     def augment_spec(self) -> AugmentSpec:
-        d = self._section("augment")
-        span = _tuple_of(float)
-        return AugmentSpec(rotation_deg=d("rotation_deg", span),
-                           translate_px=d("translate_px", span),
-                           scale=d("scale", span), shear=d("shear", span),
-                           flip_h_prob=d("flip_h_prob", float),
-                           flip_v_prob=d("flip_v_prob", float),
-                           gain=d("gain", span), offset=d("offset", span),
-                           noise_sigma=d("noise_sigma", span),
-                           salt_pepper=d("salt_pepper", span),
-                           occluder_count=d("occluder_count", int),
-                           occluder_size=d("occluder_size", _tuple_of(int)))
+        return AugmentSpec(**self.section("augment"))
 
     def nested_arch(self) -> NestedArch:
-        m, lidar = self._section("model"), self._section("lidar")
-        return NestedArch(stages=m("stages", int), widths=m("widths", _tuple_of(int)),
-                          input_hw=(lidar("height", int), lidar("width", int)))
+        m, lidar = self.section("model"), self.section("lidar")
+        return NestedArch(stages=m["stages"], widths=m["widths"],
+                          input_hw=(lidar["height"], lidar["width"]))
 
     def patch_arch(self) -> PatchArch:
-        m = self._section("model")
-        return PatchArch(conv_channels=m("patch_channels", _tuple_of(int)),
-                         hidden=m("patch_hidden", int),
-                         dropout_rate=m("patch_dropout", float))
+        m = self.section("model")
+        return PatchArch(conv_channels=m["patch_channels"], hidden=m["patch_hidden"],
+                         dropout_rate=m["patch_dropout"])
 
     def optimizer(self) -> OptimizerConfig:
-        kind, t = self.raw["train"]["optimizer"], self._section("train")
-        if kind not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {kind!r}")
-        return OptimizerConfig(kind=kind,
-                               learning_rate=t("learning_rate", float),
-                               momentum=t("momentum", float),
-                               beta1=t("beta1", float), beta2=t("beta2", float),
-                               eps=t("eps", float), rho=t("rho", float))
+        return self.train_config().optimizer
 
     def train_config(self) -> TrainConfig:
-        t = self._section("train")
-        return TrainConfig(epochs=t("epochs", int),
-                           batch_size=t("batch_size", int),
-                           optimizer=self.optimizer(),
-                           loss_kind=self.raw["train"]["loss"],
-                           class_balance=t("class_balance", _boolean),
-                           lambdas=t("lambdas", _or_none(_tuple_of(float))),
-                           augment=self.augment_spec() if t("augment_enabled", _boolean) else None,
-                           patience=t("patience", int), seed=t("seed", int))
+        """The train section; the augment section is read (and so checked)
+        whether or not train.augment_enabled puts it to use."""
+        t, augment = self.section("train"), self.augment_spec()
+        optimizer = OptimizerConfig(kind=t["optimizer"], learning_rate=t["learning_rate"],
+                                    momentum=t["momentum"], beta1=t["beta1"],
+                                    beta2=t["beta2"], eps=t["eps"], rho=t["rho"])
+        return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
+                           optimizer=optimizer, loss_kind=t["loss"],
+                           class_balance=t["class_balance"], lambdas=t["lambdas"],
+                           augment=augment if t["augment_enabled"] else None,
+                           patience=t["patience"], seed=t["seed"])
 
     def out_dir(self) -> Path:
-        return Path(self._section("paths")("out_dir", _text))
+        return Path(self.section("paths")["out_dir"])
 
     def model_path(self) -> Path:
         """paths.model, or model.ledm in the output directory when it is null."""
-        explicit = self._section("paths")("model", _or_none(_text))
-        return Path(explicit) if explicit else self.out_dir() / "model.ledm"
+        paths = self.section("paths")
+        return Path(paths["model"] or Path(paths["out_dir"], "model.ledm"))

@@ -7,6 +7,7 @@ import numpy as np
 from .errors import DimensionError
 
 BCE_EPS = 1e-7
+LOSSES = ("bce", "mse")
 
 
 def pixel_losses(kind: str, pred: np.ndarray, label: np.ndarray,

@@ -26,7 +26,7 @@ from .errors import ConfigError, DivergenceError, ParameterError
 from .evaluation import ConfusionMatrix, confusion, metrics
 from .formats import DatasetManifest, read_pgm, resolve
 from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
-from .losses import pixel_loss, pixel_losses
+from .losses import LOSSES, pixel_loss, pixel_losses
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch)
@@ -51,7 +51,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.loss_kind not in ("bce", "mse"):
+        if self.loss_kind not in LOSSES:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.lambdas is not None and any(l < 0 for l in self.lambdas):
             raise ConfigError("side-loss weights must be nonnegative")
@@ -81,6 +81,12 @@ def runlog_csv(log: RunLog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_ratios(ratios) -> None:
+    """The split ratios (train, val, test) must be 3 nonnegative values summing to 1."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ParameterError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
+
+
 def split_dataset(manifest: DatasetManifest, ratios: tuple,
                   seed: int) -> DatasetManifest:
     """Tag entries train/val/test by seeded shuffle + contiguous blocks.
@@ -91,8 +97,7 @@ def split_dataset(manifest: DatasetManifest, ratios: tuple,
     n = len(manifest.entries)
     if n == 0:
         raise ParameterError("cannot split an empty manifest")
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
+    check_ratios(ratios)
     counts = [int(np.floor(n * r + 0.5)) for r in ratios]
     counts[0] += n - sum(counts)
     if counts[0] < 0:

@@ -91,6 +91,26 @@ class TestGenData:
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"dataset": {"scene": {"min_range": 1000}}}, "dataset.scene"),
+        ({"dataset": {"scene": {"kinds": "disk"}}}, "dataset.scene.kinds"),
+        ({"dataset": {"ratios": [0.5, 0.5, 0.5]}}, "dataset.ratios"),
+    ], ids=["min-range", "kinds-not-a-list", "ratios"])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_bad_dataset_value_refused_before_writing(self, tmp_path, capsys, doc, key,
+                                                      command):
+        """Exit 2 naming the key, and no output directory: not after the
+        samples are rendered, and not 4 for train's missing dataset."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = [command, "--config", str(bad), "--out", str(out)]
+        assert cli.main(argv + (["--n", "5"] if command == "gen-data" else [])) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_exist(self, workdir):
@@ -380,6 +400,19 @@ class TestCompare:
                          "--out", str(tmp_path / "nowhere")])
         assert code == cli.EXIT_MISSING
 
+    def test_patch_model_refused(self, workdir, tmp_path, capsys):
+        """cnn scores the nested model; a patch model at paths.model is
+        refused by its kind, as detect refuses it."""
+        _, _, out = workdir
+        patch = tmp_path / "patch.ledm"
+        save_model(models.init_patch(models.PatchArch(), 0), patch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_CFG, "paths": {"model": str(patch)}}),
+                            encoding="utf-8")
+        code = cli.main(["compare", "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {patch} is not a nested model\n"
+
 
 class TestAtomicArtifacts:
     """A command whose artifact write fails midway exits 3 and leaves the
@@ -390,7 +423,8 @@ class TestAtomicArtifacts:
         (["train"], "model.ledm"),
         (["train"], "runlog.csv"),
         (["compare", "--detectors", "sobel"], "comparison.csv"),
-    ], ids=["manifest", "model", "runlog", "comparison"])
+        (["gen-data"], "dataset/dataset_summary.json"),
+    ], ids=["manifest", "model", "runlog", "comparison", "summary"])
     def test_failed_write_keeps_previous_artifact(self, workdir, tmp_path, monkeypatch,
                                                   argv, artifact):
         _, cfg_path, out = workdir

@@ -1,6 +1,7 @@
 """JSON configuration: defaults, merging, overrides, typed views."""
 
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,11 @@ class TestValueNamesItsKey:
         ({"train": {"class_balance": 1}}, "train.class_balance"),
         ({"paths": {"out_dir": 5}}, "paths.out_dir"),
         ({"paths": {"model": 5}}, "paths.model"),
+        ({"train": {"optimizer": "lbfgs"}}, "train.optimizer"),
+        ({"train": {"loss": "l1"}}, "train.loss"),
+        ({"model": {"variant": "transformer"}}, "model.variant"),
+        ({"dataset": {"scene": {"kinds": "disk"}}}, "dataset.scene.kinds"),
+        ({"config_version": True}, "config_version"),
     ])
     def test_load(self, tmp_path, doc, key):
         with pytest.raises(ConfigError, match=f"invalid config value for {key}: "):
@@ -211,3 +217,54 @@ class TestGridCap:
 
     def test_default_grid_unaffected(self):
         assert Config().lidar().height == Config().lidar().width == 64
+
+
+def leaves(doc, prefix=""):
+    """(dotted key, default) of every non-object value of a JSON object."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def setting(dotted, value):
+    """The document that sets only the dotted key to value."""
+    *parents, name = dotted.split(".")
+    doc = {name: value}
+    for part in reversed(parents):
+        doc = {part: doc}
+    return doc
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("key, default", list(leaves(DEFAULTS)),
+                             ids=[key for key, _ in leaves(DEFAULTS)])
+    def test_wrong_kind_is_refused_naming_the_key(self, tmp_path, key, default):
+        """5 for a string key and {"x": 1} for any other; a key added to
+        DEFAULTS later is covered too."""
+        value = 5 if isinstance(default, str) else {"x": 1}
+        with pytest.raises(ConfigError, match=f"invalid config value for {re.escape(key)}: "):
+            Config.load(write_cfg(tmp_path, setting(key, value)))
+
+
+class TestRulesAcrossKeys:
+    """Rules on more than one value, checked by Config.check before any work."""
+
+    @pytest.mark.parametrize("scene", [{"min_range": 1000}, {"kinds": ["disk", "cone"]},
+                                       {"kinds": []}, {"min_size": 9, "max_size": 3}],
+                             ids=["min-range", "unknown-kind", "no-kinds", "sizes"])
+    def test_scene_policy_is_validated(self, tmp_path, scene):
+        with pytest.raises(ConfigError, match="invalid config value for dataset.scene: "):
+            Config.load(write_cfg(tmp_path, {"dataset": {"scene": scene}}))
+
+    @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.5], [0.5, 0.5], [1.5, -0.5, 0.0]])
+    def test_ratios_are_validated(self, tmp_path, ratios):
+        with pytest.raises(ConfigError, match="invalid config value for dataset.ratios: "):
+            Config.load(write_cfg(tmp_path, {"dataset": {"ratios": ratios}}))
+
+    def test_after_override(self):
+        cfg = Config.load(None)
+        cfg.override("dataset.ratios", [0.2, 0.2, 0.2])
+        with pytest.raises(ConfigError, match="dataset.ratios"):
+            cfg.check()
