@@ -85,15 +85,10 @@ MODEL_KINDS = {"nested": NestedNetParams, "patch": PatchNetParams}
 
 
 def _load_config(args) -> Config:
-    cfg = Config.load(args.config)
-    for dotted, attr in (("dataset.n", "n"), ("dataset.seed", "seed"),
-                         ("train.epochs", "epochs"), ("train.optimizer", "optimizer"),
-                         ("paths.out_dir", "out")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg.override(dotted, value)
-    cfg.check()
-    return cfg
+    flags = {"dataset.n": "n", "dataset.seed": "seed", "train.epochs": "epochs",
+             "train.optimizer": "optimizer", "paths.out_dir": "out"}
+    return Config.load(args.config, {key: getattr(args, flag) for key, flag in flags.items()
+                                     if getattr(args, flag, None) is not None})
 
 
 def _load_params(cfg: Config, kind: str):

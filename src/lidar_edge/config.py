@@ -3,7 +3,7 @@
 DEFAULTS is the schema: every key has a default, each value is read the
 way its default is (see _read), and unknown keys anywhere in the
 document are rejected so typos fail loudly. Flag overrides from the CLI
-are applied after the file is parsed.
+are applied after the file is parsed and before the one check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .lidar import LidarConfig, ScenePolicy
 from .losses import LOSSES
 from .models import NestedArch, PatchArch
 from .optim import OPTIMIZERS, OptimizerConfig
-from .training import TrainConfig, check_ratios
+from .training import TrainConfig, split_counts
 
 CONFIG_VERSION = 1
 
@@ -89,8 +89,9 @@ _CHOICES = {"train.optimizer": OPTIMIZERS, "train.loss": LOSSES,
             "model.variant": ("nested", "patch")}
 MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
 MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x width arrays
+MAX_SAMPLES = 1_000_000  # dataset.n: splitting allocates a list of n indices
 _AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
-            "lidar.width": MAX_GRID_SIDE}
+            "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES}
 
 
 def _read(default, value):
@@ -142,18 +143,22 @@ class Config:
     raw: dict = field(default_factory=lambda: _merge(DEFAULTS, {}))
 
     @classmethod
-    def load(cls, path=None) -> "Config":
-        if path is None:
-            return cls()
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        # ValueError covers bad JSON, bad UTF-8 and integers of over 4300 digits
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"{path}: invalid JSON ({type(exc).__name__}: {exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config root must be an object")
+    def load(cls, path=None, overrides: dict | None = None) -> "Config":
+        """The defaults, the file at path merged over them if there is one,
+        then the overrides {dotted key: value}; checked once."""
+        doc = {}
+        if path is not None:
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    doc = json.load(f)
+            # ValueError covers bad JSON, bad UTF-8 and integers of over 4300 digits
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{path}: invalid JSON ({type(exc).__name__}: {exc})") from exc
+            if not isinstance(doc, dict):
+                raise ConfigError(f"{path}: config root must be an object")
         cfg = cls(raw=_merge(DEFAULTS, doc))
+        for dotted, value in (overrides or {}).items():
+            cfg.override(dotted, value)
         cfg.check()
         return cfg
 
@@ -165,8 +170,9 @@ class Config:
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version}")
         self.section("eval")
+        dataset = self.section("dataset")
         try:
-            check_ratios(self.section("dataset")["ratios"])
+            split_counts(dataset["n"], dataset["ratios"])
         except ParameterError as exc:
             raise ConfigError(f"invalid config value for dataset.ratios: {exc}") from exc
         try:
@@ -223,9 +229,6 @@ class Config:
         m = self.section("model")
         return PatchArch(conv_channels=m["patch_channels"], hidden=m["patch_hidden"],
                          dropout_rate=m["patch_dropout"])
-
-    def optimizer(self) -> OptimizerConfig:
-        return self.train_config().optimizer
 
     def train_config(self) -> TrainConfig:
         """The train section; the augment section is read (and so checked)

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .formats import (DatasetManifest, ManifestEntry, write_lri, write_manifest,
-                      write_pgm)
+from .formats import DatasetManifest, ManifestEntry, write_lri, write_pgm
 from .imaging import as_image
 from .rng import SplitMix64, splitmix64
 
@@ -215,7 +214,8 @@ def sample_scene(policy: ScenePolicy, cfg: LidarConfig, seed: int) -> Scene:
 
 def generate_dataset(n: int, cfg: LidarConfig, policy: ScenePolicy,
                      delta: float, seed: int, out_dir) -> DatasetManifest:
-    """Render n labeled samples into out_dir and return the manifest.
+    """Render n labeled samples into out_dir and return their manifest,
+    every entry "unassigned"; the caller splits it and writes it.
 
     Sample index i uses sub-seed SplitMix64(seed, i), so the dataset is
     a pure function of (n, cfg, policy, delta, seed) and individual
@@ -240,5 +240,4 @@ def generate_dataset(n: int, cfg: LidarConfig, policy: ScenePolicy,
         write_pgm(out_dir / label_rel, edges)
         manifest.entries.append(ManifestEntry(
             id=sample_id, range=range_rel, intensity=intensity_rel, label=label_rel))
-    write_manifest(out_dir / "manifest.jsonl", manifest)
     return manifest

@@ -8,7 +8,7 @@ Layout (all integers little-endian u32, floats little-endian f64):
     arch descriptor:
         nested: S, S stage widths, input height, input width
         patch:  3, conv1 ch, conv2 ch, hidden, 28, 28, f64 dropout rate
-    each named tensor in declaration order: rank, dims..., f64 values
+    each tensor in models.tensor_shapes order: rank, dims..., f64 values
     CRC32 of every prior byte
 
 load(save(p)) is a bitwise identity on every tensor.
@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (CorruptModelError, MagicError, ParameterError,
                      TruncationError, VersionError)
 from .formats import write_atomic
-from .models import NestedArch, NestedNetParams, PatchArch, PatchNetParams
+from .models import (PATCH_SIZE, NestedArch, NestedNetParams, PatchArch,
+                     PatchNetParams, tensor_shapes)
 
 MAGIC = b"LEDM"
 VERSION = 1
@@ -34,45 +35,22 @@ KIND_PATCH = 2
 
 
 def _pack_tensor(arr: np.ndarray) -> bytes:
-    dims = arr.shape if arr.ndim else (1,)
-    return (struct.pack("<I", len(dims))
-            + struct.pack(f"<{len(dims)}I", *dims)
+    return (struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
             + np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def save_model(params, path) -> None:
-    if isinstance(params, NestedNetParams):
-        arch = params.arch
-        body = struct.pack("<I", arch.stages)
-        body += struct.pack(f"<{arch.stages}I", *arch.widths)
-        body += struct.pack("<II", *arch.input_hw)
-        head = struct.pack("<II", VERSION, KIND_NESTED)
-    elif isinstance(params, PatchNetParams):
-        arch = params.arch
-        body = struct.pack("<I", 3)
-        body += struct.pack("<III", *arch.conv_channels, arch.hidden)
-        body += struct.pack("<II", *arch.input_hw)
-        body += struct.pack("<d", arch.dropout_rate)
-        head = struct.pack("<II", VERSION, KIND_PATCH)
-    else:
+    if not isinstance(params, (NestedNetParams, PatchNetParams)):
         raise TypeError(f"cannot serialize {type(params).__name__}")
-    for _, tensor in params.named_tensors():
-        body += _pack_tensor(tensor)
-    payload = MAGIC + head + body
+    arch = params.arch
+    if isinstance(params, NestedNetParams):
+        head = struct.pack(f"<{arch.stages + 5}I", VERSION, KIND_NESTED, arch.stages,
+                           *arch.widths, *arch.input_hw)
+    else:
+        head = struct.pack("<8Id", VERSION, KIND_PATCH, 3, *arch.conv_channels, arch.hidden,
+                           PATCH_SIZE, PATCH_SIZE, arch.dropout_rate)
+    payload = MAGIC + head + b"".join(_pack_tensor(t) for _, t in params.named_tensors())
     write_atomic(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-
-
-def _tensor_shapes(arch) -> list[tuple]:
-    """Shapes of the named tensors of an architecture, in declaration order."""
-    if isinstance(arch, NestedArch):
-        shapes, in_ch = [], 1
-        for width in arch.widths:
-            shapes += [(width, in_ch, 3, 3), (width,), (width, width, 3, 3), (width,)]
-            in_ch = width
-        return shapes + [s for w in arch.widths for s in ((1, w, 1, 1), (1,))] + [(arch.stages,)]
-    c1, c2 = arch.conv_channels
-    return [(c1, 1, 5, 5), (c1,), (c2, c1, 5, 5), (c2,),
-            (arch.hidden, 16 * c2), (arch.hidden,), (1, arch.hidden), (1,)]
 
 
 def _arch(path, cls, **fields):
@@ -106,11 +84,10 @@ class _Reader:
     def tensor(self, shape: tuple) -> np.ndarray:
         rank = self.u32()
         dims = tuple(self.u32() for _ in range(rank))
-        if dims != (shape if shape else (1,)):
+        if dims != shape:
             raise CorruptModelError(f"{self.path}: tensor dims {dims}, expected {shape}")
-        n = int(np.prod(dims))
-        arr = np.frombuffer(self.take(8 * n), dtype="<f8").reshape(dims)
-        return arr.astype(np.float64).reshape(shape)
+        raw = self.take(8 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_model(path):
@@ -141,14 +118,15 @@ def load_model(path):
         if n != 3:
             raise CorruptModelError(f"{path}: bad patch descriptor length {n}")
         c1, c2, hidden = r.u32(), r.u32(), r.u32()
-        input_hw = (r.u32(), r.u32())
-        rate = r.f64()
+        if (r.u32(), r.u32()) != (PATCH_SIZE, PATCH_SIZE):
+            raise CorruptModelError(f"{path}: invalid descriptor: patch input is fixed "
+                                    f"at {PATCH_SIZE}x{PATCH_SIZE}")
         arch, cls = _arch(path, PatchArch, conv_channels=(c1, c2), hidden=hidden,
-                          dropout_rate=rate, input_hw=input_hw), PatchNetParams
+                          dropout_rate=r.f64()), PatchNetParams
     else:
         raise CorruptModelError(f"{path}: unknown model kind {kind}")
     # the tensors are allocated from the descriptor, so it must fit the payload first
-    shapes = _tensor_shapes(arch)
+    shapes = [shape for _, shape in tensor_shapes(arch)]
     need = sum(4 * (1 + len(shape)) + 8 * math.prod(shape) for shape in shapes)
     if need > len(r.raw) - r.pos:
         raise TruncationError(f"{path}: architecture needs {need} tensor bytes, "
@@ -156,4 +134,4 @@ def load_model(path):
     tensors = [r.tensor(shape) for shape in shapes]
     if r.pos != len(r.raw):
         raise CorruptModelError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
-    return cls.from_tensors(arch, tensors)
+    return cls(arch, tensors)

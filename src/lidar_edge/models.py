@@ -20,6 +20,7 @@ per example along it, so the caller decides how a batch is averaged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,52 +54,13 @@ class NestedArch:
                 f"input dims {self.input_hw} must be divisible by {div}")
 
 
-@dataclass
-class NestedNetParams:
-    arch: NestedArch
-    stage_convs: list  # per stage: (ConvParams, ConvParams), 3x3 same
-    side_heads: list   # per stage: ConvParams 1x1 -> 1 channel
-    alpha: np.ndarray  # (S,) fusion weights on the simplex
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """All learnable tensors in the fixed serialization order."""
-        out = []
-        for s, (a, b) in enumerate(self.stage_convs):
-            out += [(f"stage{s}.conv_a.weights", a.weights),
-                    (f"stage{s}.conv_a.bias", a.bias),
-                    (f"stage{s}.conv_b.weights", b.weights),
-                    (f"stage{s}.conv_b.bias", b.bias)]
-        for s, head in enumerate(self.side_heads):
-            out += [(f"side{s}.weights", head.weights),
-                    (f"side{s}.bias", head.bias)]
-        out.append(("alpha", self.alpha))
-        return out
-
-    @classmethod
-    def from_tensors(cls, arch: NestedArch, tensors: list) -> "NestedNetParams":
-        """The params of arch built on its tensors, given in named_tensors() order."""
-        if len(tensors) != 6 * arch.stages + 1:
-            raise DimensionError(f"{len(tensors)} tensors for a {arch.stages}-stage net")
-        it = iter(tensors)
-        stage_convs = [(ConvParams(next(it), next(it), padding="same"),
-                        ConvParams(next(it), next(it), padding="same"))
-                       for _ in range(arch.stages)]
-        side_heads = [ConvParams(next(it), next(it), padding="same")
-                      for _ in range(arch.stages)]
-        return cls(arch=arch, stage_convs=stage_convs, side_heads=side_heads,
-                   alpha=next(it))
-
-
 @dataclass(frozen=True)
 class PatchArch:
     conv_channels: tuple = (4, 8)
     hidden: int = 32
     dropout_rate: float = 0.5
-    input_hw: tuple = (PATCH_SIZE, PATCH_SIZE)
 
     def __post_init__(self):
-        if self.input_hw != (PATCH_SIZE, PATCH_SIZE):
-            raise ParameterError(f"patch input is fixed at {PATCH_SIZE}x{PATCH_SIZE}")
         if len(self.conv_channels) != 2 or min(*self.conv_channels, self.hidden) < 1:
             raise ParameterError(f"need two conv channel counts and a hidden size, all >= 1, "
                                  f"got {self.conv_channels} and {self.hidden}")
@@ -106,67 +68,111 @@ class PatchArch:
             raise ParameterError("dropout_rate must lie in [0, 1)")
 
 
+def tensor_shapes(arch: NestedArch | PatchArch) -> list[tuple[str, tuple]]:
+    """(name, shape) of every learnable tensor of arch, in the one order
+    they are held, saved, updated and gradient-checked in. The patch net's
+    fc weights are flat, (out, in)."""
+    if isinstance(arch, NestedArch):
+        convs, sides = [], []
+        for s, (cin, w) in enumerate(zip((1, *arch.widths), arch.widths)):
+            convs += [(f"stage{s}.conv_a.weights", (w, cin, 3, 3)), (f"stage{s}.conv_a.bias", (w,)),
+                      (f"stage{s}.conv_b.weights", (w, w, 3, 3)), (f"stage{s}.conv_b.bias", (w,))]
+            sides += [(f"side{s}.weights", (1, w, 1, 1)), (f"side{s}.bias", (1,))]
+        return convs + sides + [("alpha", (arch.stages,))]
+    c1, c2 = arch.conv_channels
+    flat = 16 * c2  # 28 -> 24 -> 12 -> 8 -> 4 spatial, so 4*4*C2 features
+    return [("conv1.weights", (c1, 1, 5, 5)), ("conv1.bias", (c1,)),
+            ("conv2.weights", (c2, c1, 5, 5)), ("conv2.bias", (c2,)),
+            ("fc1.weights", (arch.hidden, flat)), ("fc1.bias", (arch.hidden,)),
+            ("fc2.weights", (1, arch.hidden)), ("fc2.bias", (1,))]
+
+
+def _named(params, tensors: list) -> list[tuple[str, np.ndarray]]:
+    """Tensors or their gradients, given in tensor_shapes order, with their names."""
+    return [(name, t) for (name, _), t in zip(tensor_shapes(params.arch), tensors, strict=True)]
+
+
 @dataclass
-class PatchNetParams:
-    """fc1 and fc2 are held as the valid convolutions whose kernels cover
-    their whole input, which is what a fully connected layer is (Long et
-    al. 2015); named_tensors() gives their weights flat, (out, in), as
-    views of those kernels, which is how they are saved and updated."""
-    arch: PatchArch
-    conv1: ConvParams      # 5x5 valid, 1 -> C1
-    conv2: ConvParams      # 5x5 valid, C1 -> C2
-    fc1: ConvParams        # 4x4 valid over (C2, 4, 4) -> hidden
-    fc2: ConvParams        # 1x1 over (hidden, 1, 1) -> 1
+class _Net:
+    """The learnable tensors of arch in tensor_shapes(arch) order, each of
+    the shape the table gives. A subclass builds its layers on them, so an
+    in-place update of a tensor is an update of its layer."""
+    arch: NestedArch | PatchArch
+    tensors: list
+
+    def __post_init__(self):
+        got, table = [t.shape for t in self.tensors], tensor_shapes(self.arch)
+        if got != [shape for _, shape in table]:
+            raise DimensionError(f"tensor shapes {got} do not match {self.arch}: {table}")
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        fw1, fw2 = self.fc1.weights, self.fc2.weights
-        return [("conv1.weights", self.conv1.weights), ("conv1.bias", self.conv1.bias),
-                ("conv2.weights", self.conv2.weights), ("conv2.bias", self.conv2.bias),
-                ("fc1.weights", fw1.reshape(len(fw1), -1)), ("fc1.bias", self.fc1.bias),
-                ("fc2.weights", fw2.reshape(len(fw2), -1)), ("fc2.bias", self.fc2.bias)]
+        return _named(self, self.tensors)
 
-    @classmethod
-    def from_tensors(cls, arch: PatchArch, tensors: list) -> "PatchNetParams":
-        """The params of arch built on its tensors, given in named_tensors()
-        order; the flat fc weights are viewed as kernels, not copied."""
-        if len(tensors) != 8:
-            raise DimensionError(f"{len(tensors)} tensors for the patch net, expected 8")
-        cw1, cb1, cw2, cb2, fw1, fb1, fw2, fb2 = tensors
-        return cls(arch=arch, conv1=ConvParams(cw1, cb1, padding="valid"),
-                   conv2=ConvParams(cw2, cb2, padding="valid"),
-                   fc1=ConvParams(fw1.reshape(len(fw1), -1, 4, 4), fb1, padding="valid"),
-                   fc2=ConvParams(fw2.reshape(len(fw2), -1, 1, 1), fb2, padding="valid"))
+    def __deepcopy__(self, memo):
+        """A copy whose layers are built on copies of the tensors."""
+        return type(self)(self.arch, [t.copy() for t in self.tensors])
 
 
-def _he_uniform(rng: SplitMix64, shape: tuple, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    u = rng.floats(int(np.prod(shape))).reshape(shape)
-    return (2.0 * u - 1.0) * bound
+@dataclass
+class NestedNetParams(_Net):
+    stage_convs: list = field(init=False)  # per stage: (ConvParams, ConvParams), 3x3 same
+    side_heads: list = field(init=False)   # per stage: ConvParams 1x1 -> 1 channel
+    alpha: np.ndarray = field(init=False)  # (S,) fusion weights on the simplex
+
+    def __post_init__(self):
+        super().__post_init__()
+        t, stages = self.tensors, self.arch.stages
+        conv = lambda i: ConvParams(t[i], t[i + 1], padding="same")
+        self.stage_convs = [(conv(4 * s), conv(4 * s + 2)) for s in range(stages)]
+        self.side_heads = [conv(4 * stages + 2 * s) for s in range(stages)]
+        self.alpha = t[-1]
+
+
+@dataclass
+class PatchNetParams(_Net):
+    """fc1 and fc2 are held as the valid convolutions whose kernels cover
+    their whole input, which is what a fully connected layer is (Long et
+    al. 2015); their kernels are views of the flat weights."""
+    conv1: ConvParams = field(init=False)  # 5x5 valid, 1 -> C1
+    conv2: ConvParams = field(init=False)  # 5x5 valid, C1 -> C2
+    fc1: ConvParams = field(init=False)    # 4x4 valid over (C2, 4, 4) -> hidden
+    fc2: ConvParams = field(init=False)    # 1x1 over (hidden, 1, 1) -> 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        cw1, cb1, cw2, cb2, fw1, fb1, fw2, fb2 = self.tensors
+        self.conv1 = ConvParams(cw1, cb1, padding="valid")
+        self.conv2 = ConvParams(cw2, cb2, padding="valid")
+        self.fc1 = ConvParams(fw1.reshape(len(fw1), -1, 4, 4), fb1, padding="valid")
+        self.fc2 = ConvParams(fw2.reshape(len(fw2), -1, 1, 1), fb2, padding="valid")
+
+
+def _init(arch, seed: int, drawn: str) -> list:
+    """The tensors of arch in table order: He-uniform for each weights
+    tensor whose name starts with drawn, with fan-in the product of every
+    axis but the first, drawn in that order from SplitMix64(seed); zeros
+    for the rest."""
+    rng, tensors = SplitMix64(seed), []
+    for name, shape in tensor_shapes(arch):
+        if name.startswith(drawn) and name.endswith(".weights"):
+            u = rng.floats(math.prod(shape)).reshape(shape)
+            tensors.append((2.0 * u - 1.0) * np.sqrt(6.0 / math.prod(shape[1:])))
+        else:
+            tensors.append(np.zeros(shape))
+    return tensors
 
 
 def init_nested(arch: NestedArch, seed: int) -> NestedNetParams:
     """He-uniform conv weights, zero biases; side heads start at zero so
     every side map begins at exactly 0.5; alpha uniform over stages."""
-    rng = SplitMix64(splitmix64(seed, 0))
-    tensors, in_ch = [], 1
-    for width in arch.widths:
-        tensors += [_he_uniform(rng, (width, in_ch, 3, 3), in_ch * 9), np.zeros(width),
-                    _he_uniform(rng, (width, width, 3, 3), width * 9), np.zeros(width)]
-        in_ch = width
-    tensors += [t for w in arch.widths for t in (np.zeros((1, w, 1, 1)), np.zeros(1))]
-    tensors.append(np.full(arch.stages, 1.0 / arch.stages))
-    return NestedNetParams.from_tensors(arch, tensors)
+    tensors = _init(arch, splitmix64(seed, 0), drawn="stage")
+    tensors[-1][...] = 1.0 / arch.stages
+    return NestedNetParams(arch, tensors)
 
 
 def init_patch(arch: PatchArch, seed: int) -> PatchNetParams:
-    rng = SplitMix64(splitmix64(seed, 1))
-    c1, c2 = arch.conv_channels
-    flat = 16 * c2  # 28 -> 24 -> 12 -> 8 -> 4 spatial, so 4*4*C2 features
-    return PatchNetParams.from_tensors(arch, [
-        _he_uniform(rng, (c1, 1, 5, 5), 25), np.zeros(c1),
-        _he_uniform(rng, (c2, c1, 5, 5), c1 * 25), np.zeros(c2),
-        _he_uniform(rng, (arch.hidden, flat), flat), np.zeros(arch.hidden),
-        _he_uniform(rng, (1, arch.hidden), arch.hidden), np.zeros(1)])
+    """He-uniform weights, zero biases."""
+    return PatchNetParams(arch, _init(arch, splitmix64(seed, 1), drawn=""))
 
 
 @dataclass
@@ -238,11 +244,6 @@ def forward_nested(params: NestedNetParams, x: np.ndarray,
     # by the optimizer's simplex projection after each step
     trace.fused = sum(a * s for a, s in zip(params.alpha, trace.side_probs))
     return trace
-
-
-def _named(params, grads: list) -> list[tuple[str, np.ndarray]]:
-    """Pair gradients, given in named_tensors() order, with their names."""
-    return [(name, g) for (name, _), g in zip(params.named_tensors(), grads, strict=True)]
 
 
 def backward_nested(params: NestedNetParams, trace: ForwardTrace,

@@ -81,27 +81,28 @@ def runlog_csv(log: RunLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_ratios(ratios) -> None:
-    """The split ratios (train, val, test) must be 3 nonnegative values summing to 1."""
+def split_counts(n: int, ratios) -> list[int]:
+    """The (train, val, test) block sizes of n samples: round(n * ratio)
+    each, the train block absorbing any rounding excess or deficit. The
+    ratios must be 3 nonnegative values summing to 1, and the train block
+    must not come out negative."""
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
-
-
-def split_dataset(manifest: DatasetManifest, ratios: tuple,
-                  seed: int) -> DatasetManifest:
-    """Tag entries train/val/test by seeded shuffle + contiguous blocks.
-
-    Block sizes are round(n * ratio); any rounding excess or deficit is
-    absorbed by the train block so the splits stay exhaustive.
-    """
-    n = len(manifest.entries)
-    if n == 0:
-        raise ParameterError("cannot split an empty manifest")
-    check_ratios(ratios)
     counts = [int(np.floor(n * r + 0.5)) for r in ratios]
     counts[0] += n - sum(counts)
     if counts[0] < 0:
         raise ParameterError(f"rounding left a negative train count for n={n}, {ratios}")
+    return counts
+
+
+def split_dataset(manifest: DatasetManifest, ratios: tuple,
+                  seed: int) -> DatasetManifest:
+    """Tag entries train/val/test by seeded shuffle + contiguous blocks of
+    the split_counts sizes."""
+    n = len(manifest.entries)
+    if n == 0:
+        raise ParameterError("cannot split an empty manifest")
+    counts = split_counts(n, ratios)
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
     tagged = copy.deepcopy(manifest)

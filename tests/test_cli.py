@@ -13,6 +13,7 @@ import pytest
 
 import lidar_edge
 from lidar_edge import classical, cli, layers, models, training
+from lidar_edge.config import MAX_SAMPLES, Config
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
 from lidar_edge.modelio import save_model
 from test_formats import tear_writes_to
@@ -110,6 +111,46 @@ class TestGenData:
         assert err.startswith(f"error: invalid config value for {key}: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, n, key", [
+        ({"dataset": {"ratios": [0.0, 0.5, 0.5]}}, 1, "dataset.ratios"),
+        ({}, MAX_SAMPLES + 1, "dataset.n"),
+    ], ids=["negative-train-count", "n-over-cap"])
+    def test_split_refused_before_rendering(self, tmp_path, capsys, doc, n, key):
+        """The split rule runs on dataset.n in the config check, so a
+        sample count the ratios cannot split, or one over the cap, exits 2
+        before a sample is rendered."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out),
+                         "--n", str(n)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert not out.exists()
+
+
+class TestConfigCheckedOnce:
+    @pytest.mark.parametrize("with_file", [False, True], ids=["defaults", "config-file"])
+    @pytest.mark.parametrize("command", ["gen-data", "train", "detect", "compare"])
+    def test_one_check_per_command(self, tmp_path, monkeypatch, command, with_file):
+        """Flag overrides are applied before the one check, with or without
+        a config file. train and compare stop at the missing dataset."""
+        checks = []
+        check = Config.check
+        monkeypatch.setattr(Config, "check", lambda cfg: checks.append(cfg) or check(cfg))
+        write_pgm(tmp_path / "in.pgm", np.zeros((16, 16)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CFG), encoding="utf-8")
+        argv = {"gen-data": ["gen-data", "--n", "2", "--seed", "3"],
+                "train": ["train", "--epochs", "1", "--optimizer", "sgd"],
+                "detect": ["detect", "--algorithm", "sobel", str(tmp_path / "in.pgm"),
+                           str(tmp_path / "out.pgm")],
+                "compare": ["compare"]}[command]
+        argv += ["--out", str(tmp_path / "run")] + (["--config", str(cfg_path)] if with_file
+                                                    else [])
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_MISSING)
+        assert len(checks) == 1
 
 
 class TestTrain:

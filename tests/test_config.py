@@ -113,7 +113,7 @@ class TestTypedViews:
     def test_bad_optimizer_name(self, tmp_path):
         p = write_cfg(tmp_path, {"train": {"optimizer": "lbfgs"}})
         with pytest.raises(ConfigError):
-            Config.load(p).optimizer()
+            Config.load(p)
 
     def test_patch_arch_fields(self):
         pa = Config.load(None).patch_arch()

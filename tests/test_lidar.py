@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import ParameterError
-from lidar_edge.formats import read_lri, read_manifest, read_pgm
+from lidar_edge.formats import read_lri, read_pgm
 from lidar_edge.lidar import (SPEED_OF_LIGHT, Disk, HalfPlane, LidarConfig,
                               Rect, Scene, ScenePolicy, generate_dataset,
                               ground_truth_edges, range_to_intensity,
@@ -194,9 +194,10 @@ class TestGenerateDataset:
         cfg = LidarConfig(height=16, width=16, noise_sigma=0.1)
         man = generate_dataset(4, cfg, ScenePolicy(), 0.5, 11, tmp_path)
         assert len(man.entries) == 4
-        disk = read_manifest(tmp_path / "manifest.jsonl")
-        assert [e.id for e in disk.entries] == [e.id for e in man.entries]
-        for e in disk.entries:
+        assert {e.split for e in man.entries} == {"unassigned"}
+        # the caller splits the manifest and writes it, once
+        assert not (tmp_path / "manifest.jsonl").exists()
+        for e in man.entries:
             ranges, max_range = read_lri(tmp_path / e.range)
             assert ranges.shape == (16, 16) and max_range == 100.0
             label = read_pgm(tmp_path / e.label)

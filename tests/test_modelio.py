@@ -16,10 +16,10 @@ from lidar_edge import cli, modelio, models
 from lidar_edge.errors import (CorruptModelError, DimensionError, MagicError,
                                ModelLoadError, TruncationError, VersionError)
 from lidar_edge.formats import write_pgm
-from lidar_edge.modelio import _tensor_shapes, load_model, save_model
+from lidar_edge.modelio import load_model, save_model
 from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch,
                                PatchNetParams, forward_nested, forward_patch,
-                               init_nested, init_patch)
+                               init_nested, init_patch, tensor_shapes)
 from lidar_edge.rng import SplitMix64
 
 
@@ -96,20 +96,26 @@ class TestBuiltFromTensors:
         (NestedNetParams, nested_params(3)),
         (PatchNetParams, init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3)),
     ], ids=["nested", "patch"])
-    def test_from_tensors_inverts_named_tensors(self, cls, params):
+    def test_constructor_inverts_named_tensors(self, cls, params):
         tensors = [t for _, t in params.named_tensors()]
-        built = cls.from_tensors(params.arch, tensors)
+        built = cls(params.arch, tensors)
         assert built.arch == params.arch
         assert [n for n, _ in built.named_tensors()] == [n for n, _ in params.named_tensors()]
-        # nothing is copied: the patch net's fc weights are flat views of
-        # its kernels, every other tensor is the one given
-        for (name, got), given in zip(built.named_tensors(), tensors, strict=True):
-            if name in ("fc1.weights", "fc2.weights"):
-                assert np.shares_memory(got, given) and got.shape == given.shape
-            else:
-                assert got is given
+        # nothing is copied: every tensor is the one given, and the layers
+        # (the patch net's fc kernels too) are views of them
+        for (_, got), given in zip(built.named_tensors(), tensors, strict=True):
+            assert got is given
         with pytest.raises(DimensionError):
-            cls.from_tensors(params.arch, tensors[:-1])
+            cls(params.arch, tensors[:-1])
+        # the right count with one wrong shape is refused too: alpha one
+        # short of the stages, or fc1's flat weights transposed
+        wrong = list(tensors)
+        if cls is NestedNetParams:
+            wrong[-1] = np.full(params.arch.stages - 1, 0.5)
+        else:
+            wrong[4] = tensors[4].T
+        with pytest.raises(DimensionError, match="do not match"):
+            cls(params.arch, wrong)
 
 
 class TestHeader:
@@ -204,7 +210,7 @@ class TestHostileDescriptor:
             params = init_nested(NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8)), 0)
         else:
             params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
-        assert _tensor_shapes(params.arch) == [t.shape for _, t in params.named_tensors()]
+        assert tensor_shapes(params.arch) == [(n, t.shape) for n, t in params.named_tensors()]
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE))
     def test_rejected_before_allocating(self, variant, tmp_path):
@@ -235,6 +241,9 @@ INVALID = {
     # a CRC-valid patch descriptor whose dropout rate is NaN
     "nan-dropout": (_crafted(2, struct.pack("<IIIIII", 3, 4, 8, 32, 28, 28)
                              + struct.pack("<d", float("nan"))), "patchcnn"),
+    # a CRC-valid patch descriptor whose input is not 28x28
+    "patch-input": (_crafted(2, struct.pack("<IIIIII", 3, 4, 8, 32, 32, 32)
+                             + struct.pack("<d", 0.5)), "patchcnn"),
 }
 
 

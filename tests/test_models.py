@@ -1,5 +1,7 @@
 """Edge-probability networks: initialization, forward traces, gradients."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -348,9 +350,10 @@ class TestFullyConnected:
             with pytest.raises(DimensionError):
                 conv_forward(wrong, p.fc1)
         tensors = [t for _, t in p.named_tensors()]
-        tensors[5] = np.zeros(4)  # an fc1 bias one short of its 5 units
-        with pytest.raises(DimensionError):
-            PatchNetParams.from_tensors(self.ARCH, tensors)
+        for i, wrong in ((5, np.zeros(4)),  # an fc1 bias one short of its 5 units
+                         (4, tensors[4].T)):  # fc1's flat weights transposed
+            with pytest.raises(DimensionError):
+                PatchNetParams(self.ARCH, tensors[:i] + [wrong] + tensors[i + 1:])
 
     def test_conv_view_shares_the_saved_tensor(self):
         p = init_patch(PatchArch(), 0)
@@ -361,3 +364,14 @@ class TestFullyConnected:
         assert np.shares_memory(named["fc2.weights"], p.fc2.weights)
         named["fc2.weights"][...] = 0.0  # the forward runs the kernel the name holds
         assert forward_patch(p, np.ones((28, 28))).prob == 0.5
+
+    def test_deep_copy_keeps_the_views(self):
+        """Training keeps its best params as a deep copy; the copy's
+        kernels view the copy's own flat weights, not the original's."""
+        p = init_patch(PatchArch(), 0)
+        q = copy.deepcopy(p)
+        for (name, t), (_, original) in zip(q.named_tensors(), p.named_tensors()):
+            np.testing.assert_array_equal(t, original, err_msg=name)
+            assert not np.shares_memory(t, original)
+        assert np.shares_memory(q.tensors[4], q.fc1.weights)
+        assert np.shares_memory(q.tensors[6], q.fc2.weights)

@@ -1,5 +1,7 @@
 """Every public name in src/lidar_edge is used by the program itself or by
-the acceptance suite; unit tests alone do not keep a name alive."""
+the acceptance suite; unit tests alone do not keep a name alive. A public
+method (not a property) counts as used only where it is called, x.name(...),
+so an attribute of the same name elsewhere does not keep it alive."""
 
 import ast
 from pathlib import Path
@@ -13,18 +15,23 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def is_property(f: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in f.decorator_list)
+
+
 def defined(module: str, tree: ast.Module):
-    """(qualified name, name) of the public top-level functions, classes and
-    constants of a module, and of the public methods of its classes."""
+    """(qualified name, name, is a method) of the public top-level
+    functions, classes and constants of a module, and of the methods and
+    properties of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{module}.{node.name}.{f.name}", f.name) for f in node.body
-                        if isinstance(f, ast.FunctionDef))
+            yield from ((f"{module}.{node.name}.{f.name}", f.name, not is_property(f))
+                        for f in node.body if isinstance(f, ast.FunctionDef))
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        yield from ((f"{module}.{t.id}", t.id) for t in targets if isinstance(t, ast.Name))
+        yield from ((f"{module}.{t.id}", t.id, False) for t in targets if isinstance(t, ast.Name))
 
 
 def loaded(tree: ast.Module):
@@ -38,12 +45,21 @@ def loaded(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def called(tree: ast.Module):
+    """The method names a module calls, as x.name(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr
+
+
 def test_every_public_name_is_used():
     modules = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
     readers = [*modules.values(), parse(ROOT / "tests" / "test_acceptance.py")]
     used = {name for tree in readers for name in loaded(tree)}
+    calls = {name for tree in readers for name in called(tree)}
     dead = [qualified for module, tree in modules.items()
-            for qualified, name in defined(module, tree)
-            if not name.startswith("_") and name not in used and qualified not in EXEMPT]
+            for qualified, name, method in defined(module, tree)
+            if not name.startswith("_") and name not in (calls if method else used)
+            and qualified not in EXEMPT]
     assert not dead, f"nothing in the program or the acceptance suite uses: {', '.join(dead)}"

@@ -120,8 +120,8 @@ def read_config(path):
     cfg = Config.load(path)
     cfg.check()
     return [view() for view in (cfg.lidar, cfg.scene_policy, cfg.augment_spec,
-                                cfg.nested_arch, cfg.patch_arch, cfg.optimizer,
-                                cfg.train_config, cfg.out_dir, cfg.model_path)]
+                                cfg.nested_arch, cfg.patch_arch, cfg.train_config,
+                                cfg.out_dir, cfg.model_path)]
 
 
 def returns_or_raises_typed(reader, path):
