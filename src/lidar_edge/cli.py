@@ -14,6 +14,7 @@ compare, gradcheck. Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -161,12 +162,13 @@ def cmd_train(args) -> int:
 
 
 def _read_input_image(path: Path) -> np.ndarray:
+    """The intensity image of a PGM or LRI1 file, read in one open."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == b"LRI1":
-        ranges, max_range = read_lri(path)
+        raw = f.read()
+    if raw[:4] == b"LRI1":
+        ranges, max_range = read_lri(path, raw)
         return range_to_intensity(ranges, max_range)
-    return read_pgm(path)
+    return read_pgm(path, raw)
 
 
 def cmd_detect(args) -> int:
@@ -261,7 +263,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It holds no command function:
+    main looks the command up when it runs, so a later patch or wrapper
+    of cli.cmd_detect is the one called."""
     parser = argparse.ArgumentParser(
         prog="lidar-edge",
         description="Synthetic LiDAR edge-detection pipeline: data "
@@ -276,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=None, help="number of samples")
     p.add_argument("--seed", type=int, default=None, help="dataset seed")
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the edge-detection model")
     common(p)
     p.add_argument("--epochs", type=int, default=None, help="training epochs")
     p.add_argument("--optimizer", default=None, help="sgd | adam | rmsprop")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="run one detector on one image")
     common(p)
@@ -295,27 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0, help="canny smoothing sigma")
     p.add_argument("--low", type=float, default=0.1, help="canny low threshold fraction")
     p.add_argument("--high", type=float, default=0.2, help="canny high threshold fraction")
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("compare", help="evaluate detectors on the test split")
     common(p)
     p.add_argument("--detectors", default=",".join(TUNABLE),
                    help="comma-separated detector list")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     common(p)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the cached parser
+    command = {"gen-data": cmd_gen_data, "train": cmd_train, "detect": cmd_detect,
+               "compare": cmd_compare, "gradcheck": cmd_gradcheck}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

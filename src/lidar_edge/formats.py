@@ -51,10 +51,13 @@ def write_pgm(path, img: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM P5 back into a float64 image in [0, 1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def read_pgm(path, raw: bytes | None = None) -> np.ndarray:
+    """Read a binary PGM P5 back into a float64 image in [0, 1]. raw is
+    the file's content when the caller has already read it; path then
+    only names the file in errors."""
+    if raw is None:
+        with open(path, "rb") as f:
+            raw = f.read()
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < 4:
@@ -82,6 +85,9 @@ def read_pgm(path) -> np.ndarray:
     if len(raw) - pos < h * w:
         raise ParameterError(f"{path}: truncated PGM pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
+    peak = int(pixels.max())
+    if peak > maxval:
+        raise ParameterError(f"{path}: PGM pixel value {peak} exceeds maxval {maxval}")
     return pixels.reshape(h, w).astype(np.float64) / float(maxval)
 
 
@@ -95,10 +101,11 @@ def write_lri(path, ranges: np.ndarray, max_range: float) -> None:
         f.write(ranges.astype("<f4").tobytes())
 
 
-def read_lri(path) -> tuple[np.ndarray, float]:
-    """Read an LRI1 file; returns (ranges, max_range)."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def read_lri(path, raw: bytes | None = None) -> tuple[np.ndarray, float]:
+    """Read an LRI1 file; returns (ranges, max_range). raw is as for read_pgm."""
+    if raw is None:
+        with open(path, "rb") as f:
+            raw = f.read()
     if raw[:4] != b"LRI1":
         raise ParameterError(f"{path}: bad LRI1 magic {raw[:4]!r}")
     if len(raw) < 16:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import argparse
 import json
 import os
 import resource
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +41,15 @@ def workdir(tmp_path_factory):
     assert cli.main(["train", "--config", str(cfg_path),
                      "--out", str(out)]) == cli.EXIT_OK
     return root, cfg_path, out
+
+
+@pytest.fixture()
+def pgm_image(tmp_path):
+    img = np.zeros((16, 16))
+    img[:, 8:] = 0.8
+    p = tmp_path / "in.pgm"
+    write_pgm(p, img)
+    return p
 
 
 class TestGenData:
@@ -175,14 +186,6 @@ class TestTrain:
 
 
 class TestDetect:
-    @pytest.fixture()
-    def pgm_image(self, tmp_path):
-        img = np.zeros((16, 16))
-        img[:, 8:] = 0.8
-        p = tmp_path / "in.pgm"
-        write_pgm(p, img)
-        return p
-
     def test_canny_on_pgm(self, workdir, pgm_image, tmp_path):
         _, cfg_path, _ = workdir
         out = tmp_path / "edges.pgm"
@@ -278,6 +281,37 @@ class TestDetect:
         assert str(p) in err and "max_range" in err
         assert not (tmp_path / "o.pgm").exists()
 
+    def test_pgm_pixel_above_maxval_is_usage_error(self, workdir, tmp_path, capsys):
+        _, cfg_path, _ = workdir
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5 4 4 100\n" + bytes([200] * 16))
+        code = cli.main(["detect", str(bad), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--algorithm", "sobel"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.pgm").exists()
+
+    @pytest.mark.parametrize("kind", ["pgm", "lri"])
+    def test_input_opened_once(self, workdir, pgm_image, tmp_path, monkeypatch, kind):
+        _, cfg_path, _ = workdir
+        p = pgm_image
+        if kind == "lri":
+            p = tmp_path / "in.lri"
+            write_lri(p, np.full((16, 16), 20.0), 100.0)
+        opened = []
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        for i in range(3):
+            assert cli.main(["detect", str(p), str(tmp_path / "o.pgm"), "--config",
+                             str(cfg_path), "--algorithm", "sobel"]) == cli.EXIT_OK
+            assert opened.count(str(p)) == i + 1
+
     def test_model_kind_mismatch(self, workdir, pgm_image, tmp_path):
         _, cfg_path, out_dir = workdir
         code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
@@ -344,6 +378,57 @@ class TestDetect:
                          "--config", str(cfg_path), "--out", str(tmp_path),
                          "--algorithm", "cnn"])
         assert code == cli.EXIT_MISSING
+
+
+class TestParserReuse:
+    """main builds its parser once per process; nothing a call parses
+    stays behind for the next, and the command runs as bound at call time."""
+
+    def test_flags_do_not_leak_into_later_calls(self, pgm_image, tmp_path):
+        def detect(name, *flags):
+            out = tmp_path / name
+            assert cli.main(["detect", str(pgm_image), str(out), "--out", str(tmp_path),
+                             *flags]) == cli.EXIT_OK
+            return out.read_bytes()
+
+        first = detect("first.pgm")
+        tuned = detect("tuned.pgm", "--threshold", "0.3", "--sigma", "2.0")
+        assert tuned != first
+        assert detect("after.pgm") == first
+
+    def test_usage_error_then_valid_call(self, pgm_image, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", str(pgm_image)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "required: output" in capsys.readouterr().err
+        assert cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+
+    def test_top_level_parser_built_once(self, pgm_image, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(4):
+                assert cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
+                                 "--out", str(tmp_path), "--algorithm", "roberts"]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("lidar-edge") == 1
+
+    def test_command_looked_up_at_call_time(self, pgm_image, tmp_path, monkeypatch):
+        argv = ["detect", str(pgm_image), str(tmp_path / "o.pgm"), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: seen.append(args.input) or 7)
+        assert cli.main(argv) == 7
+        assert seen == [str(pgm_image)]
 
 
 class TestCompare:

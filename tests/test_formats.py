@@ -96,6 +96,16 @@ class TestPGM:
         with pytest.raises(ParameterError):
             read_pgm(p)
 
+    def test_pixel_above_maxval_refused(self, tmp_path):
+        """An image in [0, 1] or an error naming the file, never 200/100."""
+        p = tmp_path / "h.pgm"
+        p.write_bytes(b"P5 4 4 100\n" + bytes([200] * 16))
+        with pytest.raises(ParameterError) as exc:
+            read_pgm(p)
+        assert str(exc.value) == f"{p}: PGM pixel value 200 exceeds maxval 100"
+        p.write_bytes(b"P5 4 4 100\n" + bytes([100] * 16))
+        np.testing.assert_array_equal(read_pgm(p), np.ones((4, 4)))
+
     def test_out_of_range_values_clipped(self, tmp_path):
         p = tmp_path / "g.pgm"
         write_pgm(p, np.array([[1.5, -0.25]]))
