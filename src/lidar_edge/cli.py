@@ -25,7 +25,7 @@ import numpy as np
 from . import classical
 from .config import Config
 from .errors import (ConfigError, DivergenceError, LidarEdgeError,
-                     ModelLoadError, ParameterError)
+                     MissingInputError, ModelLoadError, ParameterError)
 from .evaluation import (best_f1, comparison_csv, comparison_table,
                          compare_detectors, prob_levels, sweep, threshold_grid)
 from .formats import (read_lri, read_manifest, read_pgm, write_atomic, write_manifest,
@@ -103,15 +103,13 @@ def _load_params(cfg: Config, kind: str):
     return params
 
 
-def _load_splits(cfg: Config, *splits) -> list | None:
+def _load_splits(cfg: Config, *splits) -> list:
     """The (image, label) samples of each named split of the dataset in
-    the output directory; None, once said on stderr, when it has no
-    manifest."""
+    the output directory."""
     dataset_dir = cfg.out_dir() / "dataset"
     manifest_path = dataset_dir / "manifest.jsonl"
     if not manifest_path.exists():
-        print(f"error: dataset manifest not found: {manifest_path}", file=sys.stderr)
-        return None
+        raise MissingInputError(f"dataset manifest not found: {manifest_path}")
     manifest = read_manifest(manifest_path)
     return [load_split(manifest, dataset_dir, split) for split in splits]
 
@@ -134,10 +132,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    splits = _load_splits(cfg, "train", "val")
-    if splits is None:
-        return EXIT_MISSING
-    train_samples, val_samples = splits
+    train_samples, val_samples = _load_splits(cfg, "train", "val")
     train_cfg = cfg.train_config()
     variant = cfg.section("model")["variant"]
 
@@ -175,13 +170,11 @@ def cmd_detect(args) -> int:
     cfg = _load_config(args)
     detector = DETECTORS.get(args.algorithm)
     if detector is None:
-        print(f"error: unknown algorithm {args.algorithm!r} "
-              f"(choose from {', '.join(DETECTORS)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"unknown algorithm {args.algorithm!r} "
+                             f"(choose from {', '.join(DETECTORS)})")
     input_path = Path(args.input)
     if not input_path.exists():
-        print(f"error: input image not found: {input_path}", file=sys.stderr)
-        return EXIT_MISSING
+        raise MissingInputError(f"input image not found: {input_path}")
     img = _read_input_image(input_path)
     out_path = Path(args.output)
     if detector.model is not None:
@@ -231,16 +224,11 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     requested = [a.strip() for a in args.detectors.split(",") if a.strip()]
     if not requested:
-        print("error: empty detector list", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("empty detector list")
     for name in requested:
         if name not in TUNABLE:
-            print(f"error: unknown detector {name!r}", file=sys.stderr)
-            return EXIT_USAGE
-    splits = _load_splits(cfg, "val", "test")
-    if splits is None:
-        return EXIT_MISSING
-    val_samples, test_samples = splits
+            raise ParameterError(f"unknown detector {name!r}")
+    val_samples, test_samples = _load_splits(cfg, "val", "test")
     params = _load_params(cfg, DETECTORS["cnn"].model) if "cnn" in requested else None
     detectors = _tuned_detectors(cfg, val_samples, params, requested)
     reports = compare_detectors(test_samples, detectors,
@@ -325,7 +313,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ModelLoadError as exc:
+    except (ModelLoadError, MissingInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except OSError as exc:

@@ -17,6 +17,10 @@ class ConfigError(LidarEdgeError):
     """Invalid configuration document or option."""
 
 
+class MissingInputError(LidarEdgeError):
+    """A dataset or input file that a command reads does not exist."""
+
+
 class ModelLoadError(LidarEdgeError):
     """Base class for model-file deserialization failures."""
 

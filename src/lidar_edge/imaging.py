@@ -24,9 +24,9 @@ from .errors import DimensionError, ParameterError
 MAX_SIGMA = 100.0
 
 
-def as_image(data, copy: bool = False) -> np.ndarray:
+def as_image(data) -> np.ndarray:
     """Validate and return a 2-D float64 image array."""
-    img = np.array(data, dtype=np.float64, copy=copy) if copy else np.asarray(data, dtype=np.float64)
+    img = np.asarray(data, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise DimensionError(f"expected a 2-D image, got shape {img.shape}")
     if not np.all(np.isfinite(img)):

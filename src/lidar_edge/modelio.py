@@ -87,7 +87,7 @@ class _Reader:
         if dims != shape:
             raise CorruptModelError(f"{self.path}: tensor dims {dims}, expected {shape}")
         raw = self.take(8 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def load_model(path):

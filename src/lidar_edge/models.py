@@ -87,6 +87,14 @@ def tensor_shapes(arch: NestedArch | PatchArch) -> list[tuple[str, tuple]]:
             ("fc2.weights", (1, arch.hidden)), ("fc2.bias", (1,))]
 
 
+def laid_end_to_end(tensors: list, lead: tuple = ()) -> np.ndarray:
+    """Tensors in tensor_shapes order, each with the leading axes lead, as
+    one float64 array of shape (*lead, total size): the layout of a net's
+    flat vector, for the tensors themselves or for their gradients."""
+    return np.concatenate([t.reshape(*lead, -1) for t in tensors], axis=-1,
+                          dtype=np.float64)
+
+
 def _named(params, tensors: list) -> list[tuple[str, np.ndarray]]:
     """Tensors or their gradients, given in tensor_shapes order, with their names."""
     return [(name, t) for (name, _), t in zip(tensor_shapes(params.arch), tensors, strict=True)]
@@ -95,22 +103,29 @@ def _named(params, tensors: list) -> list[tuple[str, np.ndarray]]:
 @dataclass
 class _Net:
     """The learnable tensors of arch in tensor_shapes(arch) order, each of
-    the shape the table gives. A subclass builds its layers on them, so an
-    in-place update of a tensor is an update of its layer."""
+    the shape the table gives. The constructor copies them once into one
+    flat vector, laid end to end; tensors, named_tensors() and the layers
+    a subclass builds on them are views of it, so an in-place update of
+    flat is an update of every tensor and layer."""
     arch: NestedArch | PatchArch
     tensors: list
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         got, table = [t.shape for t in self.tensors], tensor_shapes(self.arch)
         if got != [shape for _, shape in table]:
             raise DimensionError(f"tensor shapes {got} do not match {self.arch}: {table}")
+        self.flat, self.tensors, end = laid_end_to_end(self.tensors), [], 0
+        for _, shape in table:
+            start, end = end, end + math.prod(shape)
+            self.tensors.append(self.flat[start:end].reshape(shape))
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return _named(self, self.tensors)
 
     def __deepcopy__(self, memo):
-        """A copy whose layers are built on copies of the tensors."""
-        return type(self)(self.arch, [t.copy() for t in self.tensors])
+        """A copy built on its own flat vector."""
+        return type(self)(self.arch, self.tensors)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Parameter-update rules: SGD with momentum, Adam, RMSprop.
 
-Parameters are updated in place through their named-tensor views, so
-the same step function serves both network variants. Each rule runs
-once over all tensors laid end to end, as flat arrays. Tensors listed in
-`simplex_names` are re-projected onto the probability simplex after
-every step (used for the fusion weights).
+Each rule updates a network's flat parameter vector in place, in one
+pass over all its tensors laid end to end, so the same step function
+serves both network variants. The views listed in `simplex` are
+re-projected onto the probability simplex after every step (used for
+the fusion weights).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class OptimizerConfig:
 @dataclass
 class OptimizerState:
     """The step count and the rule's running averages: one flat array per
-    average, over every tensor in the order optimizer_step receives them."""
+    average, laid out as the parameter vector."""
     slots: dict = field(default_factory=dict)
     step: int = 0
 
@@ -67,26 +67,24 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def optimizer_step(tensors: list, grads: list, state: OptimizerState,
-                   cfg: OptimizerConfig, simplex_names: tuple = ()) -> None:
-    """Apply one update to every (name, param) given matching (name, grad).
+def optimizer_step(params, grad: np.ndarray, state: OptimizerState,
+                   cfg: OptimizerConfig, simplex: tuple = ()) -> None:
+    """Apply one update to params.flat in place, given grad laid out as it.
 
-    The rule runs once over all tensors laid end to end; each element sees
-    the same operations as if its tensor were updated alone.
+    Every rule is elementwise, so each parameter sees the same operations
+    as if its tensor were updated alone. Each view of params.flat in
+    simplex is then projected back onto the probability simplex.
     """
-    if [n for n, _ in tensors] != [n for n, _ in grads]:
-        raise DimensionError("parameter and gradient tensor lists differ")
-    for (name, p), (_, g) in zip(tensors, grads):
-        if p.shape != g.shape:
-            raise DimensionError(f"{name}: param {p.shape} vs grad {g.shape}")
-    g = np.concatenate([g.reshape(-1) for _, g in grads])
+    p, g = params.flat, grad
+    if g.shape != p.shape:
+        raise DimensionError(f"gradient of shape {g.shape} for {p.size} parameters")
     state.step += 1
     t = state.step
     if cfg.kind == "sgd":
         v = state.slot("velocity", g.size)
         v *= cfg.momentum
         v -= cfg.learning_rate * g
-        delta, apply = v, np.add
+        p += v
     elif cfg.kind == "adam":
         m = state.slot("m", g.size)
         s = state.slot("v", g.size)
@@ -96,15 +94,11 @@ def optimizer_step(tensors: list, grads: list, state: OptimizerState,
         s += (1.0 - cfg.beta2) * g * g
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = s / (1.0 - cfg.beta2 ** t)
-        delta, apply = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps), np.subtract
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
     else:  # rmsprop
         s = state.slot("sq", g.size)
         s *= cfg.rho
         s += (1.0 - cfg.rho) * g * g
-        delta, apply = cfg.learning_rate * g / (np.sqrt(s) + cfg.eps), np.subtract
-    start = 0
-    for name, p in tensors:
-        apply(p, delta[start:start + p.size].reshape(p.shape), out=p)
-        start += p.size
-        if name in simplex_names:
-            p[...] = project_simplex(p)
+        p -= cfg.learning_rate * g / (np.sqrt(s) + cfg.eps)
+    for view in simplex:
+        view[...] = project_simplex(view)

@@ -1,11 +1,12 @@
 """End-to-end training: dataset splitting, the multi-task loss, one
 epoch loop for both model variants, and gradient checking.
 
-`_fit` runs the epochs of either variant: minibatch steps on averaged
-named gradients, the divergence check, best-val-F1 selection and early
-stopping. Each variant brings only its own parts: `train_nested` the
-seeded image order, augmentation and the multi-task loss; `train_patch`
-the seeded patch draws, per-example dropout seeds and the patch F1.
+`_fit` runs the epochs of either variant: minibatch steps on the
+averaged gradient, laid out as the network's flat parameter vector, the
+divergence check, best-val-F1 selection and early stopping. Each variant
+brings only its own parts: `train_nested` the seeded image order,
+augmentation and the multi-task loss; `train_patch` the seeded patch
+draws, per-example dropout seeds and the patch F1.
 
 Everything is deterministic given the config seed: shuffling, weight
 init, per-sample augmentation seeds, and dropout all derive from
@@ -29,7 +30,8 @@ from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
 from .losses import LOSSES, pixel_loss, pixel_losses
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
-                     forward_nested, forward_patch, init_nested, init_patch)
+                     forward_nested, forward_patch, init_nested, init_patch,
+                     laid_end_to_end)
 from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .rng import SplitMix64, splitmix64
 
@@ -156,21 +158,20 @@ def _chunks(n: int, size: int):
 
 
 def validation_f1(params: NestedNetParams, val_samples: list,
-                  threshold: float = 0.5,
                   batch_size: int = TrainConfig.batch_size) -> float:
-    """Pooled F1 of the fused map at threshold, from batched forwards of
-    batch_size images at a time."""
+    """Pooled F1 of the fused map at threshold 0.5, from batched forwards
+    of batch_size images at a time."""
     cm = ConfusionMatrix()
     for chunk in _chunks(len(val_samples), batch_size):
         samples = val_samples[chunk]
         images = np.stack([img for img, _ in samples])[:, np.newaxis]
         for pred, (_, label) in zip(forward_nested(params, images).fused, samples):
-            cm = cm + confusion((pred >= threshold).astype(np.float64), label)
+            cm = cm + confusion((pred >= 0.5).astype(np.float64), label)
     return metrics(cm).f1
 
 
 def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
-         simplex_names: tuple = ()) -> tuple:
+         simplex: tuple = ()) -> tuple:
     """The epoch loop both variants share: minibatch steps on the gradient
     averaged over each batch, best-val-F1 selection and early stopping.
 
@@ -181,15 +182,11 @@ def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
     item along the leading axis. backward runs only once every loss of
     the batch has been found finite, and the gradients are averaged item
     by item in batch order, as if each had been computed alone.
-    val_f1_of() scores the current params.
+    val_f1_of() scores the current params; simplex lists the views of
+    params.flat the optimizer keeps on the probability simplex.
     """
-    tensors = params.named_tensors()
     state, log = OptimizerState(), RunLog()
-    grad_sum = np.empty(sum(t.size for _, t in tensors))
-    grad_views, offset = [], 0
-    for name, t in tensors:
-        grad_views.append((name, grad_sum[offset:offset + t.size].reshape(t.shape)))
-        offset += t.size
+    grad_sum = np.empty_like(params.flat)
     best, best_f1, stale = copy.deepcopy(params), -1.0, 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -204,17 +201,15 @@ def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
                 i = int(np.argmin(finite))
                 raise DivergenceError(
                     f"non-finite loss {losses[i]} at epoch {epoch}, example {start + i}")
-            # one row per example, laid out as grad_sum; rows added in batch order
-            per_example = np.concatenate([g.reshape(len(batch), -1) for _, g in backward()],
-                                         axis=1)
+            # one row per example, laid out as params.flat; rows added in batch order
+            per_example = laid_end_to_end([g for _, g in backward()], (len(batch),))
             per_example *= 1.0 / len(batch)
             grad_sum.fill(0.0)
             for row in per_example:
                 grad_sum += row
             for loss in losses.tolist():
                 epoch_loss += loss
-            optimizer_step(tensors, grad_views, state, cfg.optimizer,
-                           simplex_names=simplex_names)
+            optimizer_step(params, grad_sum, state, cfg.optimizer, simplex)
         epoch_loss /= max(len(items), 1)
         val_f1 = val_f1_of()
         record = EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1,
@@ -259,7 +254,7 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
 
     return _fit(params, cfg, epoch_items, batch_of,
                 lambda: validation_f1(params, val_samples, batch_size=cfg.batch_size),
-                progress, simplex_names=("alpha",))
+                progress, simplex=(params.alpha,))
 
 
 def draw_centers(samples: list, seed: int, per_image: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +387,7 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def grad_check_nested(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
+def grad_check_nested(seed: int = 0) -> list[GradCheckEntry]:
     """Central-difference check of every nested-net parameter tensor on
     a tiny 8x8 instance."""
     arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
@@ -414,10 +409,10 @@ def grad_check_nested(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
     _, d_fused, d_sides = total_loss(trace, label, cfg)
     grads = backward_nested(params, trace, d_fused, d_sides)
     analytic = dict(grads)
-    return _run_fd(params.named_tensors(), analytic, loss_of, eps)
+    return _run_fd(params.named_tensors(), analytic, loss_of)
 
 
-def grad_check_patch(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
+def grad_check_patch(seed: int = 0) -> list[GradCheckEntry]:
     """Central-difference check of the patch classifier, dropout active
     with a fixed mask seed."""
     arch = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5)
@@ -435,11 +430,12 @@ def grad_check_patch(seed: int = 0, eps: float = 1e-5) -> list[GradCheckEntry]:
     _, d_prob = pixel_loss("bce", np.array([trace.prob]), np.array([y]), False)
     grads = backward_patch(params, trace, float(d_prob[0]))
     analytic = dict(grads)
-    return _run_fd(params.named_tensors(), analytic, loss_of, eps)
+    return _run_fd(params.named_tensors(), analytic, loss_of)
 
 
-def _run_fd(tensors: list, analytic: dict, loss_of, eps: float) -> list[GradCheckEntry]:
-    report = []
+def _run_fd(tensors: list, analytic: dict, loss_of) -> list[GradCheckEntry]:
+    """Central differences of step 1e-5 against the analytic gradients."""
+    eps, report = 1e-5, []
     for name, tensor in tensors:
         numeric = np.zeros_like(tensor)
         flat = tensor.reshape(-1)

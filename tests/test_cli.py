@@ -749,3 +749,46 @@ class TestErrors:
         assert err.startswith(f"error: invalid config value for {key}: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestMissingAndUsageMessages:
+    """The exact stderr line and exit code of each missing-prerequisite
+    and detector-name error: main prints every one of them."""
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_missing_dataset(self, workdir, tmp_path, capsys, command):
+        _, cfg_path, _ = workdir
+        out = tmp_path / "nowhere"
+        code = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_MISSING == 4
+        manifest = out / "dataset" / "manifest.jsonl"
+        assert capsys.readouterr().err == f"error: dataset manifest not found: {manifest}\n"
+
+    def test_detect_missing_input(self, workdir, tmp_path, capsys):
+        _, cfg_path, _ = workdir
+        ghost = tmp_path / "ghost.pgm"
+        code = cli.main(["detect", str(ghost), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path)])
+        assert code == cli.EXIT_MISSING == 4
+        assert capsys.readouterr().err == f"error: input image not found: {ghost}\n"
+
+    def test_detect_unknown_algorithm(self, workdir, pgm_image, tmp_path, capsys):
+        _, cfg_path, _ = workdir
+        code = cli.main(["detect", str(pgm_image), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--algorithm", "laplacian"])
+        assert code == cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err == ("error: unknown algorithm 'laplacian' "
+                                           "(choose from cnn, canny, sobel, roberts, "
+                                           "patchcnn)\n")
+
+    @pytest.mark.parametrize("detectors, err", [
+        (" , ,", "error: empty detector list\n"),
+        ("canny,hough", "error: unknown detector 'hough'\n"),
+        ("patchcnn", "error: unknown detector 'patchcnn'\n"),
+    ], ids=["empty", "unknown", "untunable"])
+    def test_compare_detector_list(self, workdir, capsys, detectors, err):
+        _, cfg_path, out = workdir
+        code = cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                         "--detectors", detectors])
+        assert code == cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err == err

@@ -21,6 +21,7 @@ from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch,
                                PatchNetParams, forward_nested, forward_patch,
                                init_nested, init_patch, tensor_shapes)
 from lidar_edge.rng import SplitMix64
+from test_models import layer_arrays
 
 
 def nested_params(seed=0):
@@ -101,10 +102,13 @@ class TestBuiltFromTensors:
         built = cls(params.arch, tensors)
         assert built.arch == params.arch
         assert [n for n, _ in built.named_tensors()] == [n for n, _ in params.named_tensors()]
-        # nothing is copied: every tensor is the one given, and the layers
-        # (the patch net's fc kernels too) are views of them
+        # the values are copied once into built.flat: every tensor equals
+        # the one given, and every tensor and layer (the patch net's fc
+        # kernels too) is a view of built.flat
         for (_, got), given in zip(built.named_tensors(), tensors, strict=True):
-            assert got is given
+            assert got.tobytes() == given.tobytes()
+            assert np.shares_memory(got, built.flat) and not np.shares_memory(got, given)
+        assert all(np.shares_memory(a, built.flat) for a in layer_arrays(built))
         with pytest.raises(DimensionError):
             cls(params.arch, tensors[:-1])
         # the right count with one wrong shape is refused too: alpha one

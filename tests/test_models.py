@@ -7,6 +7,7 @@ import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.layers import conv_backward, conv_forward
+from lidar_edge.modelio import load_model, save_model
 from lidar_edge.models import (NestedArch, PatchArch, PatchNetParams,
                                backward_nested, backward_patch, forward_nested,
                                forward_patch, init_nested, init_patch)
@@ -23,6 +24,16 @@ def randomize(params, seed):
             continue
         t[...] = (rng.floats(t.size).reshape(t.shape) - 0.5) * 0.8
     return params
+
+
+def layer_arrays(params) -> list:
+    """Every array a forward reads: each layer's kernel and bias, and alpha."""
+    if isinstance(params, PatchNetParams):
+        layers, rest = [params.conv1, params.conv2, params.fc1, params.fc2], []
+    else:
+        layers = [conv for pair in params.stage_convs for conv in pair] + params.side_heads
+        rest = [params.alpha]
+    return [a for layer in layers for a in (layer.weights, layer.bias)] + rest
 
 
 class TestArch:
@@ -375,3 +386,53 @@ class TestFullyConnected:
             assert not np.shares_memory(t, original)
         assert np.shares_memory(q.tensors[4], q.fc1.weights)
         assert np.shares_memory(q.tensors[6], q.fc2.weights)
+
+
+class TestFlatVector:
+    """Each net holds one flat parameter vector: every named tensor and
+    every layer is a view of it, however the net was made."""
+
+    NETS = {"nested": (lambda: randomize(init_nested(SMALL, 3), 4),
+                       lambda p: forward_nested(p, np.linspace(0, 1, 64).reshape(8, 8)).fused),
+            "patch": (lambda: init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3),
+                      lambda p: forward_patch(p, np.linspace(0, 1, 784).reshape(28, 28)).prob)}
+
+    @pytest.fixture(params=[(v, how) for v in ("nested", "patch")
+                            for how in ("init", "load_model", "deepcopy")],
+                    ids=lambda vh: "-".join(vh))
+    def net(self, request, tmp_path):
+        """(params, forward) of each variant, as each way of making a net gives it."""
+        variant, how = request.param
+        init, forward = self.NETS[variant]
+        params = init()
+        if how == "load_model":
+            save_model(params, tmp_path / "m.ledm")
+            params = load_model(tmp_path / "m.ledm")
+        elif how == "deepcopy":
+            params = copy.deepcopy(params)
+        return params, forward
+
+    def test_tensors_and_layers_view_flat(self, net):
+        params, _ = net
+        assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        assert params.flat.size == sum(t.size for t in params.tensors)
+        for name, t in params.named_tensors():
+            assert np.shares_memory(t, params.flat), name
+        for a in layer_arrays(params):
+            assert np.shares_memory(a, params.flat)
+
+    def test_deep_copy_shares_nothing(self, net):
+        params, _ = net
+        q = copy.deepcopy(params)
+        assert q.flat.tobytes() == params.flat.tobytes()
+        for a in [q.flat, *q.tensors, *layer_arrays(q)]:
+            assert not np.shares_memory(a, params.flat)
+
+    def test_write_to_flat_reaches_forward(self, net):
+        params, forward = net
+        before = np.copy(forward(params))
+        params.flat += 0.25
+        after = forward(params)
+        assert not np.array_equal(after, before)
+        rebuilt = type(params)(params.arch, [t.copy() for t in params.tensors])
+        assert np.array_equal(forward(rebuilt), after)

@@ -1,5 +1,7 @@
 """Optimizer update rules and simplex projection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -38,10 +40,10 @@ def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
             p[...] = project_simplex(p)
 
 
-def step(params, grads, cfg, state=None, simplex_names=()):
+def step(flat, grad, cfg, state=None, simplex=()):
+    """One optimizer_step on a net whose parameter vector is flat."""
     state = state or OptimizerState()
-    optimizer_step([(n, p) for n, p in params], [(n, g) for n, g in grads],
-                   state, cfg, simplex_names)
+    optimizer_step(SimpleNamespace(flat=flat), grad, state, cfg, simplex)
     return state
 
 
@@ -88,7 +90,7 @@ class TestSGD:
     def test_plain_sgd_rule(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -1.0])
-        step([("w", p)], [("w", g)], OptimizerConfig(kind="sgd", learning_rate=0.1))
+        step(p, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
         np.testing.assert_allclose(p, [1.0 - 0.05, 2.0 + 0.1], rtol=1e-12)
 
     def test_momentum_accumulates(self):
@@ -97,16 +99,19 @@ class TestSGD:
         g = np.array([1.0])
         state = OptimizerState()
         # v1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19; p = -0.1 - 0.19
-        step([("w", p)], [("w", g)], cfg, state)
-        step([("w", p)], [("w", g)], cfg, state)
+        step(p, g, cfg, state)
+        step(p, g, cfg, state)
         assert p[0] == pytest.approx(-0.29, rel=1e-12)
 
     def test_independent_slots_per_tensor(self):
         cfg = OptimizerConfig(kind="sgd", learning_rate=1.0, momentum=0.5)
-        a, b = np.zeros(1), np.zeros(1)
+        flat = np.zeros(2)
+        a, b = flat[:1], flat[1:]
         state = OptimizerState()
-        step([("a", a), ("b", b)], [("a", np.ones(1)), ("b", np.zeros(1))], cfg, state)
-        assert a[0] == -1.0 and b[0] == 0.0
+        step(flat, np.array([1.0, 0.0]), cfg, state)
+        step(flat, np.array([0.0, 0.0]), cfg, state)
+        # a keeps its own velocity, b never had any
+        assert a[0] == -1.5 and b[0] == 0.0
 
 
 class TestAdam:
@@ -115,7 +120,7 @@ class TestAdam:
         cfg = OptimizerConfig(kind="adam", learning_rate=0.01)
         p = np.array([1.0, 1.0])
         g = np.array([3.0, -0.004])
-        step([("w", p)], [("w", g)], cfg)
+        step(p, g, cfg)
         np.testing.assert_allclose(p, [1.0 - 0.01, 1.0 + 0.01], rtol=1e-3)
 
     def test_matches_reference_recurrence(self):
@@ -127,7 +132,7 @@ class TestAdam:
         rng = SplitMix64(5)
         for t in range(1, 8):
             g = float(rng.uniform(-1, 1))
-            step([("w", p)], [("w", np.array([g]))], cfg, state)
+            step(p, np.array([g]), cfg, state)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
             m_hat = m / (1 - cfg.beta1 ** t)
@@ -144,7 +149,7 @@ class TestRMSprop:
         s = 0.0
         ref = 1.0
         for g in (0.4, -0.7, 0.1):
-            step([("w", p)], [("w", np.array([g]))], cfg, state)
+            step(p, np.array([g]), cfg, state)
             s = 0.9 * s + 0.1 * g * g
             ref -= 0.02 * g / (np.sqrt(s) + cfg.eps)
             assert p[0] == pytest.approx(ref, rel=1e-12)
@@ -158,42 +163,43 @@ class TestStepMechanics:
             p = np.array([2.0, -3.0])
             state = OptimizerState()
             for _ in range(300):
-                step([("w", p)], [("w", 2.0 * p)], cfg, state)
+                step(p, 2.0 * p, cfg, state)
             assert np.linalg.norm(p) < 0.2, kind
 
     def test_simplex_tensor_stays_feasible(self):
+        """The view given in simplex is projected; the rest of the vector is not."""
         cfg = OptimizerConfig(kind="adam", learning_rate=0.5)
-        alpha = np.array([0.3, 0.4, 0.3])
+        flat = np.array([5.0, -5.0, 0.3, 0.4, 0.3])
+        alpha = flat[2:]
         state = OptimizerState()
         rng = SplitMix64(6)
         for _ in range(25):
-            g = rng.floats(3) * 4 - 2
-            step([("alpha", alpha)], [("alpha", g)], cfg, state,
-                 simplex_names=("alpha",))
+            g = np.concatenate([[-1.0, 1.0], rng.floats(3) * 4 - 2])
+            step(flat, g, cfg, state, simplex=(alpha,))
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
+        assert flat[0] > 5.0 and flat[1] < -5.0
 
     def test_update_is_in_place(self):
         p = np.zeros(2)
         view = p  # callers hold views; the step must mutate, not rebind
-        step([("w", p)], [("w", np.ones(2))], OptimizerConfig(kind="sgd", learning_rate=1.0))
+        step(p, np.ones(2), OptimizerConfig(kind="sgd", learning_rate=1.0))
         np.testing.assert_array_equal(view, [-1.0, -1.0])
 
-    def test_name_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            optimizer_step([("a", np.zeros(1))], [("b", np.zeros(1))],
-                           OptimizerState(), OptimizerConfig(kind="sgd", learning_rate=1.0))
-
     def test_shape_mismatch_rejected(self):
+        """A gradient of another size than the parameter vector is refused
+        before anything moves."""
+        p, state = np.zeros(2), OptimizerState()
         with pytest.raises(DimensionError):
-            optimizer_step([("a", np.zeros(2))], [("a", np.zeros(3))],
-                           OptimizerState(), OptimizerConfig(kind="sgd", learning_rate=1.0))
+            step(p, np.zeros(3), OptimizerConfig(kind="sgd", learning_rate=1.0), state)
+        assert state.step == 0 and not state.slots
+        np.testing.assert_array_equal(p, [0.0, 0.0])
 
     def test_state_of_other_tensors_refused(self):
         cfg = OptimizerConfig(kind="adam", learning_rate=0.1)
-        state = step([("a", np.zeros(3))], [("a", np.ones(3))], cfg)
+        state = step(np.zeros(3), np.ones(3), cfg)
         with pytest.raises(DimensionError):
-            step([("a", np.zeros(4))], [("a", np.ones(4))], cfg, state)
+            step(np.zeros(4), np.ones(4), cfg, state)
 
     def test_bad_config(self):
         with pytest.raises(ParameterError):
@@ -204,7 +210,7 @@ class TestStepMechanics:
 
 class TestFlatUpdateMatchesPerTensor:
     """One flat update over all tensors gives the per-tensor rules' params
-    and state to the bit, step after step."""
+    and state to the bit, step after step, in each tensor's slice."""
 
     SHAPES = {"conv.weights": (3, 2, 3, 3), "conv.bias": (3,), "fc.weights": (4, 7),
               "scalar": (1,), "alpha": (3,)}
@@ -217,20 +223,24 @@ class TestFlatUpdateMatchesPerTensor:
     ], ids=["sgd", "sgd-momentum", "adam", "rmsprop"])
     def test_several_steps(self, cfg):
         rng = SplitMix64(11)
-        flat = {n: rng.normals(int(np.prod(s))).reshape(s) for n, s in self.SHAPES.items()}
-        flat["alpha"] = np.array([0.2, 0.5, 0.3])
-        ref = {n: t.copy() for n, t in flat.items()}
+        ref = {n: rng.normals(int(np.prod(s))).reshape(s) for n, s in self.SHAPES.items()}
+        ref["alpha"] = np.array([0.2, 0.5, 0.3])
+        net = SimpleNamespace(flat=np.concatenate([t.reshape(-1) for t in ref.values()]))
+        ends = np.cumsum([t.size for t in ref.values()])
+        part = {n: slice(end - t.size, end) for (n, t), end in zip(ref.items(), ends)}
         state, slots = OptimizerState(), {}
         for t in range(1, 8):
             grads = [(n, rng.normals(int(np.prod(s))).reshape(s) * 10.0 ** (t % 3 - 1))
                      for n, s in self.SHAPES.items()]
             grads[1][1][0] = -0.0
-            optimizer_step(list(flat.items()), grads, state, cfg, simplex_names=("alpha",))
+            grad = np.concatenate([g.reshape(-1) for _, g in grads])
+            optimizer_step(net, grad, state, cfg, simplex=(net.flat[part["alpha"]],))
             per_tensor_step(list(ref.items()), grads, slots, t, cfg, simplex_names=("alpha",))
             for name in self.SHAPES:
-                assert flat[name].tobytes() == ref[name].tobytes(), (t, name)
+                assert net.flat[part[name]].tobytes() == ref[name].tobytes(), (t, name)
         assert state.step == 7
         for key, values in state.slots.items():
             want = np.concatenate([slots[n][key].reshape(-1) for n in self.SHAPES])
             assert values.tobytes() == want.tobytes(), key
-        assert np.all(flat["alpha"] >= 0) and flat["alpha"].sum() == pytest.approx(1.0)
+        alpha = net.flat[part["alpha"]]
+        assert np.all(alpha >= 0) and alpha.sum() == pytest.approx(1.0)

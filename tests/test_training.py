@@ -11,8 +11,9 @@ from lidar_edge.errors import ConfigError, DivergenceError, ParameterError
 from lidar_edge.evaluation import ConfusionMatrix, confusion, metrics
 from lidar_edge.formats import DatasetManifest, ManifestEntry
 from lidar_edge.losses import pixel_loss
-from lidar_edge.models import (NestedArch, PatchArch, backward_nested, backward_patch,
-                               forward_nested, forward_patch, init_nested, init_patch)
+from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch, backward_nested,
+                               backward_patch, forward_nested, forward_patch, init_nested,
+                               init_patch)
 from lidar_edge.optim import OptimizerConfig, OptimizerState, optimizer_step
 from lidar_edge.rng import SplitMix64, splitmix64
 from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, _fit, cut_patches,
@@ -272,6 +273,7 @@ def per_example_epochs(params, cfg, epoch_items, example, val_f1_of):
     as soon as it is found (acc += g / len(batch)), one optimizer step
     per batch. Returns the runlog lines and the tensors after each epoch."""
     tensors = params.named_tensors()
+    simplex = (params.alpha,) if isinstance(params, NestedNetParams) else ()
     state, lines, snapshots = OptimizerState(), [], []
     for epoch in range(1, cfg.epochs + 1):
         items, epoch_loss = epoch_items(epoch), 0.0
@@ -283,8 +285,8 @@ def per_example_epochs(params, cfg, epoch_items, example, val_f1_of):
                 for (_, acc), (_, g) in zip(grad_sum, grads):
                     acc += (1.0 / len(batch)) * g
                 epoch_loss += loss
-            optimizer_step(tensors, grad_sum, state, cfg.optimizer,
-                           simplex_names=("alpha",))
+            grad = np.concatenate([acc.reshape(-1) for _, acc in grad_sum])
+            optimizer_step(params, grad, state, cfg.optimizer, simplex)
         lines.append(f"{epoch},{epoch_loss / len(items):.10f},{val_f1_of():.6f},0.000")
         snapshots.append([t.copy() for _, t in tensors])
     return lines, snapshots
