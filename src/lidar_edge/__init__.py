@@ -14,7 +14,7 @@ from .models import (NestedArch, PatchArch, forward_nested, forward_patch,
                      init_nested, init_patch)
 from .training import (TrainConfig, grad_check, split_dataset, total_loss,
                        train_nested, train_patch)
-from .evaluation import compare_detectors, confusion, metrics, roc
+from .evaluation import confusion, metrics, roc
 from .modelio import load_model, save_model
 
 __version__ = "0.1.0"

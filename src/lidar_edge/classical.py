@@ -23,6 +23,8 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
                     [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T.copy()
+# Canny's low threshold as a fraction of its high one, wherever one t sets both
+CANNY_LOW_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,10 @@ def canny(img: np.ndarray, sigma: float = 1.0, low: float = 0.1,
 
 
 def canny_levels(img: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
-    """Level map of canny(img, sigma, t / 2, t) over an ascending grid
+    """Level map of canny(img, sigma, t * CANNY_LOW_RATIO, t) over an ascending grid
     from 0, where every pixel is marked: at index k, level > k. The
     front end and one hysteresis sweep run once for the whole grid."""
     thinned, peak = _thinned_gradient(img, sigma)
     if peak < 1e-12:
         return np.ones(thinned.shape, dtype=np.intp)
-    return 1 + _hysteresis(thinned, (grid[1:] / 2.0) * peak, grid[1:] * peak)
+    return 1 + _hysteresis(thinned, (grid[1:] * CANNY_LOW_RATIO) * peak, grid[1:] * peak)

@@ -26,8 +26,8 @@ from . import classical
 from .config import Config
 from .errors import (ConfigError, DivergenceError, LidarEdgeError,
                      MissingInputError, ModelLoadError, ParameterError)
-from .evaluation import (best_f1, comparison_csv, comparison_table,
-                         compare_detectors, prob_levels, sweep, threshold_grid)
+from .evaluation import (MetricsReport, best_f1, comparison_csv, comparison_table,
+                         metrics, prob_levels, sweep, threshold_grid)
 from .formats import (read_lri, read_manifest, read_pgm, write_atomic, write_manifest,
                       write_pgm)
 from .lidar import generate_dataset, range_to_intensity
@@ -69,7 +69,8 @@ DETECTORS = {
         lambda m, im, t: _above(t)(forward_nested(m, im).fused), model="nested"),
     "canny": Detector(
         lambda m, im, grid, sigma: classical.canny_levels(im, grid, sigma),
-        lambda m, im, t, sigma: classical.canny(im, sigma=sigma, low=t / 2.0, high=t),
+        lambda m, im, t, sigma: classical.canny(
+            im, sigma=sigma, low=t * classical.CANNY_LOW_RATIO, high=t),
         settings=tuple({"sigma": s} for s in (1.0, 1.5, 2.0, 2.5))),
     "sobel": Detector(
         lambda m, im, grid: classical.magnitude_levels(classical.sobel(im), grid),
@@ -198,12 +199,13 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
-    """The named detectors, in table order, tuned on the validation
-    split: one sweep of the threshold grid per setting, by pooled F1.
-    Ties go to the smaller threshold, then to the earlier setting.
+def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE) -> list:
+    """(name, threshold, setting) of the named detectors in table order,
+    tuned on the validation split at eval.tolerance by pooled F1, one sweep
+    per setting; ties go to the smaller threshold, then the earlier setting.
     Detectors that need a model are left out when params is None."""
-    grid = threshold_grid(cfg.section("eval")["n_thresholds"])
+    ev = cfg.section("eval")
+    grid = threshold_grid(ev["n_thresholds"])
     detectors = []
     for name in TUNABLE:
         det = DETECTORS[name]
@@ -213,11 +215,25 @@ def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE):
         for setting in det.settings:
             levels = ((det.levels(params, img, grid, **setting), truth)
                       for img, truth in val_samples)
-            tuned.append((*best_f1(sweep(levels, len(grid)), grid), setting))
+            tuned.append((*best_f1(sweep(levels, len(grid), ev["tolerance"]), grid), setting))
         t, _, setting = max(tuned, key=lambda c: c[1])  # first of equals
-        detectors.append((name, lambda im, det=det, t=t, s=setting:
-                          det.edges(params, im, t, **s), t))
+        detectors.append((name, t, setting))
     return detectors
+
+
+def scored_detectors(cfg: Config, val_samples, test_samples, params,
+                     names=TUNABLE) -> list[MetricsReport]:
+    """The named detectors tuned on the validation split, then scored on the
+    test split at their tuned setting; both count through sweep at eval.tolerance."""
+    if not test_samples:
+        raise ParameterError("no samples to evaluate")
+    reports = []
+    for name, t, setting in _tuned_detectors(cfg, val_samples, params, names):
+        edges = ((DETECTORS[name].edges(params, img, t, **setting).astype(np.intp), truth)
+                 for img, truth in test_samples)
+        [cm] = sweep(edges, 1, cfg.section("eval")["tolerance"])
+        reports.append(metrics(cm, name=name, threshold=t))
+    return reports
 
 
 def cmd_compare(args) -> int:
@@ -230,9 +246,7 @@ def cmd_compare(args) -> int:
             raise ParameterError(f"unknown detector {name!r}")
     val_samples, test_samples = _load_splits(cfg, "val", "test")
     params = _load_params(cfg, DETECTORS["cnn"].model) if "cnn" in requested else None
-    detectors = _tuned_detectors(cfg, val_samples, params, requested)
-    reports = compare_detectors(test_samples, detectors,
-                                tolerance=cfg.section("eval")["tolerance"])
+    reports = scored_detectors(cfg, val_samples, test_samples, params, requested)
     write_atomic(cfg.out_dir() / "comparison.csv", comparison_csv(reports).encode("ascii"))
     print(comparison_table(reports), end="")
     return EXIT_OK

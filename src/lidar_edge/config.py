@@ -92,6 +92,7 @@ MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x wi
 MAX_SAMPLES = 1_000_000  # dataset.n: splitting allocates a list of n indices
 _AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
             "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES}
+_AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0}
 
 
 def _read(default, value):
@@ -121,7 +122,7 @@ def _read(default, value):
 
 
 def _read_key(dotted: str, default, value):
-    """_read for the key at dotted, with its null rule, choices and cap; a
+    """_read for the key at dotted, with its null rule, choices and bounds; a
     value refused raises ConfigError naming the key."""
     try:
         if default is None:
@@ -133,6 +134,8 @@ def _read_key(dotted: str, default, value):
             raise ValueError(f"not one of {', '.join(_CHOICES[dotted])}")
         if dotted in _AT_MOST and out > _AT_MOST[dotted]:
             raise ValueError(f"at most {_AT_MOST[dotted]}")
+        if dotted in _AT_LEAST and out < _AT_LEAST[dotted]:
+            raise ValueError(f"at least {_AT_LEAST[dotted]}")
     except ValueError as exc:
         raise ConfigError(f"invalid config value for {dotted}: {value!r} ({exc})") from exc
     return out

@@ -1,10 +1,9 @@
-"""Pixel-level evaluation: confusion counts, P/R/F1, ROC, thresholds,
-and the multi-detector comparison table.
+"""Pixel-level evaluation: confusion counts, P/R/F1, ROC, the threshold
+sweep that tuning and the test split both count through, and the table.
 
-Metrics are micro-averaged: counts are pooled over all pixels of a
-split before any ratio is taken. The default match rule is strict
-per-pixel; a Chebyshev tolerance with greedy one-to-one matching is
-available for robustness studies.
+Metrics are micro-averaged: counts are pooled over all pixels of a split
+before any ratio is taken. Matching is per pixel, or greedy within a
+Chebyshev tolerance r > 0 (Martin, Fowlkes & Malik 2004).
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ def confusion(pred: np.ndarray, truth: np.ndarray,
               tolerance: int = 0) -> ConfusionMatrix:
     """Count pixel agreement between a predicted and true edge map.
 
-    tolerance 0 compares per pixel. tolerance r > 0 matches predicted
-    edge pixels greedily (row-major) to unmatched truth edges within
-    Chebyshev distance r; unmatched predictions are FP, unmatched
-    truths FN, everything else TN.
+    tolerance 0 compares per pixel. tolerance r > 0 takes the predicted
+    edge pixels in row-major order and matches each to the row-major-first
+    unmatched truth edge within Chebyshev distance r; unmatched
+    predictions are FP, unmatched truths FN, everything else TN.
     """
     pred = as_edge_map(pred)
     truth = as_edge_map(truth)
@@ -66,22 +65,18 @@ def confusion(pred: np.ndarray, truth: np.ndarray,
         fn = int(np.count_nonzero(~p & t))
         tn = int(np.count_nonzero(~p & ~t))
         return ConfusionMatrix(tp, fp, fn, tn)
-    truth_pts = list(zip(*np.nonzero(truth == 1.0)))
-    unmatched = set(truth_pts)
-    tp = fp = 0
-    for y, x in zip(*np.nonzero(pred == 1.0)):
-        # row-major-first unmatched truth pixel inside the window
-        hit = None
-        for ty, tx in truth_pts:
-            if (ty, tx) in unmatched and abs(ty - y) <= tolerance and abs(tx - x) <= tolerance:
-                hit = (ty, tx)
-                break
-        if hit is None:
-            fp += 1
-        else:
-            unmatched.discard(hit)
-            tp += 1
-    fn = len(unmatched)
+    unmatched = truth == 1.0
+    ys, xs = np.nonzero(pred == 1.0)
+    tp = 0
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        # a view of the window, clipped to the image; its row-major-first True is the match
+        window = unmatched[max(y - tolerance, 0):y + tolerance + 1,
+                           max(x - tolerance, 0):x + tolerance + 1]
+        hit = divmod(int(window.argmax()), window.shape[1])
+        tp += int(window[hit])
+        window[hit] = False
+    fp = len(ys) - tp
+    fn = int(np.count_nonzero(unmatched))
     tn = pred.size - tp - fp - fn
     return ConfusionMatrix(tp, fp, fn, tn)
 
@@ -111,10 +106,16 @@ def prob_levels(prob: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(grid, as_prob_map(prob), side="right")
 
 
-def sweep(pairs, n_thresholds: int) -> list[ConfusionMatrix]:
+def sweep(pairs, n_thresholds: int, tolerance: int = 0) -> list[ConfusionMatrix]:
     """Pooled confusion counts at every index k of an n-point threshold
     grid, from (level map, truth) pairs read one at a time; a pixel is
-    predicted an edge at k when its level exceeds k."""
+    predicted an edge at k when its level exceeds k. At tolerance r > 0,
+    index k pools confusion(level > k, truth, r)."""
+    if tolerance:
+        counts = [ConfusionMatrix()] * n_thresholds
+        for level, truth in pairs:
+            counts = [cm + confusion(level > k, truth, tolerance) for k, cm in enumerate(counts)]
+        return counts
     n_levels = n_thresholds + 1
     hist = np.zeros(2 * n_levels, dtype=np.int64)  # non-edge levels, then edge levels
     for level, truth in pairs:
@@ -147,27 +148,6 @@ def roc(probs: list, truths: list, n_thresholds: int = 51) -> list[tuple[float, 
     counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)), n_thresholds)
     return [(float(t), metrics(cm).recall, cm.fp / (cm.fp + cm.tn) if cm.fp + cm.tn else 0.0)
             for t, cm in zip(grid[::-1], counts[::-1])]
-
-
-def compare_detectors(samples: list, detectors: list,
-                      tolerance: int = 0) -> list[MetricsReport]:
-    """Evaluate detectors over (image, truth) samples with pooled counts.
-
-    Each detector is (name, fn, threshold) where fn(img) returns a
-    binary edge map and threshold records the setting used (for the
-    report only).
-    """
-    if not detectors:
-        raise ParameterError("detector list is empty")
-    if not samples:
-        raise ParameterError("no samples to evaluate")
-    reports = []
-    for name, fn, threshold in detectors:
-        cm = ConfusionMatrix()
-        for img, truth in samples:
-            cm = cm + confusion(fn(img), truth, tolerance=tolerance)
-        reports.append(metrics(cm, name=name, threshold=threshold))
-    return reports
 
 
 def comparison_csv(reports: list[MetricsReport]) -> str:

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from lidar_edge import training as tr
-from lidar_edge.cli import _tuned_detectors
+from lidar_edge.cli import scored_detectors
 from lidar_edge.classical import canny, roberts, sobel
 from lidar_edge.config import Config
 from lidar_edge.errors import MagicError, ModelLoadError, TruncationError
-from lidar_edge.evaluation import (compare_detectors, confusion, metrics, roc)
+from lidar_edge.evaluation import confusion, metrics, roc
 from lidar_edge.formats import write_manifest
 from lidar_edge.imaging import convolve2d
 from lidar_edge.layers import maxpool2x2_forward
@@ -53,9 +53,7 @@ def pipeline(tmp_path_factory):
     test = load_split(manifest, dataset_dir, "test")
     params, log = train_nested(train, val, cfg.nested_arch(),
                                cfg.train_config())
-    detectors = _tuned_detectors(cfg, val, params)
-    reports = compare_detectors(test, detectors,
-                                tolerance=int(cfg.raw["eval"]["tolerance"]))
+    reports = scored_detectors(cfg, val, test, params)
     elapsed = time.monotonic() - t0
     return SimpleNamespace(counts=manifest.counts(), params=params, log=log,
                            f1={r.name: r.f1 for r in reports}, elapsed=elapsed)

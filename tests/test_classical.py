@@ -5,9 +5,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lidar_edge.classical import (SOBEL_X, SOBEL_Y, canny, canny_levels,
-                                  magnitude_levels, roberts, sobel,
-                                  threshold_magnitude)
+from lidar_edge.classical import (CANNY_LOW_RATIO, SOBEL_X, SOBEL_Y, canny,
+                                  canny_levels, magnitude_levels, roberts,
+                                  sobel, threshold_magnitude)
 from lidar_edge.classical import _hysteresis, _thinned_gradient
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.rng import SplitMix64
@@ -201,7 +201,7 @@ class TestLevelMaps:
                 t = float(t)
                 np.testing.assert_array_equal(
                     (levels > k).astype(np.float64),
-                    canny(img, sigma=sigma, low=t / 2.0, high=t))
+                    canny(img, sigma=sigma, low=t * CANNY_LOW_RATIO, high=t))
 
     def test_flat_image_levels(self):
         flat = np.full((16, 16), 0.4)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -16,7 +17,7 @@ import pytest
 import lidar_edge
 from lidar_edge import classical, cli, layers, models, training
 from lidar_edge.config import MAX_SAMPLES, Config
-from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_pgm
+from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_manifest, write_pgm
 from lidar_edge.modelio import save_model
 from test_formats import tear_writes_to
 
@@ -539,6 +540,58 @@ class TestCompare:
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"error: {patch} is not a nested model\n"
 
+    def test_empty_test_split_refused(self, workdir, tmp_path, capsys, monkeypatch):
+        """A dataset with no test samples exits 2 before any tuning."""
+        _, cfg_path, out = workdir
+        run = tmp_path / "run"
+        shutil.copytree(out / "dataset", run / "dataset")
+        manifest = read_manifest(run / "dataset" / "manifest.jsonl")
+        for entry in manifest.entries:
+            entry.split = "train" if entry.split == "test" else entry.split
+        write_manifest(run / "dataset" / "manifest.jsonl", manifest)
+        tuned = []
+        monkeypatch.setattr(cli, "_tuned_detectors", lambda *a, **k: tuned.append(a) or [])
+        code = cli.main(["compare", "--config", str(cfg_path), "--out", str(run),
+                         "--detectors", "sobel"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: no samples to evaluate\n"
+        assert tuned == [] and not (run / "comparison.csv").exists()
+
+
+FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "nested.ledm"
+
+
+class TestGoldenCompare:
+    """compare on the default dataset with the stored nested checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("golden")
+        assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
+        shutil.copyfile(FIXTURE_MODEL, out / "model.ledm")
+        return out
+
+    def test_default_csv_is_pinned(self, default_run):
+        assert cli.main(["compare", "--out", str(default_run)]) == cli.EXIT_OK
+        csv = (default_run / "comparison.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "47ad43b5d3658afaaa8b189601914bef5724708f24499541c50e81159f172947"), csv
+
+    def test_tolerance_one_tunes_at_tolerance_one(self, default_run, tmp_path):
+        """Tuned at the tolerance it is scored at, Canny takes sigma 2.0
+        and t 0.48; the other rows tune to the thresholds of tolerance 0."""
+        cfg_path = tmp_path / "tol1.json"
+        cfg_path.write_text(json.dumps({"eval": {"tolerance": 1}}), encoding="utf-8")
+        assert cli.main(["compare", "--config", str(cfg_path),
+                         "--out", str(default_run)]) == cli.EXIT_OK
+        assert (default_run / "comparison.csv").read_text().splitlines() == [
+            "algorithm,accuracy,precision,recall,f1,threshold",
+            "cnn,0.9853,0.8275,0.6182,0.7077,0.9200",
+            "canny,0.9894,0.8865,0.7253,0.7979,0.4800",
+            "sobel,0.9724,0.5278,0.4146,0.4644,0.6400",
+            "roberts,0.9302,0.2920,0.9964,0.4517,0.0200",
+        ]
+
 
 class TestAtomicArtifacts:
     """A command whose artifact write fails midway exits 3 and leaves the
@@ -681,14 +734,16 @@ class TestErrors:
         ("dataset.n", True),
         ("lidar.height", 64.9),
         ("eval.n_thresholds", 10 ** 9),
+        ("eval.n_thresholds", 1),
+        ("eval.tolerance", -1),
     ]
 
     @pytest.mark.parametrize("key, value", BAD_SCALARS,
                              ids=[f"{key}={value}" for key, value in BAD_SCALARS])
     def test_bad_scalar_names_its_key(self, workdir, tmp_path, capsys,
                                       monkeypatch, key, value):
-        """An int key refuses a value int would change, and eval.n_thresholds
-        is capped, both before any data is read."""
+        """An int key refuses a value int would change, and the eval keys
+        out of range, all before any data is read."""
         _, _, out = workdir
         section, name = key.split(".")
         doc = {**SMALL_CFG, section: {**SMALL_CFG.get(section, {}), name: value}}

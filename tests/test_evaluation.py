@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.evaluation import (ConfusionMatrix, best_f1, compare_detectors,
+from lidar_edge.evaluation import (ConfusionMatrix, MetricsReport, best_f1,
                                    comparison_csv, comparison_table, confusion,
                                    metrics, prob_levels, roc, sweep,
                                    threshold_grid)
@@ -13,6 +13,25 @@ from lidar_edge.rng import SplitMix64
 
 def random_edge_map(seed, h=8, w=8, density=0.3):
     return (SplitMix64(seed).floats(h * w).reshape(h, w) < density).astype(float)
+
+
+def greedy_oracle(pred, truth, tolerance):
+    """The tolerance rule by its definition: each predicted edge pixel, in
+    row-major order, takes the first unmatched truth edge pixel in
+    row-major order within Chebyshev distance tolerance."""
+    truth_pts = list(zip(*np.nonzero(truth == 1.0)))
+    unmatched = set(truth_pts)
+    tp = fp = 0
+    for y, x in zip(*np.nonzero(pred == 1.0)):
+        hit = next(((ty, tx) for ty, tx in truth_pts if (ty, tx) in unmatched
+                    and abs(ty - y) <= tolerance and abs(tx - x) <= tolerance), None)
+        if hit is None:
+            fp += 1
+        else:
+            unmatched.discard(hit)
+            tp += 1
+    fn = len(unmatched)
+    return tp, fp, fn, pred.size - tp - fp - fn
 
 
 class TestConfusion:
@@ -60,6 +79,15 @@ class TestConfusion:
         truth[1, 1] = 1.0              # a single truth pixel between them
         cm = confusion(pred, truth, tolerance=1)
         assert (cm.tp, cm.fp, cm.fn) == (1, 1, 0)
+
+    @pytest.mark.parametrize("tolerance", [0, 1, 2, 3, 10 ** 9])
+    def test_tolerance_matches_greedy_oracle(self, tolerance):
+        for seed in range(6):
+            h, w = 7 + seed, 12 - seed
+            pred = random_edge_map(40 + seed, h, w, density=0.1 + 0.1 * seed)
+            truth = random_edge_map(50 + seed, h, w, density=0.6 - 0.1 * seed)
+            cm = confusion(pred, truth, tolerance)
+            assert (cm.tp, cm.fp, cm.fn, cm.tn) == greedy_oracle(pred, truth, tolerance)
 
     def test_tolerance_zero_equals_strict(self):
         pred, truth = random_edge_map(5), random_edge_map(6)
@@ -215,15 +243,16 @@ class TestSweep:
             for k, t in enumerate(grid):
                 np.testing.assert_array_equal(levels > k, prob >= t)
 
-    def test_counts_equal_summed_confusion(self):
+    @pytest.mark.parametrize("tolerance", [0, 1, 2])
+    def test_counts_equal_summed_confusion(self, tolerance):
         grid, probs, truths = sweep_inputs()
         counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)),
-                       len(grid))
+                       len(grid), tolerance)
         assert len(counts) == len(grid)
         for t, cm in zip(grid, counts):
             want = ConfusionMatrix()
             for p, tr in zip(probs, truths):
-                want = want + confusion((p >= t).astype(float), tr)
+                want = want + confusion((p >= t).astype(float), tr, tolerance)
             assert (cm.tp, cm.fp, cm.fn, cm.tn) == (want.tp, want.fp, want.fn, want.tn)
             assert all(type(v) is int for v in (cm.tp, cm.fp, cm.fn, cm.tn))
 
@@ -245,30 +274,16 @@ class TestSweep:
 
 
 class TestComparison:
-    def _samples(self):
-        truth = np.zeros((6, 6))
-        truth[2:4, 2:4] = 1.0
-        img = truth * 0.7 + 0.1
-        return [(img, truth)]
+    REPORTS = [MetricsReport("good", 1.0, 1.0, 1.0, 1.0, threshold=0.5),
+               MetricsReport("bad", 0.6, 0.0, 0.0, 0.0, threshold=0.25)]
 
     def test_reports_and_formats(self):
-        perfect = lambda img: (img > 0.5).astype(float)
-        inverted = lambda img: (img <= 0.5).astype(float)
-        reports = compare_detectors(self._samples(),
-                                    [("good", perfect, 0.5),
-                                     ("bad", inverted, 0.5)])
-        assert reports[0].f1 == 1.0
-        assert reports[1].f1 == 0.0
-        csv = comparison_csv(reports)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "algorithm,accuracy,precision,recall,f1,threshold"
-        assert lines[1].startswith("good,1.0000,1.0000,1.0000,1.0000")
-        table = comparison_table(reports)
-        head = table.split("\n")[0].split()
-        assert head == ["Algorithm", "Accuracy", "Precision", "Recall", "F1-score"]
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            compare_detectors([], [("x", lambda i: i, 0.5)])
-        with pytest.raises(ParameterError):
-            compare_detectors(self._samples(), [])
+        csv = comparison_csv(self.REPORTS)
+        assert csv == ("algorithm,accuracy,precision,recall,f1,threshold\n"
+                       "good,1.0000,1.0000,1.0000,1.0000,0.5000\n"
+                       "bad,0.6000,0.0000,0.0000,0.0000,0.2500\n")
+        table = comparison_table(self.REPORTS)
+        head, good, bad, end = table.split("\n")
+        assert head.split() == ["Algorithm", "Accuracy", "Precision", "Recall", "F1-score"]
+        assert good.split() == ["good", "1.0000", "1.0000", "1.0000", "1.0000"]
+        assert bad[head.index("Accuracy"):].startswith("0.6000") and end == ""
