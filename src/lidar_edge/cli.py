@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated detector list")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     return parser

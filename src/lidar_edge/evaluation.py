@@ -1,9 +1,10 @@
 """Pixel-level evaluation: confusion counts, P/R/F1, ROC, the threshold
-sweep that tuning and the test split both count through, and the table.
+sweep that validation, tuning and the test split all count through, and
+the table.
 
 Metrics are micro-averaged: counts are pooled over all pixels of a split
-before any ratio is taken. Matching is per pixel, or greedy within a
-Chebyshev tolerance r > 0 (Martin, Fowlkes & Malik 2004).
+before any ratio is taken. Matching is greedy within a Chebyshev
+tolerance r, per pixel at r = 0 (Martin, Fowlkes & Malik 2004).
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def confusion(pred: np.ndarray, truth: np.ndarray,
               tolerance: int = 0) -> ConfusionMatrix:
     """Count pixel agreement between a predicted and true edge map.
 
-    tolerance 0 compares per pixel. tolerance r > 0 takes the predicted
-    edge pixels in row-major order and matches each to the row-major-first
-    unmatched truth edge within Chebyshev distance r; unmatched
-    predictions are FP, unmatched truths FN, everything else TN.
+    The predicted edge pixels, in row-major order, each match the
+    row-major-first unmatched truth edge within Chebyshev distance
+    tolerance (at 0, the truth pixel under it); unmatched predictions are
+    FP, unmatched truths FN, everything else TN.
     """
     pred = as_edge_map(pred)
     truth = as_edge_map(truth)
@@ -57,14 +58,6 @@ def confusion(pred: np.ndarray, truth: np.ndarray,
         raise DimensionError(f"pred {pred.shape} vs truth {truth.shape}")
     if tolerance < 0:
         raise ParameterError(f"tolerance must be >= 0, got {tolerance}")
-    if tolerance == 0:
-        p = pred == 1.0
-        t = truth == 1.0
-        tp = int(np.count_nonzero(p & t))
-        fp = int(np.count_nonzero(p & ~t))
-        fn = int(np.count_nonzero(~p & t))
-        tn = int(np.count_nonzero(~p & ~t))
-        return ConfusionMatrix(tp, fp, fn, tn)
     unmatched = truth == 1.0
     ys, xs = np.nonzero(pred == 1.0)
     tp = 0
@@ -110,11 +103,17 @@ def sweep(pairs, n_thresholds: int, tolerance: int = 0) -> list[ConfusionMatrix]
     """Pooled confusion counts at every index k of an n-point threshold
     grid, from (level map, truth) pairs read one at a time; a pixel is
     predicted an edge at k when its level exceeds k. At tolerance r > 0,
-    index k pools confusion(level > k, truth, r)."""
+    index k pools confusion(level > k, truth, r), found anew only at k = 0
+    and where some pixel has level k: level > k equals level > k - 1
+    everywhere else."""
     if tolerance:
         counts = [ConfusionMatrix()] * n_thresholds
         for level, truth in pairs:
-            counts = [cm + confusion(level > k, truth, tolerance) for k, cm in enumerate(counts)]
+            present = np.bincount(level.ravel(), minlength=n_thresholds)
+            for k in range(n_thresholds):
+                if k == 0 or present[k]:
+                    cm = confusion(level > k, truth, tolerance)
+                counts[k] = counts[k] + cm
         return counts
     n_levels = n_thresholds + 1
     hist = np.zeros(2 * n_levels, dtype=np.int64)  # non-edge levels, then edge levels

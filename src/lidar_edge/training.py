@@ -6,7 +6,9 @@ averaged gradient, laid out as the network's flat parameter vector, the
 divergence check, best-val-F1 selection and early stopping. Each variant
 brings only its own parts: `train_nested` the seeded image order,
 augmentation and the multi-task loss; `train_patch` the seeded patch
-draws, per-example dropout seeds and the patch F1.
+draws, per-example dropout seeds and the patch F1. `_nested_step` and
+`_patch_step` are the variants' train-mode batch steps; `grad_check`
+runs the same steps on a batch of one.
 
 Everything is deterministic given the config seed: shuffling, weight
 init, per-sample augmentation seeds, and dropout all derive from
@@ -24,10 +26,10 @@ import numpy as np
 
 from .augment import AugmentSpec, sample_and_apply
 from .errors import ConfigError, DivergenceError, ParameterError
-from .evaluation import ConfusionMatrix, confusion, metrics
+from .evaluation import metrics, sweep
 from .formats import DatasetManifest, read_pgm, resolve
 from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
-from .losses import LOSSES, pixel_loss, pixel_losses
+from .losses import LOSSES, pixel_losses
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch,
@@ -160,14 +162,34 @@ def _chunks(n: int, size: int):
 def validation_f1(params: NestedNetParams, val_samples: list,
                   batch_size: int = TrainConfig.batch_size) -> float:
     """Pooled F1 of the fused map at threshold 0.5, from batched forwards
-    of batch_size images at a time."""
-    cm = ConfusionMatrix()
-    for chunk in _chunks(len(val_samples), batch_size):
-        samples = val_samples[chunk]
-        images = np.stack([img for img, _ in samples])[:, np.newaxis]
-        for pred, (_, label) in zip(forward_nested(params, images).fused, samples):
-            cm = cm + confusion((pred >= 0.5).astype(np.float64), label)
-    return metrics(cm).f1
+    of batch_size images at a time, swept as the maps prob >= 0.5."""
+    def levels():
+        for chunk in _chunks(len(val_samples), batch_size):
+            samples = val_samples[chunk]
+            images = np.stack([img for img, _ in samples])[:, np.newaxis]
+            for prob, (_, label) in zip(forward_nested(params, images).fused, samples):
+                yield prob >= 0.5, label
+
+    return metrics(sweep(levels(), 1)[0]).f1
+
+
+def _nested_step(params: NestedNetParams, pairs: list, cfg: TrainConfig) -> tuple:
+    """The train-mode forward of a batch of (image, label) pairs and its
+    multi-task loss: (losses, backward), as _fit's batch_of returns them."""
+    images = np.stack([img for img, _ in pairs])[:, np.newaxis]
+    trace = forward_nested(params, images, train_mode=True)
+    losses, d_fused, d_sides = total_loss(trace, np.stack([l for _, l in pairs]), cfg)
+    return losses, lambda: backward_nested(params, trace, d_fused, d_sides)
+
+
+def _patch_step(params: PatchNetParams, patches: np.ndarray, labels: np.ndarray,
+                seeds: list, cfg: TrainConfig) -> tuple:
+    """The train-mode forward of (n, 1, 28, 28) patches, each with its
+    dropout seed, and their center-pixel loss: (losses, backward)."""
+    trace = forward_patch(params, patches, train_mode=True, seed=seeds)
+    losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
+                                  labels[:, np.newaxis], class_balance=False)
+    return losses, lambda: backward_patch(params, trace, d_prob[:, 0])
 
 
 def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
@@ -247,10 +269,7 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
             pairs = [sample_and_apply(img, label, cfg.augment,
                                       splitmix64(cfg.seed, epoch * 1_000_003 + idx))
                      for (img, label), idx in zip(pairs, batch)]
-        images = np.stack([img for img, _ in pairs])[:, np.newaxis]
-        trace = forward_nested(params, images, train_mode=True)
-        losses, d_fused, d_sides = total_loss(trace, np.stack([l for _, l in pairs]), cfg)
-        return losses, lambda: backward_nested(params, trace, d_fused, d_sides)
+        return _nested_step(params, pairs, cfg)
 
     return _fit(params, cfg, epoch_items, batch_of,
                 lambda: validation_f1(params, val_samples, batch_size=cfg.batch_size),
@@ -324,18 +343,14 @@ def train_patch(train_samples: list, val_samples: list, arch: PatchArch,
         centers, labels = draw
         seeds = [splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)
                  for position in range(start, start + len(batch))]
-        trace = forward_patch(params, cut_patches(train_samples, centers[batch]),
-                              train_mode=True, seed=seeds)
-        losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
-                                      labels[batch][:, np.newaxis], class_balance=False)
-        return losses, lambda: backward_patch(params, trace, d_prob[:, 0])
+        return _patch_step(params, cut_patches(train_samples, centers[batch]),
+                           labels[batch], seeds, cfg)
 
     def val_f1_of():
         probs = np.concatenate([
             forward_patch(params, cut_patches(val_samples, val_centers[chunk])).prob
             for chunk in _chunks(len(val_labels), cfg.batch_size)])
-        pred = (probs >= 0.5).astype(np.float64)
-        return metrics(confusion(pred[np.newaxis], val_labels[np.newaxis])).f1
+        return metrics(sweep([((probs >= 0.5)[np.newaxis], val_labels[np.newaxis])], 1)[0]).f1
 
     return _fit(params, cfg, epoch_items, batch_of, val_f1_of, progress)
 
@@ -387,52 +402,6 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def grad_check_nested(seed: int = 0) -> list[GradCheckEntry]:
-    """Central-difference check of every nested-net parameter tensor on
-    a tiny 8x8 instance."""
-    arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-    params = init_nested(arch, seed)
-    rng = SplitMix64(splitmix64(seed, 99))
-    # nonzero side heads so their gradients are exercised away from 0.5
-    for head in params.side_heads:
-        head.weights[...] = rng.normals(head.weights.size).reshape(head.weights.shape) * 0.3
-        head.bias[...] = rng.normals(head.bias.size) * 0.1
-    x = rng.floats(64).reshape(8, 8)
-    label = (rng.floats(64).reshape(8, 8) < 0.3).astype(np.float64)
-    cfg = TrainConfig(lambdas=(1.0, 0.7), seed=seed)
-
-    def loss_of() -> float:
-        trace = forward_nested(params, x)
-        return total_loss(trace, label, cfg)[0]
-
-    trace = forward_nested(params, x)
-    _, d_fused, d_sides = total_loss(trace, label, cfg)
-    grads = backward_nested(params, trace, d_fused, d_sides)
-    analytic = dict(grads)
-    return _run_fd(params.named_tensors(), analytic, loss_of)
-
-
-def grad_check_patch(seed: int = 0) -> list[GradCheckEntry]:
-    """Central-difference check of the patch classifier, dropout active
-    with a fixed mask seed."""
-    arch = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5)
-    params = init_patch(arch, seed)
-    rng = SplitMix64(splitmix64(seed, 98))
-    patch = rng.floats(28 * 28).reshape(28, 28)
-    y = 1.0
-    drop_seed = splitmix64(seed, 97)
-
-    def loss_of() -> float:
-        trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
-        return pixel_loss("bce", np.array([trace.prob]), np.array([y]), False)[0]
-
-    trace = forward_patch(params, patch, train_mode=True, seed=drop_seed)
-    _, d_prob = pixel_loss("bce", np.array([trace.prob]), np.array([y]), False)
-    grads = backward_patch(params, trace, float(d_prob[0]))
-    analytic = dict(grads)
-    return _run_fd(params.named_tensors(), analytic, loss_of)
-
-
 def _run_fd(tensors: list, analytic: dict, loss_of) -> list[GradCheckEntry]:
     """Central differences of step 1e-5 against the analytic gradients."""
     eps, report = 1e-5, []
@@ -455,11 +424,28 @@ def _run_fd(tensors: list, analytic: dict, loss_of) -> list[GradCheckEntry]:
 
 def grad_check(variant: str = "nested", seed: int = 0,
                tolerance: float = 1e-4) -> tuple[bool, list[GradCheckEntry]]:
-    """Run the finite-difference harness for one model variant."""
+    """Central-difference check of every parameter tensor of a tiny
+    instance of one model variant, through the train-mode step _fit takes,
+    on a batch of one: an 8x8 nested net with nonzero side heads, or a
+    patch net with dropout active under a fixed mask seed."""
     if variant == "nested":
-        report = grad_check_nested(seed)
+        params = init_nested(NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8)), seed)
+        rng = SplitMix64(splitmix64(seed, 99))
+        # nonzero side heads so their gradients are exercised away from 0.5
+        for head in params.side_heads:
+            head.weights[...] = rng.normals(head.weights.size).reshape(head.weights.shape) * 0.3
+            head.bias[...] = rng.normals(head.bias.size) * 0.1
+        x = rng.floats(64).reshape(8, 8)
+        label = (rng.floats(64).reshape(8, 8) < 0.3).astype(np.float64)
+        cfg = TrainConfig(lambdas=(1.0, 0.7), seed=seed)
+        step = lambda: _nested_step(params, [(x, label)], cfg)
     elif variant == "patch":
-        report = grad_check_patch(seed)
+        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), seed)
+        patch = SplitMix64(splitmix64(seed, 98)).floats(28 * 28).reshape(1, 1, 28, 28)
+        step = lambda: _patch_step(params, patch, np.ones(1), [splitmix64(seed, 97)],
+                                   TrainConfig())
     else:
         raise ParameterError(f"unknown model variant {variant!r}")
+    analytic = {name: g[0] for name, g in step()[1]()}
+    report = _run_fd(params.named_tensors(), analytic, lambda: float(step()[0][0]))
     return all(e.max_rel_error <= tolerance for e in report), report

@@ -631,6 +631,17 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--tolerance", "1e-300"]) == cli.EXIT_CHECK
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_config_and_out_refused(self, tmp_path, capsys, flag):
+        """gradcheck reads no config and writes nothing, so argparse
+        refuses both flags (exit 2) rather than ignoring a bad file."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"trian": {}}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", flag, str(bad)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_bad_config_file(self, tmp_path):

@@ -245,14 +245,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("tolerance", [0, 1, 2])
     def test_counts_equal_summed_confusion(self, tolerance):
+        """On the level maps of sweep_inputs, one that holds only levels 0,
+        3, 20 and 26 of 0..26, and one that is all level 0."""
         grid, probs, truths = sweep_inputs()
-        counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)),
-                       len(grid), tolerance)
+        levels = [prob_levels(p, grid) for p in probs]
+        pick = (SplitMix64(21).floats(64) * 4).astype(int)
+        levels += [np.array([0, 3, 20, 26])[pick].reshape(8, 8), np.zeros((8, 8), dtype=int)]
+        truths += [random_edge_map(40), random_edge_map(41)]
+        counts = sweep(zip(levels, truths), len(grid), tolerance)
         assert len(counts) == len(grid)
-        for t, cm in zip(grid, counts):
+        for k, cm in enumerate(counts):
             want = ConfusionMatrix()
-            for p, tr in zip(probs, truths):
-                want = want + confusion((p >= t).astype(float), tr, tolerance)
+            for level, tr in zip(levels, truths):
+                want = want + confusion((level > k).astype(float), tr, tolerance)
             assert (cm.tp, cm.fp, cm.fn, cm.tn) == (want.tp, want.fp, want.fn, want.tn)
             assert all(type(v) is int for v in (cm.tp, cm.fp, cm.fn, cm.tn))
 

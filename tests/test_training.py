@@ -557,6 +557,24 @@ class TestGradCheck:
         worst = {e.name: e.max_rel_error for e in report}
         assert worst["alpha"] > 1e-4
 
+    def test_detects_broken_patch_gradient(self):
+        """A sign flip in one patch-net gradient must trip the harness."""
+        from lidar_edge import training as tr
+        original = tr.backward_patch
+
+        def broken(params, trace, d_prob):
+            return [(name, -g if name == "fc1.weights" else g)
+                    for name, g in original(params, trace, d_prob)]
+
+        tr.backward_patch = broken
+        try:
+            ok, report = tr.grad_check("patch", seed=0)
+        finally:
+            tr.backward_patch = original
+        assert not ok
+        worst = {e.name: e.max_rel_error for e in report}
+        assert worst["fc1.weights"] > 1e-4
+
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             grad_check("transformer")
