@@ -86,22 +86,20 @@ def _nms(mag: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     quantized to 0/45/90/135 degrees. A pixel survives when it is >= both
     neighbors along that direction (plateau centers are kept)."""
     h, w = mag.shape
-    padded = np.pad(mag, 1, mode="constant")
-    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    padded = np.zeros((h + 2, w + 2))
+    padded[1:-1, 1:-1] = mag
+    d = np.degrees(np.arctan2(gy, gx))
+    # the angle folded into [0, 180] (d + 180.0 is what d % 180.0 gives for
+    # a negative d), binned to 0/45/90/135 degrees as 0..3; 180 wraps to 0
+    bins = np.searchsorted([22.5, 67.5, 112.5, 157.5], np.where(d < 0.0, d + 180.0, d),
+                           side="right") % 4
+    keep = np.zeros((h, w), dtype=bool)
     # neighbor offsets per quantized direction, in (dy, dx)
-    offsets = {0: (0, 1), 45: (1, 1), 90: (1, 0), 135: (1, -1)}
-    bins = np.full((h, w), 0)
-    bins[(angle >= 22.5) & (angle < 67.5)] = 45
-    bins[(angle >= 67.5) & (angle < 112.5)] = 90
-    bins[(angle >= 112.5) & (angle < 157.5)] = 135
-    out = np.zeros_like(mag)
-    for direction, (dy, dx) in offsets.items():
-        sel = bins == direction
+    for k, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
         fwd = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
         bwd = padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
-        keep = sel & (mag >= fwd) & (mag >= bwd)
-        out[keep] = mag[keep]
-    return out
+        keep |= (bins == k) & (mag >= fwd) & (mag >= bwd)
+    return np.where(keep, mag, 0.0)
 
 
 def _hysteresis(nms: np.ndarray, lows, highs) -> np.ndarray:

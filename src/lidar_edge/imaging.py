@@ -70,11 +70,14 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray, border: str = "zero") -> np.
     kernel = as_kernel(kernel)
     if border not in ("zero", "replicate"):
         raise ParameterError(f"border must be zero or replicate, got {border!r}")
-    kh, kw = kernel.shape
+    (h, w), (kh, kw) = img.shape, kernel.shape
     padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
                     mode="constant" if border == "zero" else "edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
-    return np.einsum("ijkl,kl->ij", windows, kernel, optimize=True)
+    # one C-contiguous row per tap, in the kernel's row-major order, so the
+    # window sums are one matrix product
+    s0, s1 = padded.strides
+    taps = np.lib.stride_tricks.as_strided(padded, (kh, kw, h, w), (s0, s1, s0, s1)).copy()
+    return np.matmul(kernel.reshape(1, -1), taps.reshape(kh * kw, h * w)).reshape(h, w)
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

@@ -159,31 +159,32 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stride-2 2x2 max pooling of (..., C, H, W) with H and W even.
 
     Returns (pooled, argmax) where argmax holds the row-major index
-    (0..3) of the first maximum inside each window.
+    (0..3) of the first maximum inside each window (+0.0 ties -0.0, and a
+    pooled zero may take either sign). A window holding NaN pools to NaN
+    with argmax 3: training stops on a non-finite loss before backward.
     """
     if x.ndim < 3 or x.shape[-2] % 2 or x.shape[-1] % 2:
         raise DimensionError(f"expected (..., C, H, W) with H and W even, got {x.shape}")
-    h, w = x.shape[-2:]
-    lead = x.shape[:-2]
-    win = x.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
-    flat = win.reshape(*lead, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)  # first max in row-major window order
-    return flat.reshape(-1)[_window_cells(arg)].reshape(arg.shape), arg
+    a, b, c, d = _window_views(x)
+    pooled = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    arg = np.where(a == pooled, 0, np.where(b == pooled, 1, np.where(c == pooled, 2, 3)))
+    return pooled, arg
 
 
-def _window_cells(arg: np.ndarray) -> np.ndarray:
-    """Flat indices of the argmax cells in the (..., 4) window array."""
-    return np.arange(0, 4 * arg.size, 4) + arg.reshape(-1)
+def _window_views(x: np.ndarray) -> list:
+    """Stride-2 views of the four cells of every 2x2 window of x, in
+    row-major window order."""
+    return [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2x2_backward(x_shape: tuple, arg: np.ndarray,
                         d_out: np.ndarray) -> np.ndarray:
     """Route each window's gradient to its argmax position in the input
     of shape x_shape."""
-    *lead, h, w = x_shape
-    flat = np.zeros((*lead, h // 2, w // 2, 4))
-    flat.reshape(-1)[_window_cells(arg)] = d_out.reshape(-1)
-    return flat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2).reshape(*lead, h, w)
+    d_x = np.zeros(x_shape)
+    for k, cell in enumerate(_window_views(d_x)):
+        cell[...] = np.where(arg == k, d_out, 0.0)
+    return d_x
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
@@ -215,12 +216,9 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), with exp taken only of -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_backward(y: np.ndarray, d_out: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 from lidar_edge.classical import (CANNY_LOW_RATIO, SOBEL_X, SOBEL_Y, canny,
                                   canny_levels, magnitude_levels, roberts,
                                   sobel, threshold_magnitude)
-from lidar_edge.classical import _hysteresis, _thinned_gradient
+from lidar_edge.classical import _hysteresis, _nms, _thinned_gradient
 from lidar_edge.errors import DimensionError, ParameterError
+from lidar_edge.imaging import gaussian_filter
 from lidar_edge.rng import SplitMix64
 
 
@@ -331,3 +332,76 @@ class TestHysteresisOracle:
                     want = (bfs_hysteresis(thinned, low * peak, high * peak)
                             if peak >= 1e-12 else np.zeros(img.shape))
                     np.testing.assert_array_equal(canny(img, sigma, low, high), want)
+
+
+def modulo_nms(mag, gx, gy):
+    """_nms with the angle folded by % 180.0 and the survivors gathered
+    through one boolean mask per direction."""
+    h, w = mag.shape
+    padded = np.pad(mag, 1, mode="constant")
+    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    offsets = {0: (0, 1), 45: (1, 1), 90: (1, 0), 135: (1, -1)}
+    bins = np.full((h, w), 0)
+    bins[(angle >= 22.5) & (angle < 67.5)] = 45
+    bins[(angle >= 67.5) & (angle < 112.5)] = 90
+    bins[(angle >= 112.5) & (angle < 157.5)] = 135
+    out = np.zeros_like(mag)
+    for direction, (dy, dx) in offsets.items():
+        sel = bins == direction
+        fwd = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        bwd = padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
+        keep = sel & (mag >= fwd) & (mag >= bwd)
+        out[keep] = mag[keep]
+    return out
+
+
+class TestNmsMatchesModuloOracle:
+    """_nms bins the angle with searchsorted, where a negative angle d
+    folds to d + 180.0, and keeps survivors with one np.where: the thinned
+    map is the modulo version's, bit for bit."""
+
+    @staticmethod
+    def assert_same(mag, gx, gy):
+        assert _nms(mag, gx, gy).tobytes() == modulo_nms(mag, gx, gy).tobytes()
+
+    def test_exact_bin_angles_and_signed_zeros(self):
+        """Gradients at exactly 0/45/90/135/180 degrees and their negatives,
+        with -0.0 and +0.0 components: -180, +180, -0.0 and +0.0 degrees
+        all fall in the 0-degree bin."""
+        comps = [-1.0, -0.0, 0.0, 1.0]
+        pairs = [(y, x) for y in comps for x in comps]
+        gy = np.array([[y for y, _ in pairs]] * len(pairs))
+        gx = np.array([[x for _, x in pairs]] * len(pairs))
+        rng = SplitMix64(31)
+        for _ in range(10):
+            mag = rng.floats(gx.size).reshape(gx.shape)
+            self.assert_same(mag, gx, gy)
+            self.assert_same(mag, gx.T, gy.T)
+        d = np.degrees(np.arctan2(gy[0], gx[0]))
+        assert {-180.0, 180.0, 0.0} <= set(d.tolist())
+        assert np.signbit(d).any() and np.signbit(d[d == 0.0]).any()
+
+    def test_bin_edges(self):
+        """Angles on and next to 22.5/67.5/112.5/157.5 degrees, both signs."""
+        edges = np.array([22.5, 67.5, 112.5, 157.5])
+        deg = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 180),
+                              -edges, -np.nextafter(edges, 0), [179.999, -179.999, 1e-300]])
+        rad = np.radians(deg)
+        gx, gy = np.tile(np.cos(rad), (8, 1)), np.tile(np.sin(rad), (8, 1))
+        mag = SplitMix64(32).floats(gx.size).reshape(gx.shape)
+        self.assert_same(mag, gx, gy)
+
+    def test_plateaus(self):
+        """Magnitudes from three levels, so most neighbours tie."""
+        rng = SplitMix64(33)
+        for _ in range(20):
+            mag = (rng.floats(24 * 24) * 3).astype(int).reshape(24, 24) / 2.0
+            gx, gy = rng.normals(mag.size).reshape(mag.shape), rng.normals(mag.size).reshape(mag.shape)
+            gx[mag == 0.5] = 0.0
+            self.assert_same(mag, gx, gy)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_canny_front_end(self, sigma):
+        for img in oracle_images() + list(hostile_maps().values()):
+            field = sobel(gaussian_filter(img, sigma))
+            self.assert_same(field.magnitude, field.gx, field.gy)

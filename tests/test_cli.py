@@ -558,18 +558,21 @@ class TestCompare:
         assert tuned == [] and not (run / "comparison.csv").exists()
 
 
-FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "nested.ledm"
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+FIXTURE_MODEL = FIXTURES / "nested.ledm"
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """The default dataset, with the stored nested checkpoint as its model."""
+    out = tmp_path_factory.mktemp("golden")
+    assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
+    shutil.copyfile(FIXTURE_MODEL, out / "model.ledm")
+    return out
 
 
 class TestGoldenCompare:
     """compare on the default dataset with the stored nested checkpoint."""
-
-    @pytest.fixture(scope="class")
-    def default_run(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("golden")
-        assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
-        shutil.copyfile(FIXTURE_MODEL, out / "model.ledm")
-        return out
 
     def test_default_csv_is_pinned(self, default_run):
         assert cli.main(["compare", "--out", str(default_run)]) == cli.EXIT_OK
@@ -591,6 +594,43 @@ class TestGoldenCompare:
             "sobel,0.9724,0.5278,0.4146,0.4644,0.6400",
             "roberts,0.9302,0.2920,0.9964,0.4517,0.0200",
         ]
+
+
+class TestGoldenDetect:
+    """detect on the default dataset's first test image, each algorithm at
+    its default flags, with the stored checkpoints: every output file is
+    pinned by its SHA-256."""
+
+    DIGESTS = {
+        "canny.pgm": "6ee3c849f379c74a0b69bd740307d9451b48d7f71eb6cae72d5ffe10b9cf78b9",
+        "sobel.pgm": "af008b53714f3ac683e42af63e7e9ff3e08872dc6ccad6226d82c3c134ce5b88",
+        "roberts.pgm": "a366e366202730818246dd10eff03419c83370831f0f27eb3978e96f1e75ff51",
+        "cnn.pgm": "f004fb80b174a9a429f481fb00c71704e7b6b22078089a9f627eff7f7e1c9b47",
+        "cnn.prob.pgm": "756be19bca0194ddbdbe58063487d27d79811c6f0385c24a017accf345ce3465",
+        "cnn.side0.pgm": "b4225f0fe51dc86b64903e955791ad3ba6228b4dd00cf3881e73a30f7e4aea21",
+        "cnn.side1.pgm": "987563f8068cd4aa0d5bf9261b1d202cc6c188fef83a4397dffee3945f0d2b0f",
+        "cnn.side2.pgm": "8204be9a87996033b3f893867d24d4e05100a76f7814c5f2797f3dbd313a77e6",
+        "patchcnn.pgm": "268b9f5857f55626bf5ab6c438b6eec96e220b61670bb7b2842efc577d609038",
+        "patchcnn.prob.pgm": "b19951e0aa8b58e8e2f94b7a8bb6440b7f9f1dabf2de43d2e7aacd9c0ffa3abb",
+    }
+
+    def test_outputs_are_pinned(self, default_run, tmp_path):
+        entries = read_manifest(default_run / "dataset" / "manifest.jsonl").entries
+        first_test = next(e for e in entries if e.split == "test")
+        assert first_test.intensity == "sample_0001.pgm"
+        image = default_run / "dataset" / first_test.intensity
+        patch_run = tmp_path / "patch"
+        patch_run.mkdir()
+        shutil.copyfile(FIXTURES / "patch.ledm", patch_run / "model.ledm")
+        model_dir = {"cnn": default_run, "patchcnn": patch_run}
+        for alg in ("canny", "sobel", "roberts", "cnn", "patchcnn"):
+            argv = ["detect", str(image), str(tmp_path / f"{alg}.pgm"), "--algorithm", alg]
+            if alg in model_dir:
+                argv += ["--out", str(model_dir[alg])]
+            assert cli.main(argv) == cli.EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.pgm")}
+        assert digests == self.DIGESTS
 
 
 class TestAtomicArtifacts:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lidar_edge.classical import SOBEL_X, SOBEL_Y
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.imaging import (MAX_SIGMA, as_edge_map, as_image, convolve2d,
                                 gaussian_filter, gaussian_kernel1d)
@@ -60,6 +61,60 @@ class TestConvolve2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(DimensionError):
             convolve2d(np.zeros((4, 4)), np.ones((2, 2)), "zero")
+
+
+def einsum_convolve(img, k, border):
+    """convolve2d as an einsum over the sliding windows of the padded image."""
+    kh, kw = k.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
+                    mode="constant" if border == "zero" else "edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
+    return np.einsum("ijkl,kl->ij", windows, k, optimize=True)
+
+
+class TestConvolve2dMatchesEinsum:
+    """convolve2d is the einsum's sum bit for bit on every image whose sides
+    are both >= 2: one product of the kernel with its C-contiguous taps."""
+
+    @pytest.mark.parametrize("border", ["zero", "replicate"])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 2.5])
+    def test_gaussian_rows_and_columns(self, sigma, border):
+        img = SplitMix64(21).floats(64 * 64).reshape(64, 64)
+        k = gaussian_kernel1d(sigma)
+        for kernel in (k[np.newaxis, :], k[:, np.newaxis]):
+            got = convolve2d(img, kernel, border)
+            assert got.tobytes() == einsum_convolve(img, kernel, border).tobytes()
+
+    @pytest.mark.parametrize("border", ["zero", "replicate"])
+    def test_sobel_kernels(self, border):
+        img = SplitMix64(22).floats(64 * 64).reshape(64, 64)
+        img[20:40, 10:30] = 0.5  # a flat patch, where the taps cancel
+        for kernel in (SOBEL_X, SOBEL_Y):
+            got = convolve2d(img, kernel, border)
+            assert got.tobytes() == einsum_convolve(img, kernel, border).tobytes()
+
+    @pytest.mark.parametrize("border", ["zero", "replicate"])
+    def test_random_shapes(self, border):
+        rng = SplitMix64(23)
+        for trial in range(200):
+            h, w = 2 + rng.randint(40), 2 + rng.randint(40)
+            kh, kw = 1 + 2 * rng.randint(5), 1 + 2 * rng.randint(5)
+            img = rng.normals(h * w).reshape(h, w)
+            k = rng.normals(kh * kw).reshape(kh, kw)
+            got = convolve2d(img, k, border)
+            assert got.tobytes() == einsum_convolve(img, k, border).tobytes(), (h, w, kh, kw)
+
+    @pytest.mark.parametrize("border", ["zero", "replicate"])
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (1, 1)], ids=str)
+    def test_one_pixel_wide_matches_naive_oracle(self, shape, border):
+        """Here einsum drops the size-1 axis and sums in another order, so
+        only the value is pinned, not the last bit."""
+        rng = SplitMix64(24)
+        img = rng.floats(shape[0] * shape[1]).reshape(shape)
+        for kernel in (gaussian_kernel1d(2.0)[np.newaxis, :], gaussian_kernel1d(2.0)[:, np.newaxis],
+                       SOBEL_X):
+            np.testing.assert_allclose(convolve2d(img, kernel, border),
+                                       naive_convolve(img, kernel, border), rtol=1e-12, atol=1e-14)
 
 
 class TestGaussianFilter:

@@ -186,6 +186,91 @@ def naive_maxpool(x):
     return out
 
 
+def argmax_maxpool(x):
+    """maxpool2x2_forward by argmax over each window's four cells, laid
+    out as a last axis, and a gather of the argmax cells."""
+    *lead, h, w = x.shape
+    flat = x.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2).reshape(*lead, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)
+    cells = np.arange(0, 4 * arg.size, 4) + arg.reshape(-1)
+    return flat.reshape(-1)[cells].reshape(arg.shape), arg
+
+
+def scatter_maxpool_backward(x_shape, arg, d_out):
+    """maxpool2x2_backward as a scatter into the argmax cells of the
+    windows laid out as a last axis."""
+    *lead, h, w = x_shape
+    flat = np.zeros((*lead, h // 2, w // 2, 4))
+    flat.reshape(-1)[np.arange(0, 4 * arg.size, 4) + arg.reshape(-1)] = d_out.reshape(-1)
+    return flat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2).reshape(*lead, h, w)
+
+
+def masked_sigmoid(x):
+    """sigmoid through one boolean mask per sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def assert_identical(got, want):
+    """Equal shape, dtype and values, with NaN equal to NaN and the sign
+    of every zero the same."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    zero = want == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+
+
+class TestKernelOracles:
+    """Pooling and sigmoid against the argmax-and-gather and masked
+    versions they replace."""
+
+    @staticmethod
+    def tied(rng, shape, values):
+        """Cells drawn from a few values, so that most windows tie."""
+        pick = (rng.floats(int(np.prod(shape))) * len(values)).astype(int)
+        return np.asarray(values)[pick].reshape(shape)
+
+    @pytest.mark.parametrize("shape", [(3, 6, 8), (2, 3, 4, 4), (8, 64, 64), (4, 8, 32, 32)],
+                             ids=str)
+    def test_pool_forward_and_backward(self, shape):
+        """Bit for bit wherever no window ties +0.0 with -0.0 (relu's output
+        holds no -0.0); where one does, the pooled zero may take either
+        sign, while argmax and the backward stay exact."""
+        rng = SplitMix64(41)
+        for values, bitwise in (([-1.0, 0.0, 1.0, 2.0], True), ([-1.0, -0.0, 0.0, 1.0], False),
+                                (None, True)):
+            x = (rng.normals(int(np.prod(shape))).reshape(shape) if values is None
+                 else self.tied(rng, shape, values))
+            pooled, arg = maxpool2x2_forward(x)
+            want_pooled, want_arg = argmax_maxpool(x)
+            assert np.array_equal(pooled, want_pooled)
+            assert not bitwise or pooled.tobytes() == want_pooled.tobytes()
+            assert arg.shape == want_arg.shape and np.array_equal(arg, want_arg)
+            d_out = (self.tied(rng, pooled.shape, [-1.0, -0.0, 0.0, 1.0])
+                     * rng.normals(pooled.size).reshape(pooled.shape))
+            assert_identical(maxpool2x2_backward(x.shape, arg, d_out),
+                             scatter_maxpool_backward(x.shape, want_arg, d_out))
+
+    def test_pool_nan_window(self):
+        """A window holding NaN pools to NaN; its argmax is 3, not the
+        first NaN."""
+        x = np.array([[[1.0, np.nan], [np.nan, 2.0]]])
+        pooled, arg = maxpool2x2_forward(x)
+        assert np.isnan(pooled).all() and arg.tolist() == [[[3]]]
+
+    def test_sigmoid(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan,
+                            1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0])
+        x = np.concatenate([special, 50.0 * SplitMix64(42).normals(4096)])
+        with np.errstate(over="raise"):
+            for values in (x, x.reshape(-1, 1)[:, [0, 0]], x[:4096].reshape(4, 32, 32)):
+                assert_identical(sigmoid(values), masked_sigmoid(values))
+
+
 def loop_col2im_conv_backward(x, p, d_out):
     """dX of one example the way the per-example layer built it: the
     kernel-tap loop over (i, j) in row-major order."""
