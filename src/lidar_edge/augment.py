@@ -175,6 +175,17 @@ class AugmentSpec:
                 raise ParameterError("flip probabilities must lie in [0, 1]")
         if self.occluder_count < 0:
             raise ParameterError("occluder_count must be nonnegative")
+        size = self.occluder_size
+        if len(size) != 2 or any(int(v) != v for v in size) or not 1 <= size[0] <= size[1]:
+            raise ParameterError(f"occluder_size {size} must be two integers 1 <= lo <= hi")
+        # each range has lo <= hi, so its lower end bounds it
+        for name in ("scale", "gain"):
+            if getattr(self, name)[0] <= 0:
+                raise ParameterError(f"{name} range {getattr(self, name)} must be positive")
+        if self.noise_sigma[0] < 0:
+            raise ParameterError(f"noise_sigma range {self.noise_sigma} must be nonnegative")
+        if not 0.0 <= self.salt_pepper[0] <= self.salt_pepper[1] <= 1.0:
+            raise ParameterError(f"salt_pepper range {self.salt_pepper} must lie in [0, 1]")
 
 
 def sample_and_apply(img: np.ndarray, label: np.ndarray, spec: AugmentSpec,

@@ -43,8 +43,7 @@ def sobel(img: np.ndarray) -> GradientField:
     img = as_image(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise DimensionError(f"sobel needs at least 3x3, got {img.shape}")
-    return GradientField(gx=convolve2d(img, SOBEL_X, border="replicate"),
-                         gy=convolve2d(img, SOBEL_Y, border="replicate"))
+    return GradientField(gx=convolve2d(img, SOBEL_X), gy=convolve2d(img, SOBEL_Y))
 
 
 def roberts(img: np.ndarray) -> GradientField:

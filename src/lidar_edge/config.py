@@ -93,6 +93,7 @@ MAX_SAMPLES = 1_000_000  # dataset.n: splitting allocates a list of n indices
 _AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
             "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES}
 _AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0}
+_ABOVE = {"dataset.delta": 0.0}
 
 
 def _read(default, value):
@@ -136,6 +137,8 @@ def _read_key(dotted: str, default, value):
             raise ValueError(f"at most {_AT_MOST[dotted]}")
         if dotted in _AT_LEAST and out < _AT_LEAST[dotted]:
             raise ValueError(f"at least {_AT_LEAST[dotted]}")
+        if dotted in _ABOVE and out <= _ABOVE[dotted]:
+            raise ValueError(f"above {_ABOVE[dotted]:g}")
     except ValueError as exc:
         raise ConfigError(f"invalid config value for {dotted}: {value!r} ({exc})") from exc
     return out

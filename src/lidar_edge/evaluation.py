@@ -1,4 +1,4 @@
-"""Pixel-level evaluation: confusion counts, P/R/F1, ROC, the threshold
+"""Pixel-level evaluation: confusion counts, P/R/F1, the threshold
 sweep that validation, tuning and the test split all count through, and
 the table.
 
@@ -136,17 +136,6 @@ def best_f1(counts: list[ConfusionMatrix], grid: np.ndarray) -> tuple[float, flo
     f1s = [metrics(cm).f1 for cm in counts]
     k = f1s.index(max(f1s))
     return float(grid[k]), f1s[k]
-
-
-def roc(probs: list, truths: list, n_thresholds: int = 51) -> list[tuple[float, float, float]]:
-    """(threshold, TPR, FPR) at n equally spaced thresholds, descending,
-    with counts pooled over the whole set."""
-    if len(probs) != len(truths) or not probs:
-        raise DimensionError("probability and truth sets are misaligned or empty")
-    grid = threshold_grid(n_thresholds)
-    counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)), n_thresholds)
-    return [(float(t), metrics(cm).recall, cm.fp / (cm.fp + cm.tn) if cm.fp + cm.tn else 0.0)
-            for t, cm in zip(grid[::-1], counts[::-1])]
 
 
 def comparison_csv(reports: list[MetricsReport]) -> str:

@@ -226,16 +226,13 @@ def sigmoid_backward(y: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * y * (1.0 - y)
 
 
-def dropout_mask(shape: tuple, rate: float, seed) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 with probability `rate`, else
-    1/(1-rate), drawn row-major from the SplitMix64 stream for `seed`.
-    seed may be a sequence of seeds: the masks are then stacked,
-    (len(seed), *shape), each as its own seed would draw it."""
+def dropout_mask(shape: tuple, rate: float, seeds) -> np.ndarray:
+    """Inverted-dropout multipliers, one mask of shape per seed, stacked
+    (len(seeds), *shape): 0 with probability `rate`, else 1/(1-rate),
+    each drawn row-major from the SplitMix64 stream of its seed."""
     if not (0.0 <= rate < 1.0):
         raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
-    stacked = isinstance(seed, (list, tuple, np.ndarray))
-    seeds = list(seed) if stacked else [seed]
-    out_shape = (len(seeds), *shape) if stacked else tuple(shape)
+    out_shape = (len(seeds), *shape)
     if rate == 0.0:
         return np.ones(out_shape)
     u = floats_per_seed(seeds, int(np.prod(shape))).reshape(out_shape)

@@ -47,16 +47,3 @@ def pixel_losses(kind: str, pred: np.ndarray, label: np.ndarray,
     grad = (-w_pos * label / p + w_neg * (1.0 - label) / (1.0 - p)) / n
     return loss, grad
 
-
-def pixel_loss(kind: str, pred: np.ndarray, label: np.ndarray,
-               class_balance: bool) -> tuple[float, np.ndarray]:
-    """The loss of one example and its gradient: pixel_losses of a batch of one."""
-    losses, grad = pixel_losses(kind, np.asarray(pred)[np.newaxis],
-                                np.asarray(label)[np.newaxis], class_balance)
-    return float(losses[0]), grad[0]
-
-
-def bce_loss(pred: np.ndarray, label: np.ndarray,
-             class_balance: bool = False) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy of one example and its gradient w.r.t. pred."""
-    return pixel_loss("bce", pred, label, class_balance)

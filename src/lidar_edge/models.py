@@ -13,9 +13,10 @@ the valid convolution whose kernel covers its input, ending in a
 single sigmoid unit that scores the patch's center pixel. Input is a
 fixed 28x28 single-channel patch.
 
-Both forwards take one example or a batch with a leading axis, and the
-trace keeps that axis on every map; both backwards return one gradient
-per example along it, so the caller decides how a batch is averaged.
+Both forwards take a batch with a leading axis, and the trace keeps
+that axis on every map; both backwards return one gradient per example
+along it, so the caller decides how a batch is averaged. The nested
+forward also takes one image, (H, W), as `detect` runs it.
 """
 
 from __future__ import annotations
@@ -207,17 +208,6 @@ class ForwardTrace:
     fused: np.ndarray | None = None
 
 
-def _as_chw(x: np.ndarray) -> np.ndarray:
-    """x as float64 with a channel axis: (H, W) becomes (1, H, W); a
-    batch (N, C, H, W) passes as it is."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[np.newaxis]
-    if x.ndim not in (3, 4):
-        raise DimensionError(f"expected (H,W), (C,H,W) or (N,C,H,W) input, got {x.shape}")
-    return x
-
-
 def _keeper(train_mode: bool):
     """What a trace keeps of a convolution's input: its Columns in train
     mode, so the backward does not rebuild them, else the input itself,
@@ -227,13 +217,17 @@ def _keeper(train_mode: bool):
 
 def forward_nested(params: NestedNetParams, x: np.ndarray,
                    train_mode: bool = False) -> ForwardTrace:
-    """Full forward pass of one image (H, W) or (1, H, W), or of a batch
-    (N, 1, H, W); retains every intermediate needed by backward.
+    """Full forward pass of one image (H, W) or of a batch (N, 1, H, W);
+    retains every intermediate needed by backward.
 
     side_probs and fused are (H, W) for one image and (N, H, W) for a
     batch. train_mode keeps each convolution's columns for the backward.
     """
-    x = _as_chw(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[np.newaxis]  # (1, H, W): one channel, and no example axis on any map
+    elif x.ndim != 4:
+        raise DimensionError(f"expected an (H, W) image or an (N, 1, H, W) batch, got {x.shape}")
     if x.shape[-2:] != tuple(params.arch.input_hw):
         raise DimensionError(
             f"input {x.shape[-2:]} does not match arch {params.arch.input_hw}")
@@ -308,22 +302,21 @@ class PatchTrace:
     arg2: np.ndarray
     fc1_pre: np.ndarray
     drop: np.ndarray
-    prob: float | np.ndarray
+    prob: np.ndarray
 
 
-def forward_patch(params: PatchNetParams, patch: np.ndarray,
-                  train_mode: bool = False, seed=0) -> PatchTrace:
-    """Score one 28x28 patch, (28, 28) or (1, 28, 28), or a batch
-    (N, 1, 28, 28); returns the full trace, with the score in .prob: a
-    float for one patch, (N,) for a batch.
+def forward_patch(params: PatchNetParams, patches: np.ndarray,
+                  train_mode: bool = False, seeds=()) -> PatchTrace:
+    """Score a batch of 28x28 patches, (N, 1, 28, 28); returns the full
+    trace, with the scores, (N,), in .prob.
 
     train_mode draws the inverted-dropout mask of each patch from its
-    seed (seed is then a sequence of N seeds for a batch) and keeps each
-    layer's columns for the backward.
+    seed, one of the N seeds, and keeps each layer's columns for the
+    backward.
     """
-    x = _as_chw(patch)
-    if x.shape[-3:] != (1, PATCH_SIZE, PATCH_SIZE):
-        raise DimensionError(f"patch must be 1x28x28, got {x.shape}")
+    x = np.asarray(patches, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1:] != (1, PATCH_SIZE, PATCH_SIZE):
+        raise DimensionError(f"patches must be (N, 1, 28, 28), got {x.shape}")
     keep = _keeper(train_mode)
     in1 = keep(x, params.conv1)
     pre1 = conv_forward(in1, params.conv1)                # C1 x 24 x 24
@@ -335,7 +328,7 @@ def forward_patch(params: PatchNetParams, patch: np.ndarray,
     fc1_pre = conv_forward(in_fc1, params.fc1)            # hidden x 1 x 1
     fc1_act = relu(fc1_pre)
     if train_mode and params.arch.dropout_rate > 0:
-        drop = dropout_mask(fc1_act.shape[-3:], params.arch.dropout_rate, seed)
+        drop = dropout_mask(fc1_act.shape[-3:], params.arch.dropout_rate, seeds)
         if drop.shape != fc1_act.shape:
             raise DimensionError(f"dropout masks {drop.shape} for activations {fc1_act.shape}")
     else:
@@ -344,17 +337,17 @@ def forward_patch(params: PatchNetParams, patch: np.ndarray,
     logit = conv_forward(in_fc2, params.fc2)              # 1 x 1 x 1
     return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, arg1=arg1, pre2=pre2,
                       arg2=arg2, fc1_pre=fc1_pre, drop=drop,
-                      prob=sigmoid(logit).reshape(x.shape[:-3])[()])
+                      prob=sigmoid(logit).reshape(len(x)))
 
 
 def backward_patch(params: PatchNetParams, trace: PatchTrace,
                    d_prob) -> list[tuple[str, np.ndarray]]:
-    """Gradients of a scalar loss given dL/d(prob), a float for one patch
-    or (N,) for a batch, as (name, grad) in named_tensors() order; for a
-    batch, one gradient per patch along each grad's leading axis."""
+    """Gradients of a scalar loss given dL/d(prob), (N,), as (name, grad)
+    in named_tensors() order, one gradient per patch along each grad's
+    leading axis."""
     in1, in2, in_fc1, in_fc2 = trace.ins
-    lead = np.shape(trace.prob)
-    d_logit = np.reshape(d_prob * trace.prob * (1.0 - trace.prob), (*lead, 1, 1, 1))
+    n = len(trace.prob)
+    d_logit = np.reshape(d_prob * trace.prob * (1.0 - trace.prob), (n, 1, 1, 1))
     d_fc1_out, d_w2, d_b2 = conv_backward(in_fc2, params.fc2, d_logit)
     d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_out * trace.drop)
     d_pool2, d_w1, d_b1 = conv_backward(in_fc1, params.fc1, d_fc1_pre)
@@ -365,5 +358,5 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     d_pre1 = relu_backward(trace.pre1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
     return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,  # fc grads flat, as named
-                           d_w1.reshape(*lead, params.arch.hidden, -1), d_b1,
-                           d_w2.reshape(*lead, 1, -1), d_b2])
+                           d_w1.reshape(n, params.arch.hidden, -1), d_b1,
+                           d_w2.reshape(n, 1, -1), d_b2])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentSpec, sample_and_apply
-from .errors import ConfigError, DivergenceError, ParameterError
+from .errors import ConfigError, DimensionError, DivergenceError, ParameterError
 from .evaluation import metrics, sweep
 from .formats import DatasetManifest, read_pgm, resolve
 from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
@@ -128,31 +128,27 @@ def load_split(manifest: DatasetManifest, base_dir, split: str) -> list:
     return out
 
 
-def total_loss(trace: ForwardTrace, label: np.ndarray,
+def total_loss(trace: ForwardTrace, labels: np.ndarray,
                cfg: TrainConfig) -> tuple:
-    """Multi-task loss of each example: weighted side losses plus the
-    fused-map loss. label has the trace's shape, (H, W) or (N, H, W).
+    """Multi-task loss of each example of a batch: weighted side losses
+    plus the fused-map loss. labels has the trace's shape, (N, H, W).
 
-    Returns (loss, dL/d fused map, [direct dL/d side map i]); the loss is
-    a float for one example and one per example, (N,), for a batch.
+    Returns (losses, dL/d fused map, [direct dL/d side map i]), with one
+    loss per example, (N,).
     """
     s = len(trace.side_probs)
     lambdas = cfg.lambdas if cfg.lambdas is not None else (1.0,) * s
     if len(lambdas) != s:
         raise ConfigError(f"{len(lambdas)} side-loss weights for {s} side outputs")
-    lead = trace.fused.shape[:-2]
-    batch = (-1, *trace.fused.shape[-2:])
-    label = np.reshape(label, batch)
-    losses, d_fused = pixel_losses(cfg.loss_kind, trace.fused.reshape(batch), label,
-                                   cfg.class_balance)
+    if trace.fused.ndim != 3:
+        raise DimensionError(f"expected the trace of a batch, (N, H, W), got {trace.fused.shape}")
+    losses, d_fused = pixel_losses(cfg.loss_kind, trace.fused, labels, cfg.class_balance)
     d_sides = []
     for lam, side in zip(lambdas, trace.side_probs):
-        side_losses, d = pixel_losses(cfg.loss_kind, side.reshape(batch), label,
-                                      cfg.class_balance)
+        side_losses, d = pixel_losses(cfg.loss_kind, side, labels, cfg.class_balance)
         losses += lam * side_losses
-        d_sides.append((lam * d).reshape(side.shape))
-    return ((losses if lead else float(losses[0])), d_fused.reshape(trace.fused.shape),
-            d_sides)
+        d_sides.append(lam * d)
+    return losses, d_fused, d_sides
 
 
 def _chunks(n: int, size: int):
@@ -186,7 +182,7 @@ def _patch_step(params: PatchNetParams, patches: np.ndarray, labels: np.ndarray,
                 seeds: list, cfg: TrainConfig) -> tuple:
     """The train-mode forward of (n, 1, 28, 28) patches, each with its
     dropout seed, and their center-pixel loss: (losses, backward)."""
-    trace = forward_patch(params, patches, train_mode=True, seed=seeds)
+    trace = forward_patch(params, patches, train_mode=True, seeds=seeds)
     losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
                                   labels[:, np.newaxis], class_balance=False)
     return losses, lambda: backward_patch(params, trace, d_prob[:, 0])

@@ -19,13 +19,13 @@ from lidar_edge.cli import scored_detectors
 from lidar_edge.classical import canny, roberts, sobel
 from lidar_edge.config import Config
 from lidar_edge.errors import MagicError, ModelLoadError, TruncationError
-from lidar_edge.evaluation import confusion, metrics, roc
+from lidar_edge.evaluation import confusion, metrics, prob_levels, sweep, threshold_grid
 from lidar_edge.formats import write_manifest
 from lidar_edge.imaging import convolve2d
 from lidar_edge.layers import maxpool2x2_forward
 from lidar_edge.lidar import (LidarConfig, ScenePolicy, generate_dataset,
                               tof_to_distance)
-from lidar_edge.losses import bce_loss
+from lidar_edge.losses import pixel_losses
 from lidar_edge.modelio import load_model, save_model
 from lidar_edge.models import (NestedArch, PatchArch, forward_nested,
                                init_nested, init_patch)
@@ -110,13 +110,14 @@ class TestOracleEquivalence:
         return rng.floats(h * w).reshape(h, w) - 0.5
 
     def test_convolve2d(self):
+        """Replicate border: an index past the image is clamped to its edge."""
         rng = SplitMix64(30)
         for i in range(self.N):
             h, w = 3 + rng.randint(5), 3 + rng.randint(5)
             k = 1 + 2 * rng.randint(2)
             img = self._rand(rng, h, w)
             ker = self._rand(rng, k, k)
-            got = convolve2d(img, ker, border="zero")
+            got = convolve2d(img, ker)
             r = k // 2
             want = np.zeros((h, w))
             for y in range(h):
@@ -124,9 +125,8 @@ class TestOracleEquivalence:
                     acc = 0.0
                     for dy in range(-r, r + 1):
                         for dx in range(-r, r + 1):
-                            yy, xx = y + dy, x + dx
-                            if 0 <= yy < h and 0 <= xx < w:
-                                acc += img[yy, xx] * ker[r + dy, r + dx]
+                            yy, xx = min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)
+                            acc += img[yy, xx] * ker[r + dy, r + dx]
                     want[y, x] = acc
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12,
                                        err_msg=f"instance {i}")
@@ -138,8 +138,8 @@ class TestOracleEquivalence:
         for i in range(self.N):
             h, w = 4 + rng.randint(4), 4 + rng.randint(4)
             img = self._rand(rng, h, w)
-            gx = convolve2d(img, kx, border="replicate")
-            gy = convolve2d(img, ky, border="replicate")
+            gx = convolve2d(img, kx)
+            gy = convolve2d(img, ky)
             np.testing.assert_allclose(sobel(img).magnitude,
                                        np.hypot(gx, gy), rtol=1e-10,
                                        err_msg=f"sobel instance {i}")
@@ -207,15 +207,15 @@ class TestEquationFidelity:
     def test_total_loss_is_sum_of_terms(self):
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 7)
-        x = SplitMix64(8).floats(64).reshape(8, 8)
-        label = (SplitMix64(9).floats(64).reshape(8, 8) < 0.3).astype(float)
+        x = SplitMix64(8).floats(64).reshape(1, 1, 8, 8)
+        label = (SplitMix64(9).floats(64).reshape(1, 8, 8) < 0.3).astype(float)
         trace = forward_nested(params, x)
         lambdas = (0.7, 0.4)
         cfg = TrainConfig(lambdas=lambdas, class_balance=True)
-        loss, _, _ = total_loss(trace, label, cfg)
-        want = bce_loss(trace.fused, label, class_balance=True)[0]
+        [loss], _, _ = total_loss(trace, label, cfg)
+        want = pixel_losses("bce", trace.fused, label, class_balance=True)[0][0]
         for lam, side in zip(lambdas, trace.side_probs):
-            want += lam * bce_loss(side, label, class_balance=True)[0]
+            want += lam * pixel_losses("bce", side, label, class_balance=True)[0][0]
         assert loss == pytest.approx(want, abs=1e-12)
 
 
@@ -370,15 +370,14 @@ class TestInvariants:
             assert out_img.min() >= 0.0 and out_img.max() <= 1.0
 
     def test_roc_monotonicity(self):
+        """Pooled TP and FP from sweep do not increase with the threshold index k."""
         rng = SplitMix64(53)
         probs = [rng.floats(64).reshape(8, 8) for _ in range(4)]
         truths = [(rng.floats(64).reshape(8, 8) < 0.3).astype(float)
                   for _ in range(4)]
-        curve = roc(probs, truths, n_thresholds=31)
-        tprs = [c[1] for c in curve]
-        fprs = [c[2] for c in curve]
-        assert all(a <= b + 1e-12 for a, b in zip(tprs, tprs[1:]))
-        assert all(a <= b + 1e-12 for a, b in zip(fprs, fprs[1:]))
+        grid = threshold_grid(31)
+        counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)), len(grid))
+        assert all(a.tp >= b.tp and a.fp >= b.fp for a, b in zip(counts, counts[1:]))
 
     def test_canny_contrast_invariance(self):
         # noise-free step scene with a one-column transition so the

@@ -108,7 +108,9 @@ class TestGenData:
         ({"dataset": {"scene": {"min_range": 1000}}}, "dataset.scene"),
         ({"dataset": {"scene": {"kinds": "disk"}}}, "dataset.scene.kinds"),
         ({"dataset": {"ratios": [0.5, 0.5, 0.5]}}, "dataset.ratios"),
-    ], ids=["min-range", "kinds-not-a-list", "ratios"])
+        ({"dataset": {"delta": -1}}, "dataset.delta"),
+        ({"dataset": {"delta": 0}}, "dataset.delta"),
+    ], ids=["min-range", "kinds-not-a-list", "ratios", "negative-delta", "zero-delta"])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_bad_dataset_value_refused_before_writing(self, tmp_path, capsys, doc, key,
                                                       command):
@@ -708,10 +710,21 @@ class TestErrors:
                                           {"model": {"widths": [0, 16, 32]}},
                                           {"model": {"widths": [8, -1, 32]}},
                                           {"model": {"patch_channels": [4, 0]}},
-                                          {"model": {"patch_hidden": 0}}],
+                                          {"model": {"patch_hidden": 0}},
+                                          {"augment": {"occluder_count": 2, "occluder_size": [2]}},
+                                          {"augment": {"occluder_size": [0, 4]}},
+                                          {"augment": {"occluder_size": [5, 4]}},
+                                          {"augment": {"scale": [0, 0]}},
+                                          {"augment": {"gain": [-1.0, 1.0]}},
+                                          {"augment": {"noise_sigma": [-0.1, 0.0]}},
+                                          {"augment": {"salt_pepper": [0.0, 1.5]}},
+                                          {"augment": {"salt_pepper": [-0.5, 0.5]}}],
                              ids=["epochs-not-int", "unknown-variant", "zero-width",
                                   "negative-width", "zero-patch-channels",
-                                  "zero-patch-hidden"])
+                                  "zero-patch-hidden", "one-occluder-size",
+                                  "zero-occluder-size", "occluder-size-descending",
+                                  "zero-scale", "negative-gain", "negative-noise-sigma",
+                                  "salt-pepper-above-one", "negative-salt-pepper"])
     def test_bad_config_value_fails_before_loading_data(self, workdir, tmp_path,
                                                         capsys, override, monkeypatch):
         _, _, out = workdir

@@ -1,4 +1,4 @@
-"""Confusion counting, micro-averaged metrics, ROC, threshold search."""
+"""Confusion counting, micro-averaged metrics, the threshold sweep and search."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.evaluation import (ConfusionMatrix, MetricsReport, best_f1,
                                    comparison_csv, comparison_table, confusion,
-                                   metrics, prob_levels, roc, sweep,
+                                   metrics, prob_levels, sweep,
                                    threshold_grid)
 from lidar_edge.rng import SplitMix64
 
@@ -133,6 +133,14 @@ class TestMetrics:
         assert r.f1 == pytest.approx(2 / (1 / p + 1 / rec))
 
 
+def rates(probs, truths, n_thresholds):
+    """(TPR, FPR) at each index of the threshold grid, from sweep's pooled
+    counts: the ROC curve of a probability-map detector."""
+    grid = threshold_grid(n_thresholds)
+    counts = sweep(((prob_levels(p, grid), t) for p, t in zip(probs, truths)), n_thresholds)
+    return [(cm.tp / (cm.tp + cm.fn), cm.fp / (cm.fp + cm.tn)) for cm in counts]
+
+
 class TestROC:
     def setup_method(self):
         self.truth = np.zeros((4, 4))
@@ -141,27 +149,13 @@ class TestROC:
         self.prob = np.where(self.truth == 1.0, 0.9, 0.1)
 
     def test_endpoints(self):
-        curve = roc([self.prob], [self.truth], n_thresholds=11)
-        t0, tpr0, fpr0 = curve[0]     # threshold 1.0: almost nothing fires
-        tN, tprN, fprN = curve[-1]    # threshold 0.0: everything fires
-        assert t0 == 1.0 and tN == 0.0
-        assert (tprN, fprN) == (1.0, 1.0)
-        assert fpr0 == 0.0
-
-    def test_thresholds_descend_and_rates_monotone(self):
-        probs = [SplitMix64(7).floats(64).reshape(8, 8)]
-        truths = [random_edge_map(8)]
-        curve = roc(probs, truths, n_thresholds=21)
-        ts = [c[0] for c in curve]
-        assert ts == sorted(ts, reverse=True)
-        tprs = [c[1] for c in curve]
-        fprs = [c[2] for c in curve]
-        assert all(a <= b + 1e-12 for a, b in zip(tprs, tprs[1:]))
-        assert all(a <= b + 1e-12 for a, b in zip(fprs, fprs[1:]))
+        curve = rates([self.prob], [self.truth], n_thresholds=11)
+        assert curve[0] == (1.0, 1.0)    # threshold 0.0: everything fires
+        assert curve[-1] == (0.0, 0.0)   # threshold 1.0: nothing below 1 fires
 
     def test_separable_scores_reach_perfect_corner(self):
-        curve = roc([self.prob], [self.truth], n_thresholds=11)
-        assert any(tpr == 1.0 and fpr == 0.0 for _, tpr, fpr in curve)
+        curve = rates([self.prob], [self.truth], n_thresholds=11)
+        assert (1.0, 0.0) in curve
 
     def test_pooling_over_samples(self):
         """Pooled counts differ from averaging per-sample rates."""
@@ -169,15 +163,14 @@ class TestROC:
         t2 = np.ones((2, 2))
         p1 = np.full((2, 2), 0.6)
         p2 = np.full((2, 2), 0.4)
-        curve = roc([p1, p2], [t1, t2], n_thresholds=3)
-        _, tpr_mid, _ = curve[1]  # threshold 0.5 keeps only p1 pixels
-        assert tpr_mid == pytest.approx(1 / 5)  # 1 of 5 pooled truth pixels
+        tpr_mid, _ = rates([p1, p2], [t1, t2], n_thresholds=3)[1]
+        assert tpr_mid == pytest.approx(1 / 5)  # threshold 0.5 keeps only p1 pixels
 
     def test_bad_inputs(self):
-        with pytest.raises(DimensionError):
-            roc([], [], 11)
         with pytest.raises(ParameterError):
-            roc([self.prob], [self.truth], 1)
+            rates([self.prob + 0.5], [self.truth], 11)  # a probability above 1
+        with pytest.raises(ParameterError):
+            rates([self.prob], [self.truth], 1)
 
 
 def best_f1_threshold(probs, truths, n_thresholds):
@@ -265,11 +258,6 @@ class TestSweep:
         counts = [ConfusionMatrix(1, 1, 1, 1), ConfusionMatrix(2, 0, 0, 2),
                   ConfusionMatrix(2, 0, 0, 2), ConfusionMatrix(0, 0, 2, 2)]
         assert best_f1(counts, threshold_grid(4)) == (pytest.approx(1 / 3), 1.0)
-
-    def test_roc_thresholds_are_the_reversed_grid(self):
-        grid, probs, truths = sweep_inputs()
-        curve = roc(probs, truths, n_thresholds=len(grid))
-        assert [c[0] for c in curve] == [float(t) for t in grid[::-1]]
 
     def test_bad_inputs(self):
         with pytest.raises(DimensionError):

@@ -445,32 +445,33 @@ class TestBatchAxis:
 
 class TestDropout:
     def test_values_zero_or_inverted_scale(self):
-        m = dropout_mask((1000,), 0.4, seed=1)
+        m = dropout_mask((1000,), 0.4, [1])
         assert set(np.unique(m)) <= {0.0, 1.0 / 0.6}
 
     def test_drop_fraction(self):
-        m = dropout_mask((20000,), 0.3, seed=2)
+        m = dropout_mask((20000,), 0.3, [2])
         assert abs((m == 0).mean() - 0.3) < 0.02
 
     def test_preserves_expectation(self):
-        m = dropout_mask((50000,), 0.5, seed=3)
+        m = dropout_mask((50000,), 0.5, [3])
         assert abs(m.mean() - 1.0) < 0.02
 
     def test_zero_rate_identity(self):
-        np.testing.assert_array_equal(dropout_mask((4, 4), 0.0, seed=4),
-                                      np.ones((4, 4)))
+        np.testing.assert_array_equal(dropout_mask((4, 4), 0.0, [4]),
+                                      np.ones((1, 4, 4)))
 
     def test_deterministic_per_seed(self):
-        np.testing.assert_array_equal(dropout_mask((64,), 0.5, 9),
-                                      dropout_mask((64,), 0.5, 9))
+        np.testing.assert_array_equal(dropout_mask((64,), 0.5, [9]),
+                                      dropout_mask((64,), 0.5, [9]))
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
-            dropout_mask((2,), 1.0, 0)
+            dropout_mask((2,), 1.0, [0])
 
     def test_seed_sequence_stacks_each_seeds_mask(self):
         masks = dropout_mask((3, 2), 0.5, [5, 6, 2 ** 64 - 1])
         assert masks.shape == (3, 3, 2)
         for got, seed in zip(masks, [5, 6, 2 ** 64 - 1]):
-            assert np.array_equal(got, dropout_mask((3, 2), 0.5, seed))
+            want = (SplitMix64(seed).floats(6).reshape(3, 2) >= 0.5) / 0.5
+            assert np.array_equal(got, want)
         assert np.array_equal(dropout_mask((4,), 0.0, [1, 2]), np.ones((2, 4)))

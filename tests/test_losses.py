@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError
-from lidar_edge.losses import BCE_EPS, bce_loss, pixel_loss, pixel_losses
+from lidar_edge.losses import BCE_EPS, pixel_losses
 from lidar_edge.rng import SplitMix64
 
 
+def one_example(kind, pred, label, class_balance):
+    """The loss and gradient of one example: pixel_losses of a batch of one."""
+    losses, grad = pixel_losses(kind, pred[np.newaxis], label[np.newaxis], class_balance)
+    return float(losses[0]), grad[0]
+
+
+def bce_loss(pred, label, class_balance=False):
+    return one_example("bce", pred, label, class_balance)
+
+
 def mse_loss(pred, label):
-    return pixel_loss("mse", pred, label, False)
+    return one_example("mse", pred, label, False)
 
 
 def oracle_bce(pred, label, class_balance=False):
@@ -130,13 +140,13 @@ class TestDispatcher:
     def test_routes_by_kind(self):
         pred, label = np.array([[0.6]]), np.array([[1.0]])
         for kind, oracle in ORACLES.items():
-            loss, grad = pixel_loss(kind, pred, label, False)
+            loss, grad = one_example(kind, pred, label, False)
             want_loss, want_grad = oracle(pred, label, False)
             assert loss == want_loss and np.array_equal(grad, want_grad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            pixel_loss("hinge", np.zeros((1, 1)), np.zeros((1, 1)), False)
+            one_example("hinge", np.zeros((1, 1)), np.zeros((1, 1)), False)
 
 
 def example_batch(seed, shape):
@@ -170,7 +180,7 @@ class TestPerExampleLosses:
             want_loss, want_grad = ORACLES[kind](pred[i], label[i], balance)
             assert losses[i].tobytes() == np.float64(want_loss).tobytes(), (i, kind)
             assert grad[i].tobytes() == want_grad.tobytes(), (i, kind)
-            one_loss, one_grad = pixel_loss(kind, pred[i], label[i], balance)
+            one_loss, one_grad = one_example(kind, pred[i], label[i], balance)
             assert one_loss == want_loss and one_grad.tobytes() == want_grad.tobytes()
 
     def test_degenerate_labels_keep_weights_one(self):

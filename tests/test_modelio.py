@@ -63,7 +63,7 @@ class TestRoundTrip:
         for (na, ta), (nb, tb) in zip(params.named_tensors(), back.named_tensors()):
             assert na == nb
             np.testing.assert_array_equal(ta, tb)
-        x = SplitMix64(5).floats(784).reshape(28, 28)
+        x = SplitMix64(5).floats(784).reshape(1, 1, 28, 28)
         assert forward_patch(params, x).prob == forward_patch(back, x).prob
 
     def test_save_is_deterministic(self, tmp_path):

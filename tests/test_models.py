@@ -198,8 +198,8 @@ class TestNamedGradients:
                                     [np.ones((8, 8))] * 3)
         else:
             params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
-            trace = forward_patch(params, SplitMix64(3).floats(784).reshape(28, 28))
-            grads = backward_patch(params, trace, 1.0)
+            trace = forward_patch(params, SplitMix64(3).floats(784).reshape(1, 1, 28, 28))
+            grads = [(name, g[0]) for name, g in backward_patch(params, trace, np.ones(1))]
         tensors = params.named_tensors()
         assert [name for name, _ in grads] == [name for name, _ in tensors]
         assert [g.shape for _, g in grads] == [t.shape for _, t in tensors]
@@ -208,25 +208,25 @@ class TestNamedGradients:
 class TestPatchNet:
     def test_forward_shape_pipeline(self):
         params = init_patch(PatchArch(), 0)
-        trace = forward_patch(params, SplitMix64(1).floats(784).reshape(28, 28))
-        assert trace.pre1.shape == (4, 24, 24)
-        assert trace.arg1.shape == (4, 12, 12)
-        assert trace.pre2.shape == (8, 8, 8)
-        assert trace.arg2.shape == (8, 4, 4)
-        assert trace.fc1_pre.shape == (32, 1, 1)
-        assert 0.0 < trace.prob < 1.0
+        trace = forward_patch(params, SplitMix64(1).floats(784).reshape(1, 1, 28, 28))
+        assert trace.pre1.shape == (1, 4, 24, 24)
+        assert trace.arg1.shape == (1, 4, 12, 12)
+        assert trace.pre2.shape == (1, 8, 8, 8)
+        assert trace.arg2.shape == (1, 8, 4, 4)
+        assert trace.fc1_pre.shape == (1, 32, 1, 1)
+        assert trace.prob.shape == (1,) and 0.0 < trace.prob[0] < 1.0
 
     def test_eval_mode_has_no_dropout(self):
         params = init_patch(PatchArch(dropout_rate=0.5), 0)
-        x = SplitMix64(2).floats(784).reshape(28, 28)
-        a = forward_patch(params, x, train_mode=False, seed=1).prob
-        b = forward_patch(params, x, train_mode=False, seed=2).prob
+        x = SplitMix64(2).floats(784).reshape(1, 1, 28, 28)
+        a = forward_patch(params, x, train_mode=False, seeds=[1]).prob
+        b = forward_patch(params, x, train_mode=False, seeds=[2]).prob
         assert a == b
 
     def test_train_mode_dropout_depends_on_seed(self):
         params = init_patch(PatchArch(dropout_rate=0.5), 0)
-        x = SplitMix64(3).floats(784).reshape(28, 28)
-        probs = {forward_patch(params, x, train_mode=True, seed=s).prob
+        x = SplitMix64(3).floats(784).reshape(1, 1, 28, 28)
+        probs = {forward_patch(params, x, train_mode=True, seeds=[s]).prob[0]
                  for s in range(8)}
         assert len(probs) > 1
 
@@ -236,14 +236,14 @@ class TestPatchNet:
         rng = SplitMix64(4)
         for name, t in params.named_tensors():
             t[...] = (rng.floats(t.size).reshape(t.shape) - 0.5) * 0.5
-        x = rng.floats(784).reshape(28, 28)
+        x = rng.floats(784).reshape(1, 1, 28, 28)
 
         def loss():
-            return forward_patch(params, x).prob
+            return forward_patch(params, x).prob[0]
 
         trace = forward_patch(params, x)
-        grads = backward_patch(params, trace, 1.0)
-        flat = dict(grads)
+        grads = backward_patch(params, trace, np.ones(1))
+        flat = {name: g[0] for name, g in grads}
         eps = 1e-5
         rng2 = SplitMix64(5)
         for name, tensor in params.named_tensors():
@@ -262,9 +262,11 @@ class TestPatchNet:
                 assert abs(fd - got[idx]) / denom < 1e-4, (name, idx)
 
     def test_wrong_patch_size(self):
+        """Only a batch (N, 1, 28, 28) is scored: not one patch on its own."""
         params = init_patch(PatchArch(), 0)
-        with pytest.raises(DimensionError):
-            forward_patch(params, np.zeros((27, 28)))
+        for shape in [(1, 1, 27, 28), (28, 28), (1, 28, 28), (1, 2, 28, 28)]:
+            with pytest.raises(DimensionError):
+                forward_patch(params, np.zeros(shape))
 
 
 class TestBatchedForwardBackward:
@@ -301,21 +303,22 @@ class TestBatchedForwardBackward:
         d_prob = rng.normals(3)
         seeds = [11, 12, 2 ** 63 + 5]
         for train_mode in (False, True):
-            trace = forward_patch(params, x, train_mode=train_mode, seed=seeds)
+            trace = forward_patch(params, x, train_mode=train_mode, seeds=seeds)
             grads = backward_patch(params, trace, d_prob)
             assert trace.prob.shape == (3,)
             for n in range(3):
-                one = forward_patch(params, x[n], train_mode=train_mode, seed=seeds[n])
-                assert trace.prob[n] == one.prob
-                assert np.array_equal(trace.drop[n], one.drop)
-                one_grads = backward_patch(params, one, float(d_prob[n]))
+                one = forward_patch(params, x[n:n + 1], train_mode=train_mode,
+                                    seeds=seeds[n:n + 1])
+                assert trace.prob[n] == one.prob[0]
+                assert np.array_equal(trace.drop[n], one.drop[0])
+                one_grads = backward_patch(params, one, d_prob[n:n + 1])
                 for (name, got), (_, want) in zip(grads, one_grads, strict=True):
-                    assert np.array_equal(got[n], want), name
+                    assert np.array_equal(got[n], want[0]), name
 
     def test_patch_needs_one_dropout_seed_per_patch(self):
         params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4), 0)
         with pytest.raises(DimensionError):
-            forward_patch(params, np.zeros((3, 1, 28, 28)), train_mode=True, seed=[1, 2])
+            forward_patch(params, np.zeros((3, 1, 28, 28)), train_mode=True, seeds=[1, 2])
 
 
 class TestFullyConnected:
@@ -374,7 +377,7 @@ class TestFullyConnected:
         assert np.shares_memory(named["fc1.weights"], p.fc1.weights)
         assert np.shares_memory(named["fc2.weights"], p.fc2.weights)
         named["fc2.weights"][...] = 0.0  # the forward runs the kernel the name holds
-        assert forward_patch(p, np.ones((28, 28))).prob == 0.5
+        assert forward_patch(p, np.ones((1, 1, 28, 28))).prob[0] == 0.5
 
     def test_deep_copy_keeps_the_views(self):
         """Training keeps its best params as a deep copy; the copy's
@@ -395,7 +398,8 @@ class TestFlatVector:
     NETS = {"nested": (lambda: randomize(init_nested(SMALL, 3), 4),
                        lambda p: forward_nested(p, np.linspace(0, 1, 64).reshape(8, 8)).fused),
             "patch": (lambda: init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3),
-                      lambda p: forward_patch(p, np.linspace(0, 1, 784).reshape(28, 28)).prob)}
+                      lambda p: forward_patch(p, np.linspace(0, 1, 784).reshape(1, 1, 28, 28))
+                      .prob)}
 
     @pytest.fixture(params=[(v, how) for v in ("nested", "patch")
                             for how in ("init", "load_model", "deepcopy")],

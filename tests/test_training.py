@@ -7,10 +7,10 @@ import pytest
 
 from lidar_edge import training
 from lidar_edge.augment import AugmentSpec, sample_and_apply
-from lidar_edge.errors import ConfigError, DivergenceError, ParameterError
+from lidar_edge.errors import ConfigError, DimensionError, DivergenceError, ParameterError
 from lidar_edge.evaluation import ConfusionMatrix, confusion, metrics
 from lidar_edge.formats import DatasetManifest, ManifestEntry
-from lidar_edge.losses import pixel_loss
+from lidar_edge.losses import pixel_losses
 from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch, backward_nested,
                                backward_patch, forward_nested, forward_patch, init_nested,
                                init_patch)
@@ -89,24 +89,22 @@ class TestTotalLoss:
     def test_sums_side_and_fused_terms(self):
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 0)
-        x = SplitMix64(1).floats(64).reshape(8, 8)
-        label = (SplitMix64(2).floats(64).reshape(8, 8) < 0.3).astype(float)
+        x = SplitMix64(1).floats(128).reshape(2, 1, 8, 8)
+        label = (SplitMix64(2).floats(128).reshape(2, 8, 8) < 0.3).astype(float)
         trace = forward_nested(params, x)
         cfg = TrainConfig(lambdas=(0.5, 0.25), class_balance=False)
-        from lidar_edge.losses import bce_loss
-        want = (bce_loss(trace.fused, label)[0]
-                + 0.5 * bce_loss(trace.side_probs[0], label)[0]
-                + 0.25 * bce_loss(trace.side_probs[1], label)[0])
-        loss, d_fused, d_sides = total_loss(trace, label, cfg)
-        assert loss == pytest.approx(want, rel=1e-12)
+        bce = lambda pred: pixel_losses("bce", pred, label, False)[0]
+        want = bce(trace.fused) + 0.5 * bce(trace.side_probs[0]) + 0.25 * bce(trace.side_probs[1])
+        losses, d_fused, d_sides = total_loss(trace, label, cfg)
+        np.testing.assert_allclose(losses, want, rtol=1e-12)
         assert len(d_sides) == 2
-        assert d_fused.shape == (8, 8)
+        assert d_fused.shape == (2, 8, 8)
 
     def test_lambda_scaling_of_side_gradients(self):
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 0)
-        x = SplitMix64(3).floats(64).reshape(8, 8)
-        label = np.zeros((8, 8))
+        x = SplitMix64(3).floats(64).reshape(1, 1, 8, 8)
+        label = np.zeros((1, 8, 8))
         trace = forward_nested(params, x)
         _, _, d1 = total_loss(trace, label, TrainConfig(lambdas=(1.0, 1.0), class_balance=False))
         _, _, d2 = total_loss(trace, label, TrainConfig(lambdas=(2.0, 0.5), class_balance=False))
@@ -115,9 +113,16 @@ class TestTotalLoss:
 
     def test_lambda_count_mismatch(self):
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-        trace = forward_nested(init_nested(arch, 0), np.zeros((8, 8)))
+        trace = forward_nested(init_nested(arch, 0), np.zeros((1, 1, 8, 8)))
         with pytest.raises(ConfigError):
-            total_loss(trace, np.zeros((8, 8)), TrainConfig(lambdas=(1.0,)))
+            total_loss(trace, np.zeros((1, 8, 8)), TrainConfig(lambdas=(1.0,)))
+
+    def test_one_image_trace_refused(self):
+        """A trace of one (H, W) image has no example axis to score along."""
+        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        trace = forward_nested(init_nested(arch, 0), np.zeros((8, 8)))
+        with pytest.raises(DimensionError):
+            total_loss(trace, np.zeros((8, 8)), TrainConfig())
 
 
 class TestTrainNested:
@@ -224,11 +229,11 @@ def sliding_prob_map(params, img):
     """The oracle for patch_prob_map: one forward_patch per pixel on the
     28x28 patch centred on it in the edge-padded image."""
     h, w = img.shape
-    padded = np.pad(img, 14, mode="edge")
+    padded = np.pad(img, 14, mode="edge")[np.newaxis, np.newaxis]
     out = np.zeros((h, w))
     for r in range(h):
         for c in range(w):
-            out[r, c] = forward_patch(params, padded[r:r + 28, c:c + 28]).prob
+            out[r, c] = forward_patch(params, padded[..., r:r + 28, c:c + 28]).prob[0]
     return out
 
 
@@ -303,9 +308,9 @@ def per_example_nested(train, val, arch, cfg):
     def example(epoch, position, idx):
         img, label = sample_and_apply(*train[idx], cfg.augment,
                                       splitmix64(cfg.seed, epoch * 1_000_003 + idx))
-        trace = forward_nested(params, img)
-        loss, d_fused, d_sides = total_loss(trace, label, cfg)
-        return loss, backward_nested(params, trace, d_fused, d_sides)
+        trace = forward_nested(params, img[np.newaxis, np.newaxis])
+        [loss], d_fused, d_sides = total_loss(trace, label[np.newaxis], cfg)
+        return loss, [(name, g[0]) for name, g in backward_nested(params, trace, d_fused, d_sides)]
 
     def val_f1_of():
         cm = ConfusionMatrix()
@@ -341,15 +346,17 @@ def per_example_patch(train, val, arch, cfg, per_image):
 
     def example(epoch, position, item):
         patch, y = item
-        trace = forward_patch(params, patch, train_mode=True,
-                              seed=splitmix64(cfg.seed, 4000 + epoch * 100_003 + position))
-        loss, d_prob = pixel_loss(cfg.loss_kind, np.array([trace.prob]), np.array([y]), False)
-        return loss, backward_patch(params, trace, float(d_prob[0]))
+        trace = forward_patch(params, patch[np.newaxis, np.newaxis], train_mode=True,
+                              seeds=[splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)])
+        [loss], d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
+                                      np.array([[y]]), False)
+        return loss, [(name, g[0]) for name, g in backward_patch(params, trace, d_prob[:, 0])]
 
     def val_f1_of():
         cm = ConfusionMatrix()
         for patch, y in val_patches:
-            pred = 1.0 if forward_patch(params, patch).prob >= 0.5 else 0.0
+            [prob] = forward_patch(params, patch[np.newaxis, np.newaxis]).prob
+            pred = 1.0 if prob >= 0.5 else 0.0
             cm = cm + confusion(np.array([[pred]]), np.array([[y]]))
         return metrics(cm).f1
 
@@ -475,10 +482,10 @@ class TestPatchEpoch:
         seen_patches, seen_labels = [], []
         forward, losses = training.forward_patch, training.pixel_losses
 
-        def recording_forward(params, x, train_mode=False, seed=0):
+        def recording_forward(params, x, train_mode=False, seeds=()):
             if train_mode:
                 seen_patches.append(x.copy())
-            return forward(params, x, train_mode=train_mode, seed=seed)
+            return forward(params, x, train_mode=train_mode, seeds=seeds)
 
         def recording_losses(kind, pred, label, class_balance):
             seen_labels.append(label.copy())
