@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .imaging import as_image, convolve2d, gaussian_filter
+from .imaging import _correlate, as_image, gaussian_filter
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
@@ -43,7 +43,7 @@ def sobel(img: np.ndarray) -> GradientField:
     img = as_image(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise DimensionError(f"sobel needs at least 3x3, got {img.shape}")
-    return GradientField(gx=convolve2d(img, SOBEL_X), gy=convolve2d(img, SOBEL_Y))
+    return GradientField(gx=_correlate(img, SOBEL_X), gy=_correlate(img, SOBEL_Y))
 
 
 def roberts(img: np.ndarray) -> GradientField:
@@ -89,15 +89,17 @@ def _nms(mag: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     padded[1:-1, 1:-1] = mag
     d = np.degrees(np.arctan2(gy, gx))
     # the angle folded into [0, 180] (d + 180.0 is what d % 180.0 gives for
-    # a negative d), binned to 0/45/90/135 degrees as 0..3; 180 wraps to 0
-    bins = np.searchsorted([22.5, 67.5, 112.5, 157.5], np.where(d < 0.0, d + 180.0, d),
-                           side="right") % 4
+    # a negative d), binned to 0/45/90/135 degrees; 180 wraps to 0
+    d = np.where(d < 0.0, d + 180.0, d)
+    over = [d >= edge for edge in (22.5, 67.5, 112.5, 157.5)]
+    # bin k of 1..3 runs from edge k - 1 up to edge k; bin 0 holds the rest
+    bins = [~(over[0] ^ over[3]), over[0] ^ over[1], over[1] ^ over[2], over[2] ^ over[3]]
     keep = np.zeros((h, w), dtype=bool)
     # neighbor offsets per quantized direction, in (dy, dx)
-    for k, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
+    for in_bin, (dy, dx) in zip(bins, ((0, 1), (1, 1), (1, 0), (1, -1))):
         fwd = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
         bwd = padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
-        keep |= (bins == k) & (mag >= fwd) & (mag >= bwd)
+        keep |= in_bin & (mag >= fwd) & (mag >= bwd)
     return np.where(keep, mag, 0.0)
 
 
@@ -108,69 +110,92 @@ def _hysteresis(nms: np.ndarray, lows, highs) -> np.ndarray:
     >= lows[k] to a pixel >= highs[k].
 
     Survival is monotone in k, so one union-find pass gives every count
-    (the component tree of the thinned magnitude): the 8-neighbour links
-    between weak pixels join in decreasing order of the weak level they
-    share, and a component's members take the level at which it first
-    holds a strong pixel."""
-    weak = np.searchsorted(lows, nms, side="right")  # pairs at which a pixel is weak
-    ys, xs = np.nonzero(weak)
-    weak = weak[ys, xs]
-    strong = np.searchsorted(highs, nms[ys, xs], side="right")
-    # their ids, inside a blank border so that every neighbour lookup is valid
-    ids = np.full((nms.shape[0] + 2, nms.shape[1] + 2), -1)
-    ids[ys + 1, xs + 1] = np.arange(len(ys))
-    # a pixel strong below its weak level turns strong there: a link to itself
-    seeds = np.flatnonzero((strong > 0) & (strong < weak))
-    ends, levels = [np.stack([seeds, seeds])], [strong[seeds]]
-    # each 8-neighbour link once, at the lower weak level of its two ends
-    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        nb = ids[ys + 1 + dy, xs + 1 + dx]
-        linked = np.flatnonzero(nb >= 0)
-        ends.append(np.stack([linked, nb[linked]]))
-        levels.append(np.minimum(weak[linked], weak[nb[linked]]))
-    levels = np.concatenate(levels)
-    order = np.argsort(-levels, kind="stable")
-    events = zip(levels[order].tolist(), *np.concatenate(ends, axis=1)[:, order].tolist())
+    (the component tree of the thinned magnitude; Tarjan 1975): the
+    8-neighbour links between weak pixels join in decreasing order of the
+    weak level they share. A component resolves at the highest level at
+    which it holds a pixel strong at that level, and its members count
+    that level; a component joined to a resolved one counts the level of
+    the join, or its own strong level if that is higher."""
+    h, w = nms.shape
+    values = nms.ravel()
+    if len(lows) and lows[0] > 0:  # a zero is weak at no pair: search only the rest
+        pixels = np.flatnonzero(values)
+        weak = np.searchsorted(lows, values[pixels], side="right")
+        pixels, weak = pixels[weak > 0], weak[weak > 0]
+    else:
+        weak = np.searchsorted(lows, values, side="right")  # pairs at which a pixel is weak
+        pixels = np.flatnonzero(weak)
+        weak = weak[pixels]
+    strong = np.searchsorted(highs, values[pixels], side="right")
+    # weak levels and ids on the flat map inside a blank border, so that
+    # every neighbour lookup is valid
+    row = w + 2
+    at = pixels + 2 * (pixels // w) + row + 1
+    level_map = np.zeros((h + 2) * row, dtype=np.intp)
+    level_map[at] = weak
+    ids = np.empty((h + 2) * row, dtype=np.intp)
+    ids[at] = np.arange(len(pixels))
+    # each 8-neighbour link once, at the lower weak level of its two ends:
+    # to the right, below, below-left and below-right
+    steps = np.array([1, row, row - 1, row + 1])
+    right, below = level_map[at + 1], level_map[at + row]
+    links = np.minimum(weak, [right, below, level_map[at + row - 1], level_map[at + row + 1]])
+    # a diagonal link is implied where a 4-neighbour the two ends share is
+    # weak at its level: the two 4-links through it join the same pixels at
+    # that level or before it
+    links[2, np.maximum(below, level_map[at - 1]) >= links[2]] = 0
+    links[3, np.maximum(below, right) >= links[3]] = 0
+    links = links.ravel()
+    linked = np.flatnonzero(links)
+    linked = linked[np.argsort(-links[linked], kind="stable")]
+    step, ends = np.divmod(linked, len(pixels))
+    events = zip(links[linked].tolist(), ends.tolist(), ids[at[ends] + steps[step]].tolist())
 
-    # a pixel strong wherever it is weak survives at all its levels
-    count = np.where(strong == weak, weak, 0)
-    parent = list(range(len(ys)))
-    # members still without a count, per root of a component with no strong pixel
-    pending = {p: [p] for p in np.flatnonzero(strong < weak).tolist()}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    parent = list(range(len(pixels)))
+    # per pixel: the root it was joined to when it stopped being a root
+    # (parent is path-compressed, joined is not)
+    joined = parent[:]
+    top = strong.tolist()  # per root: the highest strong level in its component
+    count = [-1] * len(pixels)  # per root: its members' count, once it resolves
     for level, p, q in events:
-        if p == q:  # a seed: its component now holds a strong pixel
-            members = pending.pop(find(p), None)
-            if members:
-                count[members] = level
-            continue
-        p, q = find(p), find(q)
+        # the roots of p and q, halving their paths; inline, as this loop
+        # is most of the sweep's time
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
         if p == q:
             continue
-        members_p, members_q = pending.pop(p, None), pending.pop(q, None)
-        if members_p is None or members_q is None:
-            if members_p or members_q:  # joined to a strong pixel
-                count[members_p or members_q] = level
-        else:
-            if len(members_p) < len(members_q):
-                p, q, members_p, members_q = q, p, members_q, members_p
-            members_p += members_q
-            pending[p] = members_p
-        parent[q] = p
-    out = np.zeros(nms.shape, dtype=np.intp)
-    out[ys, xs] = count
-    return out
+        tp, tq = top[p], top[q]
+        # a resolved component's top is at least the level it resolved at,
+        # so when neither top reaches this level, neither side has resolved
+        if tp >= level or tq >= level:
+            if count[p] < 0:
+                count[p] = max(tp, level)
+            if count[q] < 0:
+                count[q] = max(tq, level)
+        parent[q] = joined[q] = p
+        if tq > tp:
+            top[p] = tq
+    count, up = np.array(count, dtype=np.intp), np.array(joined, dtype=np.intp)
+    # a component never joined again resolves at its top, 0 if it holds no
+    # strong pixel; every other root counts as the first resolved root it
+    # was joined to, found by pointer jumping
+    last = (count < 0) & (up == np.arange(len(pixels)))
+    count[last] = np.array(top, dtype=np.intp)[last]
+    open_ = np.flatnonzero(count < 0)
+    while len(open_):
+        nxt = up[open_]
+        count[open_], up[open_] = count[nxt], up[nxt]
+        open_ = open_[count[open_] < 0]
+    out = np.zeros(nms.size, dtype=np.intp)
+    out[pixels] = count
+    return out.reshape(nms.shape)
 
 
 def _thinned_gradient(img: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
     """Canny's threshold-free front end: (NMS-thinned magnitude, peak)."""
-    field = sobel(gaussian_filter(as_image(img), sigma))
+    field = sobel(gaussian_filter(img, sigma))
     mag = field.magnitude
     return _nms(mag, field.gx, field.gy), mag.max()
 

@@ -65,10 +65,22 @@ def as_kernel(weights) -> np.ndarray:
 def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """2-D cross-correlation of `img` with an odd-sized kernel, the same
     size as img, with the border padded by its edge pixels (replicate)."""
-    img = as_image(img)
-    kernel = as_kernel(kernel)
+    return _correlate(as_image(img), as_kernel(kernel))
+
+
+def _correlate(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """convolve2d of an image and a kernel that are already validated."""
     (h, w), (kh, kw) = img.shape, kernel.shape
-    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    ph, pw = kh // 2, kw // 2
+    # the edge pad: rows beyond the top and bottom repeat the first and last
+    # row, then columns beyond the sides repeat the first and last column,
+    # corners included
+    padded = np.empty((h + 2 * ph, w + 2 * pw))
+    padded[ph:ph + h, pw:pw + w] = img
+    padded[:ph, pw:pw + w] = img[0]
+    padded[ph + h:, pw:pw + w] = img[-1]
+    padded[:, :pw] = padded[:, pw:pw + 1]
+    padded[:, pw + w:] = padded[:, pw + w - 1:pw + w]
     # one C-contiguous row per tap, in the kernel's row-major order, so the
     # window sums are one matrix product
     s0, s1 = padded.strides
@@ -91,4 +103,4 @@ def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with replicate border."""
     img = as_image(img)
     k = gaussian_kernel1d(sigma)
-    return convolve2d(convolve2d(img, k[np.newaxis, :]), k[:, np.newaxis])
+    return _correlate(_correlate(img, k[np.newaxis, :]), k[:, np.newaxis])

@@ -155,20 +155,15 @@ def _col2im_index(cin: int, kh: int, kw: int, ho: int, wo: int,
     return index
 
 
-def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-2 2x2 max pooling of (..., C, H, W) with H and W even.
-
-    Returns (pooled, argmax) where argmax holds the row-major index
-    (0..3) of the first maximum inside each window (+0.0 ties -0.0, and a
-    pooled zero may take either sign). A window holding NaN pools to NaN
-    with argmax 3: training stops on a non-finite loss before backward.
-    """
+def maxpool2x2_forward(x: np.ndarray) -> np.ndarray:
+    """Stride-2 2x2 max pooling of (..., C, H, W) with H and W even. A
+    pooled zero may take either sign where +0.0 ties -0.0, and a window
+    holding NaN pools to NaN: training stops on a non-finite loss before
+    backward."""
     if x.ndim < 3 or x.shape[-2] % 2 or x.shape[-1] % 2:
         raise DimensionError(f"expected (..., C, H, W) with H and W even, got {x.shape}")
     a, b, c, d = _window_views(x)
-    pooled = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    arg = np.where(a == pooled, 0, np.where(b == pooled, 1, np.where(c == pooled, 2, 3)))
-    return pooled, arg
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
 def _window_views(x: np.ndarray) -> list:
@@ -177,13 +172,18 @@ def _window_views(x: np.ndarray) -> list:
     return [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2x2_backward(x_shape: tuple, arg: np.ndarray,
-                        d_out: np.ndarray) -> np.ndarray:
-    """Route each window's gradient to its argmax position in the input
-    of shape x_shape."""
-    d_x = np.zeros(x_shape)
-    for k, cell in enumerate(_window_views(d_x)):
-        cell[...] = np.where(arg == k, d_out, 0.0)
+def maxpool2x2_backward(x: np.ndarray, pooled: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to the first cell, in row-major order,
+    where the forward's input x equals the forward's output pooled (+0.0
+    equals -0.0); a window holding NaN routes to its last cell."""
+    d_x = np.zeros(x.shape)
+    cells, d_cells = _window_views(x), _window_views(d_x)
+    free = np.ones(pooled.shape, dtype=bool)  # windows not routed yet
+    for cell, d_cell in zip(cells[:3], d_cells[:3]):
+        hit = free & (cell == pooled)
+        np.copyto(d_cell, d_out, where=hit)
+        free &= ~hit
+    np.copyto(d_cells[3], d_out, where=free)
     return d_x
 
 

@@ -197,8 +197,9 @@ class StageTrace:
     pre_a: np.ndarray
     in_b: np.ndarray | Columns      # conv_b's input (ReLU of pre_a), likewise
     pre_b: np.ndarray
-    in_side: np.ndarray | Columns   # the side head's input (ReLU of pre_b), likewise
-    pool_arg: np.ndarray | None = None
+    feat: np.ndarray                # ReLU of pre_b: the side head's and the pool's input
+    in_side: np.ndarray | Columns   # feat, or its Columns in train mode
+    pooled: np.ndarray | None = None  # the pool's output, where a next stage reads it
 
 
 @dataclass
@@ -242,11 +243,14 @@ def forward_nested(params: NestedNetParams, x: np.ndarray,
         pre_b = conv_forward(in_b, conv_b)
         feat = relu(pre_b)
         in_side = keep(feat, head)
-        st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, pre_b=pre_b, in_side=in_side)
+        st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, pre_b=pre_b, feat=feat,
+                        in_side=in_side)
+        # sigmoid is elementwise, so it is taken before the upsampling, on
+        # 1/4^s as many pixels
         logit = conv_forward(in_side, head)
-        trace.side_probs.append(sigmoid(upsample_nearest(logit, 2 ** s))[..., 0, :, :])
+        trace.side_probs.append(upsample_nearest(sigmoid(logit), 2 ** s)[..., 0, :, :])
         if s + 1 < params.arch.stages:
-            feat_in, st.pool_arg = maxpool2x2_forward(feat)
+            feat_in = st.pooled = maxpool2x2_forward(feat)
         trace.stages.append(st)
     # plain weighted sum with no simplex check: gradients w.r.t. alpha
     # are taken on the unconstrained weights, and feasibility is restored
@@ -281,7 +285,7 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
         d_feat, d_hw, d_hb = conv_backward(st.in_side, params.side_heads[s], d_logit)
         head_grads[s] = (d_hw, d_hb)
         if d_feat_next is not None:
-            d_feat = d_feat + maxpool2x2_backward(st.pre_b.shape, st.pool_arg, d_feat_next)
+            d_feat = d_feat + maxpool2x2_backward(st.feat, st.pooled, d_feat_next)
         conv_a, conv_b = params.stage_convs[s]
         d_pre_b = relu_backward(st.pre_b, d_feat)
         d_act_a, d_wb, d_bb = conv_backward(st.in_b, conv_b, d_pre_b)
@@ -297,9 +301,11 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
 class PatchTrace:
     ins: tuple          # inputs of conv1, conv2, fc1, fc2; Columns in train mode
     pre1: np.ndarray
-    arg1: np.ndarray
+    act1: np.ndarray    # ReLU of pre1: the first pool's input
+    pool1: np.ndarray
     pre2: np.ndarray
-    arg2: np.ndarray
+    act2: np.ndarray    # ReLU of pre2: the second pool's input
+    pool2: np.ndarray
     fc1_pre: np.ndarray
     drop: np.ndarray
     prob: np.ndarray
@@ -320,10 +326,12 @@ def forward_patch(params: PatchNetParams, patches: np.ndarray,
     keep = _keeper(train_mode)
     in1 = keep(x, params.conv1)
     pre1 = conv_forward(in1, params.conv1)                # C1 x 24 x 24
-    pool1, arg1 = maxpool2x2_forward(relu(pre1))          # C1 x 12 x 12
+    act1 = relu(pre1)
+    pool1 = maxpool2x2_forward(act1)                      # C1 x 12 x 12
     in2 = keep(pool1, params.conv2)
     pre2 = conv_forward(in2, params.conv2)                # C2 x 8 x 8
-    pool2, arg2 = maxpool2x2_forward(relu(pre2))          # C2 x 4 x 4
+    act2 = relu(pre2)
+    pool2 = maxpool2x2_forward(act2)                      # C2 x 4 x 4
     in_fc1 = keep(pool2, params.fc1)
     fc1_pre = conv_forward(in_fc1, params.fc1)            # hidden x 1 x 1
     fc1_act = relu(fc1_pre)
@@ -335,8 +343,8 @@ def forward_patch(params: PatchNetParams, patches: np.ndarray,
         drop = np.ones_like(fc1_act)
     in_fc2 = keep(fc1_act * drop, params.fc2)
     logit = conv_forward(in_fc2, params.fc2)              # 1 x 1 x 1
-    return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, arg1=arg1, pre2=pre2,
-                      arg2=arg2, fc1_pre=fc1_pre, drop=drop,
+    return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, act1=act1, pool1=pool1,
+                      pre2=pre2, act2=act2, pool2=pool2, fc1_pre=fc1_pre, drop=drop,
                       prob=sigmoid(logit).reshape(len(x)))
 
 
@@ -351,10 +359,10 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     d_fc1_out, d_w2, d_b2 = conv_backward(in_fc2, params.fc2, d_logit)
     d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_out * trace.drop)
     d_pool2, d_w1, d_b1 = conv_backward(in_fc1, params.fc1, d_fc1_pre)
-    d_act2 = maxpool2x2_backward(trace.pre2.shape, trace.arg2, d_pool2)
+    d_act2 = maxpool2x2_backward(trace.act2, trace.pool2, d_pool2)
     d_pre2 = relu_backward(trace.pre2, d_act2)
     d_pool1, d_cw2, d_cb2 = conv_backward(in2, params.conv2, d_pre2)
-    d_act1 = maxpool2x2_backward(trace.pre1.shape, trace.arg1, d_pool1)
+    d_act1 = maxpool2x2_backward(trace.act1, trace.pool1, d_pool1)
     d_pre1 = relu_backward(trace.pre1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
     return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,  # fc grads flat, as named

@@ -374,14 +374,14 @@ def patch_prob_map(params: PatchNetParams, img: np.ndarray) -> np.ndarray:
         ni, nj = len(range(a, h, 2)), len(range(b, w, 2))
         if ni == 0 or nj == 0:
             continue
-        pool1, _ = maxpool2x2_forward(act1[:, a:a + 2 * (ni + 11), b:b + 2 * (nj + 11)])
+        pool1 = maxpool2x2_forward(act1[:, a:a + 2 * (ni + 11), b:b + 2 * (nj + 11)])
         act2 = relu(conv_forward(pool1, params.conv2))
         for a2, b2 in offsets:
             # ... and 4 pool-2 rows, so n rows need n + 3
             nk, nl = len(range(a2, ni, 2)), len(range(b2, nj, 2))
             if nk == 0 or nl == 0:
                 continue
-            pool2, _ = maxpool2x2_forward(act2[:, a2:a2 + 2 * (nk + 3), b2:b2 + 2 * (nl + 3)])
+            pool2 = maxpool2x2_forward(act2[:, a2:a2 + 2 * (nk + 3), b2:b2 + 2 * (nl + 3)])
             logit = conv_forward(relu(conv_forward(pool2, params.fc1)), params.fc2)
             out[a + 2 * a2::4, b + 2 * b2::4] = sigmoid(logit)[0]
     return out

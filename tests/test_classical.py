@@ -334,6 +334,69 @@ class TestHysteresisOracle:
                     np.testing.assert_array_equal(canny(img, sigma, low, high), want)
 
 
+LEVELS = np.arange(5) / 4.0  # the values fuzzed maps and pairs draw from, so that many tie
+
+
+def fuzz_map(rng, kind):
+    """A small thinned-magnitude map: values from LEVELS or from [0, 1),
+    about a third of them zero; 2x2 blocks at mixed levels that touch at
+    sides or corners; or values all below 0.3."""
+    h, w = 1 + rng.randint(8), 1 + rng.randint(8)
+    if kind == "below":
+        return 0.29 * rng.floats(h * w).reshape(h, w)
+    if kind == "blocks":
+        m = np.zeros((h + 1, w + 1))
+        for _ in range(1 + rng.randint(4)):
+            y, x = rng.randint(h), rng.randint(w)
+            m[y:y + 2, x:x + 2] = LEVELS[1 + (rng.floats(4) * 4).astype(int)].reshape(2, 2)
+        m[rng.floats(m.size).reshape(m.shape) < 0.2] = 0.0  # leaves some diagonal pairs
+        return m
+    m = (rng.floats(h * w) if kind == "continuous"
+         else LEVELS[(rng.floats(h * w) * 5).astype(int)]).reshape(h, w)
+    m[rng.floats(h * w).reshape(h, w) < 0.3] = 0.0
+    return m
+
+
+def fuzz_pairs(rng, kind):
+    """1-5 ascending pairs with lows[k] <= highs[k], from LEVELS, the first
+    low 0 for "low-zero" (every pixel is weak there); lows all at or above
+    0.3 for "above"; none at all for "none"."""
+    n = 0 if kind == "none" else 1 + rng.randint(5)
+    lows = (np.sort(0.3 + 0.7 * rng.floats(n)) if kind == "above"
+            else np.sort(LEVELS[(rng.floats(n) * 5).astype(int)]))
+    if kind == "low-zero":
+        lows[0] = 0.0
+    highs = np.maximum.accumulate(np.maximum(lows, LEVELS[(rng.floats(n) * 5).astype(int)]))
+    return lows, highs
+
+
+class TestHysteresisFuzz:
+    """The sweep against the flood fill at every pair, on 100 seeded small
+    maps per case. Values tie with each other and with the thresholds. In
+    the blocks, a diagonal link is implied by a 4-neighbour its two ends
+    share at some pairs and not at others."""
+
+    CASES = [("levels", "levels"), ("continuous", "levels"), ("blocks", "levels"),
+             ("levels", "low-zero"), ("blocks", "low-zero"), ("levels", "none"),
+             ("below", "above")]
+
+    @pytest.mark.parametrize("maps, pairs", CASES, ids=[f"{m}-{p}" for m, p in CASES])
+    def test_matches_flood_fill_at_every_pair(self, maps, pairs):
+        rng = SplitMix64(sum(map(ord, maps + pairs)))
+        for trial in range(100):
+            nms = fuzz_map(rng, maps)
+            lows, highs = fuzz_pairs(rng, pairs)
+            counts = _hysteresis(nms, lows, highs)
+            assert counts.shape == nms.shape and counts.dtype == np.intp
+            assert counts.min() >= 0 and counts.max() <= len(lows)
+            if maps == "below":  # no pixel is weak at any pair
+                assert not counts.any()
+            for k in range(len(lows)):
+                np.testing.assert_array_equal((counts > k).astype(np.float64),
+                                              bfs_hysteresis(nms, lows[k], highs[k]),
+                                              err_msg=f"trial {trial}, pair {k}")
+
+
 def modulo_nms(mag, gx, gy):
     """_nms with the angle folded by % 180.0 and the survivors gathered
     through one boolean mask per direction."""

@@ -121,6 +121,17 @@ class TestConvolve2dMatchesEinsum:
             assert_matches_einsum(img, k, border)
 
     @pytest.mark.parametrize("border", ["zero", "replicate"])
+    def test_pad_wider_than_image(self, border):
+        """A kernel radius beyond the image's sides: the replicate pad
+        repeats the edge pixels, corners included, as np.pad's "edge"
+        mode does, however far it reaches."""
+        rng = SplitMix64(25)
+        for h, w in ((3, 3), (2, 5), (5, 2)):
+            img = rng.normals(h * w).reshape(h, w)
+            for kh, kw in ((1, 13), (13, 1), (13, 13), (7, 11)):
+                assert_matches_einsum(img, rng.normals(kh * kw).reshape(kh, kw), border)
+
+    @pytest.mark.parametrize("border", ["zero", "replicate"])
     @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (1, 1)], ids=str)
     def test_one_pixel_wide_matches_naive_oracle(self, shape, border):
         """Here einsum drops the size-1 axis and sums in another order, so

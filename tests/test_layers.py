@@ -85,8 +85,7 @@ class TestMaxPool:
                        [4.0, 0.0, 1.0, 2.0],
                        [7.0, 6.0, 0.0, 1.0],
                        [5.0, 8.0, 2.0, 9.0]]])
-        pooled, _ = maxpool2x2_forward(x)
-        np.testing.assert_array_equal(pooled, [[[4.0, 5.0], [8.0, 9.0]]])
+        np.testing.assert_array_equal(maxpool2x2_forward(x), [[[4.0, 5.0], [8.0, 9.0]]])
 
     @pytest.mark.parametrize("shape", [(1, 3, 4), (1, 4, 3), (2, 2, 5, 5)], ids=str)
     def test_odd_size_refused(self, shape):
@@ -95,26 +94,25 @@ class TestMaxPool:
 
     def test_tie_takes_first_in_row_major_order(self):
         x = np.full((1, 2, 2), 3.0)
-        _, arg = maxpool2x2_forward(x)
-        assert arg[0, 0, 0] == 0  # top-left wins a four-way tie
+        dx = maxpool2x2_backward(x, maxpool2x2_forward(x), np.array([[[1.0]]]))
+        np.testing.assert_array_equal(dx, [[[1.0, 0.0], [0.0, 0.0]]])  # top-left wins a four-way tie
 
     def test_backward_matches_finite_differences(self):
         rng = SplitMix64(5)
         for shape in ((2, 6, 6), (1, 4, 8)):
             x = rng.floats(int(np.prod(shape))).reshape(shape)
-            pooled, arg = maxpool2x2_forward(x)
+            pooled = maxpool2x2_forward(x)
             rand = rng.floats(pooled.size).reshape(pooled.shape)
 
             def loss():
-                return (maxpool2x2_forward(x)[0] * rand).sum()
+                return (maxpool2x2_forward(x) * rand).sum()
 
-            dx = maxpool2x2_backward(x.shape, arg, rand)
+            dx = maxpool2x2_backward(x, pooled, rand)
             np.testing.assert_allclose(dx, fd_grad(loss, x), atol=1e-8)
 
     def test_backward_routes_to_argmax_only(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        _, arg = maxpool2x2_forward(x)
-        dx = maxpool2x2_backward(x.shape, arg, np.array([[[1.0]]]))
+        dx = maxpool2x2_backward(x, maxpool2x2_forward(x), np.array([[[1.0]]]))
         np.testing.assert_array_equal(dx, [[[0.0, 0.0], [0.0, 1.0]]])
 
 
@@ -226,7 +224,9 @@ def assert_identical(got, want):
 
 class TestKernelOracles:
     """Pooling and sigmoid against the argmax-and-gather and masked
-    versions they replace."""
+    versions they replace. The pooling backward finds each window's
+    first maximum again from the forward's input and output; it must
+    route exactly as the argmax the forward once returned."""
 
     @staticmethod
     def tied(rng, shape, values):
@@ -245,22 +245,31 @@ class TestKernelOracles:
                                 (None, True)):
             x = (rng.normals(int(np.prod(shape))).reshape(shape) if values is None
                  else self.tied(rng, shape, values))
-            pooled, arg = maxpool2x2_forward(x)
+            pooled = maxpool2x2_forward(x)
             want_pooled, want_arg = argmax_maxpool(x)
             assert np.array_equal(pooled, want_pooled)
             assert not bitwise or pooled.tobytes() == want_pooled.tobytes()
-            assert arg.shape == want_arg.shape and np.array_equal(arg, want_arg)
             d_out = (self.tied(rng, pooled.shape, [-1.0, -0.0, 0.0, 1.0])
                      * rng.normals(pooled.size).reshape(pooled.shape))
-            assert_identical(maxpool2x2_backward(x.shape, arg, d_out),
+            assert_identical(maxpool2x2_backward(x, pooled, d_out),
                              scatter_maxpool_backward(x.shape, want_arg, d_out))
 
     def test_pool_nan_window(self):
-        """A window holding NaN pools to NaN; its argmax is 3, not the
-        first NaN."""
+        """A window holding NaN pools to NaN and routes its gradient to its
+        last cell, not to the first NaN; every other window routes to its
+        argmax, ties and signed zeros included."""
         x = np.array([[[1.0, np.nan], [np.nan, 2.0]]])
-        pooled, arg = maxpool2x2_forward(x)
-        assert np.isnan(pooled).all() and arg.tolist() == [[[3]]]
+        assert np.isnan(maxpool2x2_forward(x)).all()
+        assert_identical(maxpool2x2_backward(x, maxpool2x2_forward(x), np.array([[[5.0]]])),
+                         np.array([[[0.0, 0.0], [0.0, 5.0]]]))
+        rng = SplitMix64(43)
+        x = self.tied(rng, (2, 3, 8, 8), [-1.0, -0.0, 0.0, 1.0, np.nan])
+        pooled = maxpool2x2_forward(x)
+        nan_window = np.isnan(pooled)
+        assert nan_window.any() and not nan_window.all()
+        d_out = rng.normals(pooled.size).reshape(pooled.shape)
+        assert_identical(maxpool2x2_backward(x, pooled, d_out), scatter_maxpool_backward(
+            x.shape, np.where(nan_window, 3, argmax_maxpool(x)[1]), d_out))
 
     def test_sigmoid(self):
         special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan,
@@ -423,14 +432,12 @@ class TestBatchAxis:
         rng = SplitMix64(10)
         x = rng.normals(3 * 2 * hw[0] * hw[1]).reshape(3, 2, *hw)
         x[0, 0, :2, :2] = 1.5  # a tie, taken by the first cell
-        pooled, arg = maxpool2x2_forward(x)
+        pooled = maxpool2x2_forward(x)
         d_out = rng.normals(pooled.size).reshape(pooled.shape)
-        d_x = maxpool2x2_backward(x.shape, arg, d_out)
+        d_x = maxpool2x2_backward(x, pooled, d_out)
         for n in range(3):
-            one_pooled, one_arg = maxpool2x2_forward(x[n])
-            assert np.array_equal(pooled[n], one_pooled)
-            assert np.array_equal(arg[n], one_arg)
-            assert np.array_equal(d_x[n], maxpool2x2_backward(x[n].shape, one_arg, d_out[n]))
+            assert np.array_equal(pooled[n], maxpool2x2_forward(x[n]))
+            assert np.array_equal(d_x[n], maxpool2x2_backward(x[n], pooled[n], d_out[n]))
             assert np.array_equal(pooled[n], naive_maxpool(x[n]))
 
     def test_upsample_batch_is_stack_of_examples(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lidar_edge.errors import DimensionError, ParameterError
-from lidar_edge.layers import conv_backward, conv_forward
+from lidar_edge.layers import conv_backward, conv_forward, sigmoid, upsample_nearest
 from lidar_edge.modelio import load_model, save_model
 from lidar_edge.models import (NestedArch, PatchArch, PatchNetParams,
                                backward_nested, backward_patch, forward_nested,
@@ -138,6 +138,28 @@ class TestForwardNested:
         with pytest.raises(DimensionError):
             forward_nested(params, np.zeros((8, 10)))
 
+    @pytest.mark.parametrize("image", [False, True], ids=["batch", "image"])
+    def test_inference_matches_train_mode_bit_for_bit(self, image):
+        """Inference keeps no columns and builds no pooling argmax, and it
+        takes each side's sigmoid before the upsampling: every map is
+        still the train-mode forward's, and each side map the sigmoid of
+        the upsampled logit, bit for bit."""
+        params = randomize(init_nested(NestedArch(stages=3, widths=(2, 3, 4),
+                                                  input_hw=(16, 16)), 0), 6)
+        for head in params.side_heads:  # logits of both signs and large ones
+            head.weights *= 8.0
+        x = 4.0 * SplitMix64(7).normals(2 * 256).reshape(2, 1, 16, 16)
+        x = x[0, 0] if image else x
+        infer = forward_nested(params, x)
+        train = forward_nested(params, x, train_mode=True)
+        assert infer.fused.tobytes() == train.fused.tobytes()
+        assert len(infer.side_probs) == len(train.side_probs) == 3
+        for s, (got, want) in enumerate(zip(infer.side_probs, train.side_probs)):
+            assert got.shape == ((16, 16) if image else (2, 16, 16))
+            assert got.tobytes() == want.tobytes()
+            logit = conv_forward(infer.stages[s].in_side, params.side_heads[s])
+            assert got.tobytes() == sigmoid(upsample_nearest(logit, 2 ** s))[..., 0, :, :].tobytes()
+
 
 class TestBackwardNested:
     def test_matches_finite_differences_everywhere(self):
@@ -209,10 +231,10 @@ class TestPatchNet:
     def test_forward_shape_pipeline(self):
         params = init_patch(PatchArch(), 0)
         trace = forward_patch(params, SplitMix64(1).floats(784).reshape(1, 1, 28, 28))
-        assert trace.pre1.shape == (1, 4, 24, 24)
-        assert trace.arg1.shape == (1, 4, 12, 12)
-        assert trace.pre2.shape == (1, 8, 8, 8)
-        assert trace.arg2.shape == (1, 8, 4, 4)
+        assert trace.pre1.shape == trace.act1.shape == (1, 4, 24, 24)
+        assert trace.pool1.shape == (1, 4, 12, 12)
+        assert trace.pre2.shape == trace.act2.shape == (1, 8, 8, 8)
+        assert trace.pool2.shape == (1, 8, 4, 4)
         assert trace.fc1_pre.shape == (1, 32, 1, 1)
         assert trace.prob.shape == (1,) and 0.0 < trace.prob[0] < 1.0
 
