@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .imaging import _correlate, as_image, gaussian_filter
+from .imaging import as_image, convolve2d, gaussian_filter
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
@@ -43,7 +43,7 @@ def sobel(img: np.ndarray) -> GradientField:
     img = as_image(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise DimensionError(f"sobel needs at least 3x3, got {img.shape}")
-    return GradientField(gx=_correlate(img, SOBEL_X), gy=_correlate(img, SOBEL_Y))
+    return GradientField(gx=convolve2d(img, SOBEL_X), gy=convolve2d(img, SOBEL_Y))
 
 
 def roberts(img: np.ndarray) -> GradientField:
@@ -118,14 +118,9 @@ def _hysteresis(nms: np.ndarray, lows, highs) -> np.ndarray:
     the join, or its own strong level if that is higher."""
     h, w = nms.shape
     values = nms.ravel()
-    if len(lows) and lows[0] > 0:  # a zero is weak at no pair: search only the rest
-        pixels = np.flatnonzero(values)
-        weak = np.searchsorted(lows, values[pixels], side="right")
-        pixels, weak = pixels[weak > 0], weak[weak > 0]
-    else:
-        weak = np.searchsorted(lows, values, side="right")  # pairs at which a pixel is weak
-        pixels = np.flatnonzero(weak)
-        weak = weak[pixels]
+    # a pixel is weak at some pair exactly when it is >= the first low
+    pixels = np.flatnonzero(values >= (lows[0] if len(lows) else np.inf))
+    weak = np.searchsorted(lows, values[pixels], side="right")  # pairs at which it is weak
     strong = np.searchsorted(highs, values[pixels], side="right")
     # weak levels and ids on the flat map inside a blank border, so that
     # every neighbour lookup is valid

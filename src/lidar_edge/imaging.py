@@ -64,12 +64,12 @@ def as_kernel(weights) -> np.ndarray:
 
 def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """2-D cross-correlation of `img` with an odd-sized kernel, the same
-    size as img, with the border padded by its edge pixels (replicate)."""
-    return _correlate(as_image(img), as_kernel(kernel))
+    size as img, with the border padded by its edge pixels (replicate).
 
-
-def _correlate(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """convolve2d of an image and a kernel that are already validated."""
+    The kernel is validated here. img must already be an image as
+    `as_image` returns it: a caller that filters one image several times
+    (`gaussian_filter`, `classical.sobel`) validates it once."""
+    kernel = as_kernel(kernel)
     (h, w), (kh, kw) = img.shape, kernel.shape
     ph, pw = kh // 2, kw // 2
     # the edge pad: rows beyond the top and bottom repeat the first and last
@@ -103,4 +103,4 @@ def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with replicate border."""
     img = as_image(img)
     k = gaussian_kernel1d(sigma)
-    return _correlate(_correlate(img, k[np.newaxis, :]), k[:, np.newaxis])
+    return convolve2d(convolve2d(img, k[np.newaxis, :]), k[:, np.newaxis])

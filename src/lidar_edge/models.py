@@ -196,8 +196,7 @@ class StageTrace:
     in_a: np.ndarray | Columns      # conv_a's input, or its Columns in train mode
     pre_a: np.ndarray
     in_b: np.ndarray | Columns      # conv_b's input (ReLU of pre_a), likewise
-    pre_b: np.ndarray
-    feat: np.ndarray                # ReLU of pre_b: the side head's and the pool's input
+    feat: np.ndarray                # ReLU of conv_b's output: the side head's and the pool's input
     in_side: np.ndarray | Columns   # feat, or its Columns in train mode
     pooled: np.ndarray | None = None  # the pool's output, where a next stage reads it
 
@@ -240,11 +239,9 @@ def forward_nested(params: NestedNetParams, x: np.ndarray,
         in_a = keep(feat_in, conv_a)
         pre_a = conv_forward(in_a, conv_a)
         in_b = keep(relu(pre_a), conv_b)
-        pre_b = conv_forward(in_b, conv_b)
-        feat = relu(pre_b)
+        feat = relu(conv_forward(in_b, conv_b))
         in_side = keep(feat, head)
-        st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, pre_b=pre_b, feat=feat,
-                        in_side=in_side)
+        st = StageTrace(in_a=in_a, pre_a=pre_a, in_b=in_b, feat=feat, in_side=in_side)
         # sigmoid is elementwise, so it is taken before the upsampling, on
         # 1/4^s as many pixels
         logit = conv_forward(in_side, head)
@@ -287,7 +284,7 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
         if d_feat_next is not None:
             d_feat = d_feat + maxpool2x2_backward(st.feat, st.pooled, d_feat_next)
         conv_a, conv_b = params.stage_convs[s]
-        d_pre_b = relu_backward(st.pre_b, d_feat)
+        d_pre_b = relu_backward(st.feat, d_feat)
         d_act_a, d_wb, d_bb = conv_backward(st.in_b, conv_b, d_pre_b)
         d_pre_a = relu_backward(st.pre_a, d_act_a)
         # the input image needs no gradient
@@ -300,11 +297,9 @@ def backward_nested(params: NestedNetParams, trace: ForwardTrace,
 @dataclass
 class PatchTrace:
     ins: tuple          # inputs of conv1, conv2, fc1, fc2; Columns in train mode
-    pre1: np.ndarray
-    act1: np.ndarray    # ReLU of pre1: the first pool's input
+    act1: np.ndarray    # ReLU of conv1's output: the first pool's input
     pool1: np.ndarray
-    pre2: np.ndarray
-    act2: np.ndarray    # ReLU of pre2: the second pool's input
+    act2: np.ndarray    # ReLU of conv2's output: the second pool's input
     pool2: np.ndarray
     fc1_pre: np.ndarray
     drop: np.ndarray
@@ -325,12 +320,10 @@ def forward_patch(params: PatchNetParams, patches: np.ndarray,
         raise DimensionError(f"patches must be (N, 1, 28, 28), got {x.shape}")
     keep = _keeper(train_mode)
     in1 = keep(x, params.conv1)
-    pre1 = conv_forward(in1, params.conv1)                # C1 x 24 x 24
-    act1 = relu(pre1)
+    act1 = relu(conv_forward(in1, params.conv1))          # C1 x 24 x 24
     pool1 = maxpool2x2_forward(act1)                      # C1 x 12 x 12
     in2 = keep(pool1, params.conv2)
-    pre2 = conv_forward(in2, params.conv2)                # C2 x 8 x 8
-    act2 = relu(pre2)
+    act2 = relu(conv_forward(in2, params.conv2))          # C2 x 8 x 8
     pool2 = maxpool2x2_forward(act2)                      # C2 x 4 x 4
     in_fc1 = keep(pool2, params.fc1)
     fc1_pre = conv_forward(in_fc1, params.fc1)            # hidden x 1 x 1
@@ -343,8 +336,8 @@ def forward_patch(params: PatchNetParams, patches: np.ndarray,
         drop = np.ones_like(fc1_act)
     in_fc2 = keep(fc1_act * drop, params.fc2)
     logit = conv_forward(in_fc2, params.fc2)              # 1 x 1 x 1
-    return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), pre1=pre1, act1=act1, pool1=pool1,
-                      pre2=pre2, act2=act2, pool2=pool2, fc1_pre=fc1_pre, drop=drop,
+    return PatchTrace(ins=(in1, in2, in_fc1, in_fc2), act1=act1, pool1=pool1, act2=act2,
+                      pool2=pool2, fc1_pre=fc1_pre, drop=drop,
                       prob=sigmoid(logit).reshape(len(x)))
 
 
@@ -360,10 +353,10 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     d_fc1_pre = relu_backward(trace.fc1_pre, d_fc1_out * trace.drop)
     d_pool2, d_w1, d_b1 = conv_backward(in_fc1, params.fc1, d_fc1_pre)
     d_act2 = maxpool2x2_backward(trace.act2, trace.pool2, d_pool2)
-    d_pre2 = relu_backward(trace.pre2, d_act2)
+    d_pre2 = relu_backward(trace.act2, d_act2)
     d_pool1, d_cw2, d_cb2 = conv_backward(in2, params.conv2, d_pre2)
     d_act1 = maxpool2x2_backward(trace.act1, trace.pool1, d_pool1)
-    d_pre1 = relu_backward(trace.pre1, d_act1)
+    d_pre1 = relu_backward(trace.act1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
     return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,  # fc grads flat, as named
                            d_w1.reshape(n, params.arch.hidden, -1), d_b1,

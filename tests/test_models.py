@@ -231,9 +231,9 @@ class TestPatchNet:
     def test_forward_shape_pipeline(self):
         params = init_patch(PatchArch(), 0)
         trace = forward_patch(params, SplitMix64(1).floats(784).reshape(1, 1, 28, 28))
-        assert trace.pre1.shape == trace.act1.shape == (1, 4, 24, 24)
+        assert trace.act1.shape == (1, 4, 24, 24)
         assert trace.pool1.shape == (1, 4, 12, 12)
-        assert trace.pre2.shape == trace.act2.shape == (1, 8, 8, 8)
+        assert trace.act2.shape == (1, 8, 8, 8)
         assert trace.pool2.shape == (1, 8, 4, 4)
         assert trace.fc1_pre.shape == (1, 32, 1, 1)
         assert trace.prob.shape == (1,) and 0.0 < trace.prob[0] < 1.0
