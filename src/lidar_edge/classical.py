@@ -4,10 +4,11 @@ All operate on [0,1] gray images and use the shared cross-correlation
 convolution. Thresholds are fractions of the maximum gradient magnitude
 so defaults transfer across images of different contrast.
 
-Tuning reads a detector at every threshold of a grid as one integer
-level map. For Canny, one union-find hysteresis sweep over the thinned
-magnitude (``_hysteresis``) gives the map for all grid thresholds at
-once, and ``canny`` is the same sweep for a single threshold pair.
+A detector read at every threshold of an ascending grid gives one
+integer level map: the edge map at grid index k is level > k. For Canny,
+one union-find hysteresis sweep over the thinned magnitude
+(``_hysteresis``) gives the map for every threshold pair at once; a
+single pair is a grid of one.
 """
 
 from __future__ import annotations
@@ -58,23 +59,12 @@ def roberts(img: np.ndarray) -> GradientField:
     return GradientField(gx=g1, gy=g2)
 
 
-def threshold_magnitude(field: GradientField, t: float) -> np.ndarray:
-    """Binarize at t * max(magnitude); an all-zero field gives an empty map."""
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"threshold fraction must lie in [0, 1], got {t}")
+def magnitude_levels(field: GradientField, grid: np.ndarray) -> np.ndarray:
+    """Level map of mag >= t * max(mag) over an ascending grid: at index k,
+    level > k."""
     mag = field.magnitude
     peak = mag.max()
     # flat images leave only floating-point cancellation residue; treat as empty
-    if peak < 1e-12:
-        return np.zeros_like(mag)
-    return (mag >= t * peak).astype(np.float64)
-
-
-def magnitude_levels(field: GradientField, grid: np.ndarray) -> np.ndarray:
-    """Level map of threshold_magnitude(field, t) over an ascending grid:
-    at index k, level > k."""
-    mag = field.magnitude
-    peak = mag.max()
     if peak < 1e-12:
         return np.zeros(mag.shape, dtype=np.intp)
     return np.searchsorted(grid * peak, mag, side="right")
@@ -188,33 +178,28 @@ def _hysteresis(nms: np.ndarray, lows, highs) -> np.ndarray:
     return out.reshape(nms.shape)
 
 
-def _thinned_gradient(img: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
-    """Canny's threshold-free front end: (NMS-thinned magnitude, peak)."""
+def canny(img: np.ndarray, sigma: float, low, high) -> np.ndarray:
+    """Canny pipeline: Gaussian smoothing, Sobel gradients, non-maximum
+    suppression, then double thresholds at fractions of the peak magnitude
+    and hysteresis linking. low and high are numbers, or ascending arrays
+    of one length, with 0 <= low[k] <= high[k] <= 1; each pixel of the
+    result counts the pairs (low[k], high[k]) at which it is an edge, so
+    the edge map at pair k is result > k. A flat image has no edge at any
+    pair; on any other image a (0, 0) pair marks every pixel."""
+    lows, highs = np.atleast_1d(low), np.atleast_1d(high)
+    if not (lows.ndim == 1 and lows.shape == highs.shape and (lows <= highs).all()
+            and (lows[:1] >= 0.0).all() and (highs[-1:] <= 1.0).all()
+            and (lows[1:] >= lows[:-1]).all() and (highs[1:] >= highs[:-1]).all()):
+        raise ParameterError(f"need ascending pairs with 0 <= low <= high <= 1, "
+                             f"got low={low} high={high}")
     field = sobel(gaussian_filter(img, sigma))
     mag = field.magnitude
-    return _nms(mag, field.gx, field.gy), mag.max()
-
-
-def canny(img: np.ndarray, sigma: float = 1.0, low: float = 0.1,
-          high: float = 0.2) -> np.ndarray:
-    """Canny pipeline: Gaussian smoothing, Sobel gradients, non-maximum
-    suppression, double threshold at fractions of the peak magnitude,
-    hysteresis linking. low == high is allowed: at (0, 0) every pixel of
-    a non-flat image is marked."""
-    if not (0.0 <= low <= high <= 1.0):
-        raise ParameterError(f"need 0 <= low <= high <= 1, got low={low} high={high}")
-    thinned, peak = _thinned_gradient(img, sigma)
+    peak = mag.max()
     # flat images leave only floating-point cancellation residue; treat as empty
     if peak < 1e-12:
-        return np.zeros_like(thinned)
-    return (_hysteresis(thinned, [low * peak], [high * peak]) > 0).astype(np.float64)
-
-
-def canny_levels(img: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
-    """Level map of canny(img, sigma, t * CANNY_LOW_RATIO, t) over an ascending grid
-    from 0, where every pixel is marked: at index k, level > k. The
-    front end and one hysteresis sweep run once for the whole grid."""
-    thinned, peak = _thinned_gradient(img, sigma)
-    if peak < 1e-12:
-        return np.ones(thinned.shape, dtype=np.intp)
-    return 1 + _hysteresis(thinned, (grid[1:] * CANNY_LOW_RATIO) * peak, grid[1:] * peak)
+        return np.zeros(mag.shape, dtype=np.intp)
+    # a leading (0, 0) pair marks every pixel; left to the sweep, every
+    # pixel would join its union-find
+    lead = int(highs.size > 0 and highs[0] == 0.0)
+    return lead + _hysteresis(_nms(mag, field.gx, field.gy), lows[lead:] * peak,
+                              highs[lead:] * peak)

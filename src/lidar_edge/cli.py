@@ -45,42 +45,29 @@ EXIT_DIVERGED = 5
 
 
 class Detector(NamedTuple):
-    """levels(model, img, grid, **setting) is the level map over the threshold
-    grid, edges(model, img, t, **setting) the edge map at t; None for both
-    when the detector is not tuned."""
+    """levels(model, img, grid, **setting) is the level map over an ascending
+    threshold grid, whose edge map at grid[k] is level > k; None when the
+    detector is not tuned."""
     levels: Callable | None
-    edges: Callable | None
     settings: tuple = ({},)
     model: str | None = None
 
 
-def _above(t: float) -> Callable:
-    """The edge map prob >= t of a probability map, for t in [0, 1]; any
-    other t, NaN included, would give an all-0 or all-1 map and is refused."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"threshold must lie in [0, 1], got {t}")
-    return lambda prob: (prob >= t).astype(np.float64)
-
-
 # in the row order of `compare`
 DETECTORS = {
-    "cnn": Detector(
-        lambda m, im, grid: prob_levels(forward_nested(m, im).fused, grid),
-        lambda m, im, t: _above(t)(forward_nested(m, im).fused), model="nested"),
+    "cnn": Detector(lambda m, im, grid: prob_levels(forward_nested(m, im).fused, grid),
+                    model="nested"),
     "canny": Detector(
-        lambda m, im, grid, sigma: classical.canny_levels(im, grid, sigma),
-        lambda m, im, t, sigma: classical.canny(
-            im, sigma=sigma, low=t * classical.CANNY_LOW_RATIO, high=t),
+        lambda m, im, grid, sigma: classical.canny(
+            im, sigma, grid * classical.CANNY_LOW_RATIO, grid),
         settings=tuple({"sigma": s} for s in (1.0, 1.5, 2.0, 2.5))),
     "sobel": Detector(
-        lambda m, im, grid: classical.magnitude_levels(classical.sobel(im), grid),
-        lambda m, im, t: classical.threshold_magnitude(classical.sobel(im), t)),
+        lambda m, im, grid: classical.magnitude_levels(classical.sobel(im), grid)),
     "roberts": Detector(
-        lambda m, im, grid: classical.magnitude_levels(classical.roberts(im), grid),
-        lambda m, im, t: classical.threshold_magnitude(classical.roberts(im), t)),
+        lambda m, im, grid: classical.magnitude_levels(classical.roberts(im), grid)),
     # detect only: compare loads one model, the nested one, and a level
     # function here would add patchcnn to compare's default detector list
-    "patchcnn": Detector(None, None, model="patch"),
+    "patchcnn": Detector(None, model="patch"),
 }
 TUNABLE = tuple(name for name, d in DETECTORS.items() if d.levels is not None)
 MODEL_KINDS = {"nested": NestedNetParams, "patch": PatchNetParams}
@@ -168,6 +155,9 @@ def _read_input_image(path: Path) -> np.ndarray:
 
 
 def cmd_detect(args) -> int:
+    # any other threshold, NaN included, gives an all-0 or all-1 map
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ParameterError(f"threshold must lie in [0, 1], got {args.threshold}")
     cfg = _load_config(args)
     detector = DETECTORS.get(args.algorithm)
     if detector is None:
@@ -179,7 +169,6 @@ def cmd_detect(args) -> int:
     img = _read_input_image(input_path)
     out_path = Path(args.output)
     if detector.model is not None:
-        above = _above(args.threshold)
         params = _load_params(cfg, detector.model)
         if args.algorithm == "cnn":
             trace = forward_nested(params, img)
@@ -189,11 +178,11 @@ def cmd_detect(args) -> int:
         write_pgm(out_path.with_suffix(".prob.pgm"), prob)
         for i, side in enumerate(sides):
             write_pgm(out_path.with_suffix(f".side{i}.pgm"), side)
-        edge = above(prob)
+        edge = prob >= args.threshold
     elif args.algorithm == "canny":
-        edge = classical.canny(img, sigma=args.sigma, low=args.low, high=args.high)
+        edge = classical.canny(img, args.sigma, args.low, args.high)
     else:
-        edge = detector.edges(None, img, args.threshold)
+        edge = detector.levels(None, img, np.array([args.threshold])) > 0
     write_pgm(out_path, edge)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -224,14 +213,15 @@ def _tuned_detectors(cfg: Config, val_samples, params, names=TUNABLE) -> list:
 def scored_detectors(cfg: Config, val_samples, test_samples, params,
                      names=TUNABLE) -> list[MetricsReport]:
     """The named detectors tuned on the validation split, then scored on the
-    test split at their tuned setting; both count through sweep at eval.tolerance."""
+    test split at their tuned setting and threshold t, read as the one-point
+    grid [t]; both count through sweep at eval.tolerance."""
     if not test_samples:
         raise ParameterError("no samples to evaluate")
     reports = []
     for name, t, setting in _tuned_detectors(cfg, val_samples, params, names):
-        edges = ((DETECTORS[name].edges(params, img, t, **setting).astype(np.intp), truth)
-                 for img, truth in test_samples)
-        [cm] = sweep(edges, 1, cfg.section("eval")["tolerance"])
+        levels = ((DETECTORS[name].levels(params, img, np.array([t]), **setting), truth)
+                  for img, truth in test_samples)
+        [cm] = sweep(levels, 1, cfg.section("eval")["tolerance"])
         reports.append(metrics(cm, name=name, threshold=t))
     return reports
 

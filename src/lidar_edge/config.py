@@ -17,7 +17,7 @@ from .augment import AugmentSpec
 from .errors import ConfigError, ParameterError
 from .lidar import LidarConfig, ScenePolicy
 from .losses import LOSSES
-from .models import NestedArch, PatchArch
+from .models import NestedArch, PatchArch, tensor_shapes
 from .optim import OPTIMIZERS, OptimizerConfig
 from .training import TrainConfig, split_counts
 
@@ -90,10 +90,17 @@ _CHOICES = {"train.optimizer": OPTIMIZERS, "train.loss": LOSSES,
 MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
 MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x width arrays
 MAX_SAMPLES = 1_000_000  # dataset.n: splitting allocates a list of n indices
+MAX_PRIMITIVES = 1000  # per scene; each is drawn and rendered in turn
+MAX_OCCLUDERS = 1000  # per augmented image; each is drawn and applied in turn
+MAX_PARAMETERS = 4_000_000  # per net: 32 MB per float64 copy (weights, gradient, optimizer slots)
 _AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
-            "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES}
-_AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0}
-_ABOVE = {"dataset.delta": 0.0}
+            "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES,
+            "dataset.scene.max_primitives": MAX_PRIMITIVES,
+            "augment.occluder_count": MAX_OCCLUDERS}
+_AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0, "train.patience": 1,
+             "train.momentum": 0, "train.beta1": 0, "train.beta2": 0, "train.rho": 0}
+_ABOVE = {"dataset.delta": 0.0, "train.eps": 0.0}
+_BELOW = {"train.momentum": 1.0, "train.beta1": 1.0, "train.beta2": 1.0, "train.rho": 1.0}
 
 
 def _read(default, value):
@@ -139,6 +146,8 @@ def _read_key(dotted: str, default, value):
             raise ValueError(f"at least {_AT_LEAST[dotted]}")
         if dotted in _ABOVE and out <= _ABOVE[dotted]:
             raise ValueError(f"above {_ABOVE[dotted]:g}")
+        if dotted in _BELOW and out >= _BELOW[dotted]:
+            raise ValueError(f"below {_BELOW[dotted]:g}")
     except ValueError as exc:
         raise ConfigError(f"invalid config value for {dotted}: {value!r} ({exc})") from exc
     return out
@@ -182,12 +191,21 @@ class Config:
         except ParameterError as exc:
             raise ConfigError(f"invalid config value for dataset.ratios: {exc}") from exc
         try:
-            for view in (self.nested_arch, self.patch_arch, self.train_config,
-                         self.model_path):
-                view()
+            nets = {"model.widths": self.nested_arch(),
+                    "model.patch_channels and model.patch_hidden": self.patch_arch()}
+            train, _ = self.train_config(), self.model_path()
             lidar, scene = self.lidar(), self.scene_policy()
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
+        for keys, arch in nets.items():
+            size = sum(math.prod(shape) for _, shape in tensor_shapes(arch))
+            if size > MAX_PARAMETERS:
+                raise ConfigError(f"invalid config value for {keys}: a net of {size} "
+                                  f"parameters (at most {MAX_PARAMETERS})")
+        stages = nets["model.widths"].stages
+        if train.lambdas is not None and len(train.lambdas) != stages:
+            raise ConfigError(f"invalid config value for train.lambdas: "
+                              f"{len(train.lambdas)} weights for {stages} side outputs")
         try:
             scene.validate(lidar)
         except ParameterError as exc:

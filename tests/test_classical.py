@@ -5,10 +5,10 @@ from collections import deque
 import numpy as np
 import pytest
 
+from lidar_edge import classical
 from lidar_edge.classical import (CANNY_LOW_RATIO, SOBEL_X, SOBEL_Y, canny,
-                                  canny_levels, magnitude_levels, roberts,
-                                  sobel, threshold_magnitude)
-from lidar_edge.classical import _hysteresis, _nms, _thinned_gradient
+                                  magnitude_levels, roberts, sobel)
+from lidar_edge.classical import _hysteresis, _nms
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.imaging import gaussian_filter
 from lidar_edge.rng import SplitMix64
@@ -84,35 +84,42 @@ class TestRoberts:
             roberts(np.zeros((1, 4)))
 
 
+def threshold_magnitude(field, t):
+    """Test oracle: the magnitude thresholded at t * its peak, by brute
+    force; a flat field (peak below 1e-12) is empty."""
+    mag = np.hypot(field.gx, field.gy)
+    peak = mag.max()
+    return (mag >= t * peak) & (peak >= 1e-12)
+
+
+def at(field, t):
+    """The edge map of magnitude_levels at the one threshold t."""
+    return magnitude_levels(field, np.array([t])) > 0
+
+
 class TestThresholdMagnitude:
+    """magnitude_levels read at the one-point grid [t], as detect and the
+    test split read Sobel and Roberts."""
+
     def test_relative_to_peak(self):
-        img = vertical_step()
-        out = threshold_magnitude(sobel(img), 0.5)
-        assert set(np.unique(out)) <= {0.0, 1.0}
-        assert np.all(out[:, 7:9] == 1.0)
-        assert np.all(out[:, :6] == 0.0)
+        out = at(sobel(vertical_step()), 0.5)
+        assert np.all(out[:, 7:9])
+        assert not out[:, :6].any()
 
     def test_contrast_invariance(self):
         """Scaling and shifting intensities must not change the result."""
         img = SplitMix64(4).floats(256).reshape(16, 16)
-        a = threshold_magnitude(sobel(img), 0.3)
-        b = threshold_magnitude(sobel(0.5 * img + 0.1), 0.3)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(at(sobel(img), 0.3), at(sobel(0.5 * img + 0.1), 0.3))
 
     def test_zero_field_empty(self):
-        out = threshold_magnitude(sobel(np.full((5, 5), 0.7)), 0.2)
-        np.testing.assert_array_equal(out, np.zeros((5, 5)))
-
-    def test_bad_threshold(self):
-        with pytest.raises(ParameterError):
-            threshold_magnitude(sobel(np.zeros((3, 3))), 1.5)
+        assert not at(sobel(np.full((5, 5), 0.7)), 0.0).any()
 
 
 class TestCanny:
     def test_clean_step_detected_and_thin(self):
         img = vertical_step(h=20, w=20, at=10)
         out = canny(img, sigma=1.0, low=0.2, high=0.4)
-        assert set(np.unique(out)) <= {0.0, 1.0}
+        assert set(np.unique(out)) <= {0, 1}
         # every interior row crosses the edge
         assert np.all(out[2:-2, 9:11].sum(axis=1) >= 1)
         # detections cluster at the step; columns far away stay empty
@@ -133,7 +140,7 @@ class TestCanny:
         np.testing.assert_array_equal(a, b)
 
     def test_constant_image_empty(self):
-        np.testing.assert_array_equal(canny(np.full((10, 10), 0.3)),
+        np.testing.assert_array_equal(canny(np.full((10, 10), 0.3), 1.0, 0.1, 0.2),
                                       np.zeros((10, 10)))
 
     def test_hysteresis_links_weak_segment(self):
@@ -157,15 +164,22 @@ class TestCanny:
             img[rng.randint(32), rng.randint(16)] = 0.0  # dead pixels left of step
         want = np.zeros((32, 32))
         want[:, 15:17] = 1.0
-        sob = threshold_magnitude(sobel(img), 0.3)
+        sob = at(sobel(img), 0.3)
         can = canny(img, sigma=1.4, low=0.15, high=0.3)
         sob_fp = np.logical_and(sob == 1, want == 0).sum()
         can_fp = np.logical_and(can == 1, want == 0).sum()
         assert can_fp < sob_fp
 
     def test_invalid_thresholds(self):
-        with pytest.raises(ParameterError):
-            canny(np.zeros((8, 8)), 1.0, 0.5, 0.3)
+        for low, high in [(0.5, 0.3), (-0.1, 0.2), (0.1, 1.5), (np.nan, 0.2), (0.1, np.nan),
+                          ([0.1, 0.05], [0.2, 0.3]),  # lows descend
+                          ([0.1, 0.2], [0.4, 0.3]),   # highs descend
+                          ([0.1, 0.2], [0.3]),        # unequal lengths
+                          ([0.1, 0.6], [0.2, 0.5]),   # the second pair has low > high
+                          ([0.0, 0.5], [0.5, 1.01]),  # the last high is above 1
+                          ([[0.1]], [[0.2]])]:        # not one axis
+            with pytest.raises(ParameterError, match="ascending pairs"):
+                canny(np.zeros((8, 8)), 1.0, low, high)
         with pytest.raises(ParameterError):
             canny(np.zeros((8, 8)), -1.0, 0.1, 0.2)
 
@@ -180,39 +194,55 @@ def oracle_images():
         vertical_step(), vertical_step().T, np.full((16, 16), 0.4)]
 
 
+def canny_grid(img, grid, sigma):
+    """Canny's level map over a threshold grid, as the canny row tunes it."""
+    return canny(img, sigma, grid * CANNY_LOW_RATIO, grid)
+
+
 class TestLevelMaps:
     """level > k must equal the detector called at grid threshold k."""
 
     @pytest.mark.parametrize("gradient", [sobel, roberts])
     def test_magnitude_levels_match_threshold_magnitude(self, gradient):
         for img in oracle_images():
-            levels = magnitude_levels(gradient(img), GRID)
+            field = gradient(img)
+            levels = magnitude_levels(field, GRID)
             for k, t in enumerate(GRID):
-                np.testing.assert_array_equal(
-                    (levels > k).astype(np.float64),
-                    threshold_magnitude(gradient(img), float(t)))
+                want = threshold_magnitude(field, t)
+                np.testing.assert_array_equal(levels > k, want)
+                np.testing.assert_array_equal(at(field, t), want)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_canny_levels_match_canny(self, sigma):
         for img in oracle_images():
-            levels = canny_levels(img, GRID, sigma)
-            assert np.all(levels > 0)  # t = 0 marks every pixel
-            start = int(np.all(img == img[0, 0]))  # canny(0, 0) of a flat image is empty
-            for k, t in enumerate(GRID[start:], start=start):
+            levels = canny_grid(img, GRID, sigma)
+            assert levels.dtype == np.intp and levels.max() <= len(GRID)
+            for k, t in enumerate(GRID):
                 t = float(t)
                 np.testing.assert_array_equal(
-                    (levels > k).astype(np.float64),
-                    canny(img, sigma=sigma, low=t * CANNY_LOW_RATIO, high=t))
+                    levels > k, canny(img, sigma, t * CANNY_LOW_RATIO, t) > 0)
+                np.testing.assert_array_equal(
+                    levels > k, canny_grid(img, np.array([t]), sigma) > 0)
 
     def test_flat_image_levels(self):
+        """A flat image has no edge at any threshold, (0, 0) included; a
+        non-flat one is marked everywhere at (0, 0)."""
         flat = np.full((16, 16), 0.4)
         assert not magnitude_levels(sobel(flat), GRID).any()
-        np.testing.assert_array_equal(canny_levels(flat, GRID, 1.0), 1)
-        assert not canny(flat, low=0.0, high=0.0).any()
+        assert not canny_grid(flat, GRID, 1.0).any()
+        assert not canny(flat, 1.0, 0.0, 0.0).any()
+        np.testing.assert_array_equal(canny(vertical_step(), 1.0, 0.0, 0.0), 1)
+        assert np.all(canny_grid(vertical_step(), GRID, 1.0) > 0)
 
     def test_canny_levels_bad_sigma(self):
         with pytest.raises(ParameterError):
-            canny_levels(np.zeros((8, 8)), GRID, 0.0)
+            canny_grid(np.zeros((8, 8)), GRID, 0.0)
+
+
+def thinned_gradient(img, sigma):
+    """Canny's threshold-free front end: (NMS-thinned magnitude, peak)."""
+    field = sobel(gaussian_filter(img, sigma))
+    return _nms(field.magnitude, field.gx, field.gy), field.magnitude.max()
 
 
 def bfs_hysteresis(nms, low, high):
@@ -248,7 +278,7 @@ def spiral_path(n=15):
     return path
 
 
-LOWS, HIGHS = GRID[1:] / 2.0, GRID[1:]  # the pairs canny_levels sweeps
+LOWS, HIGHS = GRID[1:] / 2.0, GRID[1:]  # the pairs the canny row sweeps after (0, 0)
 
 
 def hostile_maps():
@@ -306,17 +336,25 @@ class TestHysteresisOracle:
             np.testing.assert_array_equal((counts > k).astype(np.float64),
                                           bfs_hysteresis(nms, t, t))
 
-    def test_no_pairs(self):
+    def test_no_pairs(self, monkeypatch):
+        """No pair marks nothing; a lone (0, 0) pair marks every pixel and
+        leaves the sweep no pair."""
         nms = hostile_maps()["corner"]
         assert not _hysteresis(nms, [], []).any()
-        np.testing.assert_array_equal(canny_levels(nms, GRID[:1], 1.0), 1)
+        assert not canny(nms, 1.0, [], []).any()
+        swept = []
+        monkeypatch.setattr(classical, "_hysteresis",
+                            lambda m, lows, highs: swept.append(len(lows)) or np.zeros(m.shape))
+        np.testing.assert_array_equal(canny_grid(nms, GRID[:1], 1.0), 1)
+        canny_grid(nms, GRID, 1.0)
+        assert swept == [0, len(GRID) - 1]
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_canny_levels_match_oracle(self, sigma):
         for img in oracle_images() + list(hostile_maps().values()):
-            levels = canny_levels(img, GRID, sigma)
-            thinned, peak = _thinned_gradient(img, sigma)
-            for k, t in enumerate(GRID[1:], start=1):
+            levels = canny_grid(img, GRID, sigma)
+            thinned, peak = thinned_gradient(img, sigma)
+            for k, t in enumerate(GRID):
                 want = (bfs_hysteresis(thinned, (t / 2.0) * peak, t * peak)
                         if peak >= 1e-12 else np.zeros(img.shape))
                 np.testing.assert_array_equal((levels > k).astype(np.float64), want)
@@ -327,7 +365,7 @@ class TestHysteresisOracle:
             tuple(sorted(rng.floats(2))) for _ in range(6)]
         for img in oracle_images() + list(hostile_maps().values()):
             for sigma in (1.0, 1.7):
-                thinned, peak = _thinned_gradient(img, sigma)
+                thinned, peak = thinned_gradient(img, sigma)
                 for low, high in pairs:
                     want = (bfs_hysteresis(thinned, low * peak, high * peak)
                             if peak >= 1e-12 else np.zeros(img.shape))

@@ -17,6 +17,7 @@ import pytest
 import lidar_edge
 from lidar_edge import classical, cli, layers, models, training
 from lidar_edge.config import MAX_SAMPLES, Config
+from lidar_edge.evaluation import metrics, sweep, threshold_grid
 from lidar_edge.formats import read_manifest, read_pgm, write_lri, write_manifest, write_pgm
 from lidar_edge.modelio import save_model
 from test_formats import tear_writes_to
@@ -346,15 +347,17 @@ class TestDetect:
         assert calls == {"conv_forward": 37, "forward_patch": 0}
         assert read_pgm(out.with_suffix(".prob.pgm")).shape == (64, 64)
 
-    @pytest.mark.parametrize("algorithm", ["cnn", "patchcnn"])
+    @pytest.mark.parametrize("algorithm", ["cnn", "patchcnn", "sobel", "roberts", "canny"])
     @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
     def test_threshold_outside_unit_interval_is_usage_error(
             self, workdir, pgm_image, tmp_path, capsys, monkeypatch, algorithm, threshold):
-        """Refused before any model is loaded: a probability map compared
-        with such a threshold is all 0 or all 1."""
+        """Refused before the config, the image or a model is loaded: a map
+        compared with such a threshold is all 0 or all 1."""
         _, cfg_path, out_dir = workdir
         loads = []
         monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "_read_input_image", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "_load_config", lambda args: loads.append(args))
         out = tmp_path / "o.pgm"
         code = cli.main(["detect", str(pgm_image), str(out), "--config", str(cfg_path),
                          "--out", str(out_dir), "--algorithm", algorithm,
@@ -484,9 +487,10 @@ class TestCompare:
         assert sigmas == 4
         assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
                          "--detectors", "canny"]) == cli.EXIT_OK
-        # tuning: one sweep per (val image, sigma); testing: one canny per image
+        # tuning: one sweep per (val image, sigma); testing: one per image,
+        # both through the one canny
         assert canny_calls["_hysteresis"] == splits["val"] * sigmas + splits["test"]
-        assert canny_calls["canny"] == splits["test"]
+        assert canny_calls["canny"] == splits["val"] * sigmas + splits["test"]
 
     def test_rows_follow_table_order(self, workdir):
         _, cfg_path, out = workdir
@@ -598,6 +602,31 @@ class TestGoldenCompare:
         ]
 
 
+class TestTestSplitIsTheSweep:
+    """compare scores the test split through each tuned row's level
+    function at the one-point grid [t]: the counts there are those of the
+    full grid's sweep at the index of t, on the same images."""
+
+    def test_counts_at_t_match_the_grid_sweep(self, default_run):
+        cfg = Config.load(None, {"paths.out_dir": str(default_run)})
+        val, test = cli._load_splits(cfg, "val", "test")
+        params = cli._load_params(cfg, "nested")
+        grid = threshold_grid(cfg.section("eval")["n_thresholds"])
+        tuned = cli._tuned_detectors(cfg, val, params)
+        reports = cli.scored_detectors(cfg, val, test, params)
+        assert [name for name, _, _ in tuned] == list(cli.TUNABLE)
+        for (name, t, setting), report in zip(tuned, reports):
+            levels = cli.DETECTORS[name].levels
+            full = sweep(((levels(params, img, grid, **setting), truth) for img, truth in test),
+                         len(grid))
+            [k] = np.flatnonzero(grid == t)
+            assert report == metrics(full[k], name=name, threshold=t)
+            for j in sorted({0, k, len(grid) - 1}):
+                at_j = ((levels(params, img, grid[j:j + 1], **setting), truth)
+                        for img, truth in test)
+                assert sweep(at_j, 1) == [full[j]], (name, j)
+
+
 class TestGoldenDetect:
     """detect on the default dataset's first test image, each algorithm at
     its default flags, with the stored checkpoints: every output file is
@@ -685,6 +714,27 @@ class TestGradcheck:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# (test id, the key the error names, config): values that are well typed
+# but too large to allocate or run, or outside their rule's range
+BAD_CONFIG_KEYS = [
+    ("huge-max-primitives", "dataset.scene.max_primitives",
+     {"dataset": {"scene": {"max_primitives": 1e9}}}),
+    ("huge-occluder-count", "augment.occluder_count", {"augment": {"occluder_count": 1e9}}),
+    ("huge-widths", "model.widths", {"model": {"widths": [100000, 16], "stages": 2}}),
+    ("huge-patch-hidden", "model.patch_channels and model.patch_hidden",
+     {"model": {"patch_hidden": 1e9}}),
+    ("lambdas-per-stage", "train.lambdas", {"train": {"lambdas": [1, 1, 1]}}),
+    ("zero-patience", "train.patience", {"train": {"patience": 0}}),
+    ("negative-patience", "train.patience", {"train": {"patience": -3}}),
+    ("beta1-above-one", "train.beta1", {"train": {"beta1": 2}}),
+    ("beta2-one", "train.beta2", {"train": {"beta2": 1.0}}),
+    ("negative-eps", "train.eps", {"train": {"eps": -1}}),
+    ("zero-eps", "train.eps", {"train": {"eps": 0}}),
+    ("negative-momentum", "train.momentum", {"train": {"momentum": -5}}),
+    ("rho-above-one", "train.rho", {"train": {"rho": 5}}),
+]
+
+
 class TestErrors:
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -718,13 +768,15 @@ class TestErrors:
                                           {"augment": {"gain": [-1.0, 1.0]}},
                                           {"augment": {"noise_sigma": [-0.1, 0.0]}},
                                           {"augment": {"salt_pepper": [0.0, 1.5]}},
-                                          {"augment": {"salt_pepper": [-0.5, 0.5]}}],
+                                          {"augment": {"salt_pepper": [-0.5, 0.5]}},
+                                          *(override for _, _, override in BAD_CONFIG_KEYS)],
                              ids=["epochs-not-int", "unknown-variant", "zero-width",
                                   "negative-width", "zero-patch-channels",
                                   "zero-patch-hidden", "one-occluder-size",
                                   "zero-occluder-size", "occluder-size-descending",
                                   "zero-scale", "negative-gain", "negative-noise-sigma",
-                                  "salt-pepper-above-one", "negative-salt-pepper"])
+                                  "salt-pepper-above-one", "negative-salt-pepper",
+                                  *(name for name, _, _ in BAD_CONFIG_KEYS)])
     def test_bad_config_value_fails_before_loading_data(self, workdir, tmp_path,
                                                         capsys, override, monkeypatch):
         _, _, out = workdir
@@ -748,6 +800,7 @@ class TestErrors:
         ("train.augment_enabled", {"train": {"augment_enabled": "false"}}),
         ("train.class_balance", {"train": {"class_balance": "no"}}),
         ("paths.model", {"paths": {"model": 5}}),
+        *((key, override) for _, key, override in BAD_CONFIG_KEYS),
     ])
     def test_bad_config_value_names_its_key(self, workdir, tmp_path, capsys, key, override):
         _, _, out = workdir
