@@ -151,41 +151,19 @@ def adjust_photometric(img: np.ndarray, gain: float, offset: float) -> np.ndarra
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    rotation_deg: tuple = (-15.0, 15.0)
-    translate_px: tuple = (-4.0, 4.0)
-    scale: tuple = (0.9, 1.1)
-    shear: tuple = (-0.1, 0.1)
-    flip_h_prob: float = 0.5
-    flip_v_prob: float = 0.0
-    gain: tuple = (0.8, 1.2)
-    offset: tuple = (-0.1, 0.1)
-    noise_sigma: tuple = (0.0, 0.05)
-    salt_pepper: tuple = (0.0, 0.02)
-    occluder_count: int = 2
-    occluder_size: tuple = (2, 8)
-
-    def __post_init__(self):
-        for name in ("rotation_deg", "translate_px", "scale", "shear",
-                     "gain", "offset", "noise_sigma", "salt_pepper"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ParameterError(f"{name} range {lo, hi} is invalid")
-        for prob in (self.flip_h_prob, self.flip_v_prob):
-            if not (0.0 <= prob <= 1.0):
-                raise ParameterError("flip probabilities must lie in [0, 1]")
-        if self.occluder_count < 0:
-            raise ParameterError("occluder_count must be nonnegative")
-        size = self.occluder_size
-        if len(size) != 2 or any(int(v) != v for v in size) or not 1 <= size[0] <= size[1]:
-            raise ParameterError(f"occluder_size {size} must be two integers 1 <= lo <= hi")
-        # each range has lo <= hi, so its lower end bounds it
-        for name in ("scale", "gain"):
-            if getattr(self, name)[0] <= 0:
-                raise ParameterError(f"{name} range {getattr(self, name)} must be positive")
-        if self.noise_sigma[0] < 0:
-            raise ParameterError(f"noise_sigma range {self.noise_sigma} must be nonnegative")
-        if not 0.0 <= self.salt_pepper[0] <= self.salt_pepper[1] <= 1.0:
-            raise ParameterError(f"salt_pepper range {self.salt_pepper} must lie in [0, 1]")
+    """The augment config section; config.py holds its defaults and bounds."""
+    rotation_deg: tuple
+    translate_px: tuple
+    scale: tuple
+    shear: tuple
+    flip_h_prob: float
+    flip_v_prob: float
+    gain: tuple
+    offset: tuple
+    noise_sigma: tuple
+    salt_pepper: tuple
+    occluder_count: int
+    occluder_size: tuple
 
 
 def sample_and_apply(img: np.ndarray, label: np.ndarray, spec: AugmentSpec,

@@ -245,8 +245,9 @@ def cmd_compare(args) -> int:
 def cmd_gradcheck(args) -> int:
     tolerance = args.tolerance
     ok = True
+    train_cfg = Config().train_config()  # the default config's loss; no config file is read
     for variant in ("nested", "patch"):
-        passed, report = grad_check(variant, seed=args.seed, tolerance=tolerance)
+        passed, report = grad_check(variant, train_cfg, seed=args.seed, tolerance=tolerance)
         ok = ok and passed
         for entry in report:
             status = "ok" if entry.max_rel_error <= tolerance else "FAIL"

@@ -8,6 +8,7 @@ are applied after the file is parsed and before the one check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -87,20 +88,45 @@ _OR_NULL = {"train.lambdas": [0.0], "paths.model": ""}
 # the only values a key may take
 _CHOICES = {"train.optimizer": OPTIMIZERS, "train.loss": LOSSES,
             "model.variant": ("nested", "patch")}
+# the augment ranges, each drawn from by a transform: two numbers lo <= hi
+_RANGES = {f"augment.{key}" for key, value in DEFAULTS["augment"].items() if type(value) is list}
 MAX_THRESHOLDS = 10_001  # threshold_grid and sweep allocate in proportion to it
 MAX_GRID_SIDE = 4096  # lidar.height and .width: rendering allocates height x width arrays
 MAX_SAMPLES = 1_000_000  # dataset.n: splitting allocates a list of n indices
 MAX_PRIMITIVES = 1000  # per scene; each is drawn and rendered in turn
 MAX_OCCLUDERS = 1000  # per augmented image; each is drawn and applied in turn
 MAX_PARAMETERS = 4_000_000  # per net: 32 MB per float64 copy (weights, gradient, optimizer slots)
+# bounds of a number, or of each element of a list
 _AT_MOST = {"eval.n_thresholds": MAX_THRESHOLDS, "lidar.height": MAX_GRID_SIDE,
             "lidar.width": MAX_GRID_SIDE, "dataset.n": MAX_SAMPLES,
-            "dataset.scene.max_primitives": MAX_PRIMITIVES,
-            "augment.occluder_count": MAX_OCCLUDERS}
-_AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0, "train.patience": 1,
-             "train.momentum": 0, "train.beta1": 0, "train.beta2": 0, "train.rho": 0}
-_ABOVE = {"dataset.delta": 0.0, "train.eps": 0.0}
-_BELOW = {"train.momentum": 1.0, "train.beta1": 1.0, "train.beta2": 1.0, "train.rho": 1.0}
+            "dataset.scene.max_primitives": MAX_PRIMITIVES, "augment.occluder_count": MAX_OCCLUDERS,
+            "augment.flip_h_prob": 1, "augment.flip_v_prob": 1, "augment.salt_pepper": 1}
+_AT_LEAST = {"eval.n_thresholds": 2, "eval.tolerance": 0, "lidar.height": 1, "lidar.width": 1,
+             "lidar.noise_sigma": 0, "lidar.dropout_prob": 0, "dataset.n": 1, "train.epochs": 1,
+             "train.batch_size": 1, "train.lambdas": 0, "train.patience": 1, "train.momentum": 0,
+             "train.beta1": 0, "train.beta2": 0, "train.rho": 0, "augment.flip_h_prob": 0,
+             "augment.flip_v_prob": 0, "augment.noise_sigma": 0, "augment.salt_pepper": 0,
+             "augment.occluder_count": 0, "augment.occluder_size": 1}
+_ABOVE = {"lidar.max_range": 0.0, "dataset.delta": 0.0, "train.learning_rate": 0.0,
+          "train.eps": 0.0, "augment.scale": 0.0, "augment.gain": 0.0}
+_BELOW = {"lidar.dropout_prob": 1.0, "train.momentum": 1.0, "train.beta1": 1.0,
+          "train.beta2": 1.0, "train.rho": 1.0}
+_BOUNDED = {*_CHOICES, *_AT_MOST, *_AT_LEAST, *_ABOVE, *_BELOW}
+# the key of each field that a typed view's own rule names (ParameterError.fields)
+_FIELD_KEYS = {"n": "dataset.n", "ratios": "dataset.ratios", "max_range": "lidar.max_range",
+               "input_hw": "lidar.height and lidar.width", "stages": "model.stages",
+               "widths": "model.widths", "conv_channels": "model.patch_channels",
+               "hidden": "model.patch_hidden", "dropout_rate": "model.patch_dropout",
+               **{name: f"dataset.scene.{name}" for name in DEFAULTS["dataset"]["scene"]}}
+
+
+@functools.cache
+def _leaves(name: str) -> list:
+    """(key, dotted key, default) of every leaf of the section of DEFAULTS
+    at the dotted name; nested sections are left out."""
+    defaults = functools.reduce(dict.__getitem__, name.split("."), DEFAULTS)
+    return [(key, f"{name}.{key}", default) for key, default in defaults.items()
+            if not isinstance(default, dict)]
 
 
 def _read(default, value):
@@ -138,16 +164,22 @@ def _read_key(dotted: str, default, value):
                 return None
             default = _OR_NULL[dotted]
         out = _read(default, value)
-        if dotted in _CHOICES and out not in _CHOICES[dotted]:
-            raise ValueError(f"not one of {', '.join(_CHOICES[dotted])}")
-        if dotted in _AT_MOST and out > _AT_MOST[dotted]:
-            raise ValueError(f"at most {_AT_MOST[dotted]}")
-        if dotted in _AT_LEAST and out < _AT_LEAST[dotted]:
-            raise ValueError(f"at least {_AT_LEAST[dotted]}")
-        if dotted in _ABOVE and out <= _ABOVE[dotted]:
-            raise ValueError(f"above {_ABOVE[dotted]:g}")
-        if dotted in _BELOW and out >= _BELOW[dotted]:
-            raise ValueError(f"below {_BELOW[dotted]:g}")
+        if dotted in _RANGES and (len(out) != 2 or out[0] > out[1]):
+            raise ValueError("not two numbers lo <= hi")
+        if dotted not in _BOUNDED:
+            return out
+        each = "each " if type(out) is tuple else ""
+        for v in out if each else (out,):
+            if dotted in _CHOICES and v not in _CHOICES[dotted]:
+                raise ValueError(f"{each}one of {', '.join(_CHOICES[dotted])}")
+            if dotted in _AT_MOST and v > _AT_MOST[dotted]:
+                raise ValueError(f"{each}at most {_AT_MOST[dotted]}")
+            if dotted in _AT_LEAST and v < _AT_LEAST[dotted]:
+                raise ValueError(f"{each}at least {_AT_LEAST[dotted]}")
+            if dotted in _ABOVE and v <= _ABOVE[dotted]:
+                raise ValueError(f"{each}above {_ABOVE[dotted]:g}")
+            if dotted in _BELOW and v >= _BELOW[dotted]:
+                raise ValueError(f"{each}below {_BELOW[dotted]:g}")
     except ValueError as exc:
         raise ConfigError(f"invalid config value for {dotted}: {value!r} ({exc})") from exc
     return out
@@ -188,38 +220,30 @@ class Config:
         dataset = self.section("dataset")
         try:
             split_counts(dataset["n"], dataset["ratios"])
-        except ParameterError as exc:
-            raise ConfigError(f"invalid config value for dataset.ratios: {exc}") from exc
-        try:
             nets = {"model.widths": self.nested_arch(),
                     "model.patch_channels and model.patch_hidden": self.patch_arch()}
-            train, _ = self.train_config(), self.model_path()
-            lidar, scene = self.lidar(), self.scene_policy()
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from exc
+            self.scene_policy().validate(self.lidar())
+        except ParameterError as exc:
+            keys = " and ".join(_FIELD_KEYS[name] for name in exc.fields)
+            raise ConfigError(f"invalid config value for {keys}: {exc}") from exc
         for keys, arch in nets.items():
             size = sum(math.prod(shape) for _, shape in tensor_shapes(arch))
             if size > MAX_PARAMETERS:
                 raise ConfigError(f"invalid config value for {keys}: a net of {size} "
                                   f"parameters (at most {MAX_PARAMETERS})")
-        stages = nets["model.widths"].stages
+        train, stages = self.train_config(), nets["model.widths"].stages
         if train.lambdas is not None and len(train.lambdas) != stages:
             raise ConfigError(f"invalid config value for train.lambdas: "
                               f"{len(train.lambdas)} weights for {stages} side outputs")
-        try:
-            scene.validate(lidar)
-        except ParameterError as exc:
-            raise ConfigError(f"invalid config value for dataset.scene: {exc}") from exc
+        self.model_path()
 
     def section(self, name: str) -> dict:
         """Every leaf of the section at the dotted name ("lidar",
-        "dataset.scene"), read the way its default is; nested sections
-        are left out. A value refused raises ConfigError naming its key."""
-        defaults, node = DEFAULTS, self.raw
-        for part in name.split("."):
-            defaults, node = defaults[part], node[part]
-        return {key: _read_key(f"{name}.{key}", default, node[key])
-                for key, default in defaults.items() if not isinstance(default, dict)}
+        "dataset.scene"), read the way its default is (see _leaves). A
+        value refused raises ConfigError naming its key."""
+        node = functools.reduce(dict.__getitem__, name.split("."), self.raw)
+        return {key: _read_key(dotted, default, node[key])
+                for key, dotted, default in _leaves(name)}
 
     def override(self, dotted_key: str, value) -> None:
         """Apply one CLI override like ('dataset.n', 10)."""

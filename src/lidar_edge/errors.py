@@ -10,7 +10,12 @@ class DimensionError(LidarEdgeError):
 
 
 class ParameterError(LidarEdgeError):
-    """A numeric parameter is outside its allowed range."""
+    """A numeric parameter is outside its allowed range; fields names the
+    parameters the refused rule reads (the config maps them to its keys)."""
+
+    def __init__(self, message: str, fields: tuple = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class ConfigError(LidarEdgeError):

@@ -102,7 +102,8 @@ def write_lri(path, ranges: np.ndarray, max_range: float) -> None:
 
 
 def read_lri(path, raw: bytes | None = None) -> tuple[np.ndarray, float]:
-    """Read an LRI1 file; returns (ranges, max_range). raw is as for read_pgm."""
+    """Read an LRI1 file; returns (ranges, max_range). raw is as for read_pgm.
+    The file holds exactly height*width ranges, each in [0, max_range]."""
     if raw is None:
         with open(path, "rb") as f:
             raw = f.read()
@@ -114,9 +115,11 @@ def read_lri(path, raw: bytes | None = None) -> tuple[np.ndarray, float]:
     if not 0.0 < max_range < math.inf:  # NaN fails both comparisons
         raise ParameterError(f"{path}: LRI1 max_range must be finite and positive, "
                              f"got {max_range}")
-    if len(raw) < 16 + 4 * h * w:
-        raise ParameterError(f"{path}: truncated LRI1 payload")
+    if len(raw) != 16 + 4 * h * w:
+        raise ParameterError(f"{path}: LRI1 payload of {len(raw) - 16} bytes, not 4 x {h} x {w}")
     ranges = np.frombuffer(raw, dtype="<f4", count=h * w, offset=16)
+    if not np.all((ranges >= 0.0) & (ranges <= max_range)):  # NaN fails both
+        raise ParameterError(f"{path}: LRI1 ranges must be finite and in [0, {max_range:g}]")
     return ranges.reshape(h, w).astype(np.float64), float(max_range)
 
 

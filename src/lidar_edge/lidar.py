@@ -32,21 +32,12 @@ def tof_to_distance(tof: float, c: float = SPEED_OF_LIGHT) -> float:
 
 @dataclass(frozen=True)
 class LidarConfig:
-    height: int = 64
-    width: int = 64
-    max_range: float = 100.0
-    noise_sigma: float = 0.05
-    dropout_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.max_range <= 0:
-            raise ParameterError("max_range must be positive")
-        if not (0.0 <= self.dropout_prob < 1.0):
-            raise ParameterError("dropout_prob must lie in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
-        if self.height < 1 or self.width < 1:
-            raise ParameterError("beam grid dims must be >= 1")
+    """The lidar config section; config.py holds its defaults and bounds."""
+    height: int
+    width: int
+    max_range: float
+    noise_sigma: float
+    dropout_prob: float
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ def ground_truth_edges(ranges: np.ndarray, delta: float) -> np.ndarray:
 
 
 def render_scene(scene: Scene, cfg: LidarConfig, seed: int,
-                 delta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                 delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Render (noisy range image, clean edge map) for a scene.
 
     Labels come from the noise-free ranges; Gaussian range noise and
@@ -159,27 +150,30 @@ def range_to_intensity(ranges: np.ndarray, max_range: float) -> np.ndarray:
 @dataclass(frozen=True)
 class ScenePolicy:
     """Parameter ranges for random scene sampling."""
-    min_primitives: int = 2
-    max_primitives: int = 5
-    kinds: tuple = ("disk", "rect", "halfplane")
-    min_range: float = 5.0
-    max_range_frac: float = 0.6   # primitive ranges stay below this fraction of sensor max
-    min_size: int = 4
-    max_size: int = 20
-    background_lo: float = 60.0
-    background_hi: float = 90.0
+    min_primitives: int
+    max_primitives: int
+    kinds: tuple
+    min_range: float
+    max_range_frac: float   # primitive ranges stay below this fraction of sensor max
+    min_size: int
+    max_size: int
+    background_lo: float
+    background_hi: float
 
     def validate(self, cfg: LidarConfig) -> None:
         if self.min_primitives < 0 or self.max_primitives < self.min_primitives:
-            raise ParameterError("primitive count range is invalid")
+            raise ParameterError("primitive count range is invalid",
+                                 ("min_primitives", "max_primitives"))
         if not self.kinds or any(k not in ("disk", "rect", "halfplane") for k in self.kinds):
-            raise ParameterError(f"unknown primitive kinds in {self.kinds}")
+            raise ParameterError(f"unknown primitive kinds in {self.kinds}", ("kinds",))
         if self.min_size < 1 or self.max_size < self.min_size:
-            raise ParameterError("primitive size range is invalid")
+            raise ParameterError("primitive size range is invalid", ("min_size", "max_size"))
         if not (0 < self.min_range < self.max_range_frac * cfg.max_range):
-            raise ParameterError("primitive range interval is empty")
+            raise ParameterError("primitive range interval is empty",
+                                 ("min_range", "max_range_frac", "max_range"))
         if not (0 < self.background_lo <= self.background_hi <= cfg.max_range):
-            raise ParameterError("background range interval is invalid")
+            raise ParameterError("background range interval is invalid",
+                                 ("background_lo", "background_hi", "max_range"))
 
 
 def sample_scene(policy: ScenePolicy, cfg: LidarConfig, seed: int) -> Scene:

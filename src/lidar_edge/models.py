@@ -39,34 +39,38 @@ PATCH_SIZE = 28
 
 @dataclass(frozen=True)
 class NestedArch:
-    stages: int = 3
-    widths: tuple = (8, 16, 32)
-    input_hw: tuple = (64, 64)
+    """Checks itself, as a LEDM descriptor builds one too (modelio._arch)."""
+    stages: int
+    widths: tuple
+    input_hw: tuple
 
     def __post_init__(self):
         if self.stages < 1 or len(self.widths) != self.stages:
             raise ParameterError(
-                f"need one width per stage, got {self.widths} for S={self.stages}")
+                f"need one width per stage, got {self.widths} for S={self.stages}",
+                ("stages", "widths"))
         if min(self.widths) < 1:
-            raise ParameterError(f"stage widths must be >= 1, got {self.widths}")
+            raise ParameterError(f"stage widths must be >= 1, got {self.widths}", ("widths",))
         div = 2 ** (self.stages - 1)
         if self.input_hw[0] % div or self.input_hw[1] % div:
             raise ParameterError(
-                f"input dims {self.input_hw} must be divisible by {div}")
+                f"input dims {self.input_hw} must be divisible by {div}",
+                ("input_hw", "stages"))
 
 
 @dataclass(frozen=True)
 class PatchArch:
-    conv_channels: tuple = (4, 8)
-    hidden: int = 32
-    dropout_rate: float = 0.5
+    conv_channels: tuple
+    hidden: int
+    dropout_rate: float
 
     def __post_init__(self):
         if len(self.conv_channels) != 2 or min(*self.conv_channels, self.hidden) < 1:
             raise ParameterError(f"need two conv channel counts and a hidden size, all >= 1, "
-                                 f"got {self.conv_channels} and {self.hidden}")
+                                 f"got {self.conv_channels} and {self.hidden}",
+                                 ("conv_channels", "hidden"))
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ParameterError("dropout_rate must lie in [0, 1)")
+            raise ParameterError("dropout_rate must lie in [0, 1)", ("dropout_rate",))
 
 
 def tensor_shapes(arch: NestedArch | PatchArch) -> list[tuple[str, tuple]]:

@@ -20,19 +20,14 @@ OPTIMIZERS = ("sgd", "adam", "rmsprop")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"
-    learning_rate: float = 1e-3
-    momentum: float = 0.0      # sgd
-    beta1: float = 0.9         # adam
-    beta2: float = 0.999
-    eps: float = 1e-8
-    rho: float = 0.9           # rmsprop
-
-    def __post_init__(self):
-        if self.kind not in OPTIMIZERS:
-            raise ParameterError(f"unknown optimizer {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+    """Of the train config section; config.py holds its defaults and bounds."""
+    kind: str
+    learning_rate: float
+    momentum: float      # sgd
+    beta1: float         # adam
+    beta2: float
+    eps: float
+    rho: float           # rmsprop
 
 
 @dataclass
@@ -76,6 +71,8 @@ def optimizer_step(params, grad: np.ndarray, state: OptimizerState,
     simplex is then projected back onto the probability simplex.
     """
     p, g = params.flat, grad
+    if cfg.kind not in OPTIMIZERS:
+        raise ParameterError(f"unknown optimizer {cfg.kind!r}")
     if g.shape != p.shape:
         raise DimensionError(f"gradient of shape {g.shape} for {p.size} parameters")
     state.step += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import ConfigError, DimensionError, DivergenceError, ParameterError
 from .evaluation import metrics, sweep
 from .formats import DatasetManifest, read_pgm, resolve
 from .layers import conv_forward, maxpool2x2_forward, relu, sigmoid
-from .losses import LOSSES, pixel_losses
+from .losses import pixel_losses
 from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch,
@@ -40,25 +40,16 @@ from .rng import SplitMix64, splitmix64
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 8
-    optimizer: OptimizerConfig = OptimizerConfig()
-    loss_kind: str = "bce"
-    class_balance: bool = True
-    lambdas: tuple | None = None   # None = 1.0 per side
-    augment: AugmentSpec | None = None
-    patience: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.loss_kind not in LOSSES:
-            raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
-        if self.lambdas is not None and any(l < 0 for l in self.lambdas):
-            raise ConfigError("side-loss weights must be nonnegative")
+    """The train config section; config.py holds its defaults and bounds."""
+    epochs: int
+    batch_size: int
+    optimizer: OptimizerConfig
+    loss_kind: str
+    class_balance: bool
+    lambdas: tuple | None   # None = 1.0 per side
+    augment: AugmentSpec | None
+    patience: int
+    seed: int
 
 
 @dataclass
@@ -91,11 +82,13 @@ def split_counts(n: int, ratios) -> list[int]:
     ratios must be 3 nonnegative values summing to 1, and the train block
     must not come out negative."""
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
+        raise ParameterError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}",
+                             ("ratios",))
     counts = [int(np.floor(n * r + 0.5)) for r in ratios]
     counts[0] += n - sum(counts)
     if counts[0] < 0:
-        raise ParameterError(f"rounding left a negative train count for n={n}, {ratios}")
+        raise ParameterError(f"rounding left a negative train count for n={n}, {ratios}",
+                             ("n", "ratios"))
     return counts
 
 
@@ -155,8 +148,7 @@ def _chunks(n: int, size: int):
     return (slice(start, start + size) for start in range(0, n, size))
 
 
-def validation_f1(params: NestedNetParams, val_samples: list,
-                  batch_size: int = TrainConfig.batch_size) -> float:
+def validation_f1(params: NestedNetParams, val_samples: list, batch_size: int) -> float:
     """Pooled F1 of the fused map at threshold 0.5, from batched forwards
     of batch_size images at a time, swept as the maps prob >= 0.5."""
     def levels():
@@ -418,12 +410,12 @@ def _run_fd(tensors: list, analytic: dict, loss_of) -> list[GradCheckEntry]:
     return report
 
 
-def grad_check(variant: str = "nested", seed: int = 0,
+def grad_check(variant: str, cfg: TrainConfig, seed: int = 0,
                tolerance: float = 1e-4) -> tuple[bool, list[GradCheckEntry]]:
     """Central-difference check of every parameter tensor of a tiny
-    instance of one model variant, through the train-mode step _fit takes,
-    on a batch of one: an 8x8 nested net with nonzero side heads, or a
-    patch net with dropout active under a fixed mask seed."""
+    instance of one model variant, through the train-mode step _fit takes
+    with cfg's loss, on a batch of one: an 8x8 nested net with nonzero side
+    heads, or a patch net with dropout active under a fixed mask seed."""
     if variant == "nested":
         params = init_nested(NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8)), seed)
         rng = SplitMix64(splitmix64(seed, 99))
@@ -433,13 +425,12 @@ def grad_check(variant: str = "nested", seed: int = 0,
             head.bias[...] = rng.normals(head.bias.size) * 0.1
         x = rng.floats(64).reshape(8, 8)
         label = (rng.floats(64).reshape(8, 8) < 0.3).astype(np.float64)
-        cfg = TrainConfig(lambdas=(1.0, 0.7), seed=seed)
+        cfg = replace(cfg, lambdas=(1.0, 0.7), seed=seed)
         step = lambda: _nested_step(params, [(x, label)], cfg)
     elif variant == "patch":
         params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), seed)
         patch = SplitMix64(splitmix64(seed, 98)).floats(28 * 28).reshape(1, 1, 28, 28)
-        step = lambda: _patch_step(params, patch, np.ones(1), [splitmix64(seed, 97)],
-                                   TrainConfig())
+        step = lambda: _patch_step(params, patch, np.ones(1), [splitmix64(seed, 97)], cfg)
     else:
         raise ParameterError(f"unknown model variant {variant!r}")
     analytic = {name: g[0] for name, g in step()[1]()}

@@ -9,6 +9,7 @@ pinned bounds reproduce exactly on reruns.
 
 import struct
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,20 +21,17 @@ from lidar_edge.classical import canny, roberts, sobel
 from lidar_edge.config import Config
 from lidar_edge.errors import MagicError, ModelLoadError, TruncationError
 from lidar_edge.evaluation import confusion, metrics, prob_levels, sweep, threshold_grid
-from lidar_edge.formats import write_manifest
+from lidar_edge.formats import read_lri, write_manifest
 from lidar_edge.imaging import convolve2d
 from lidar_edge.layers import maxpool2x2_forward
-from lidar_edge.lidar import (LidarConfig, ScenePolicy, generate_dataset,
-                              tof_to_distance)
+from lidar_edge.lidar import generate_dataset, tof_to_distance
 from lidar_edge.losses import pixel_losses
 from lidar_edge.modelio import load_model, save_model
 from lidar_edge.models import (NestedArch, PatchArch, forward_nested,
                                init_nested, init_patch)
-from lidar_edge.optim import OptimizerConfig
 from lidar_edge.rng import SplitMix64
-from lidar_edge.training import (TrainConfig, grad_check, load_split,
-                                 patch_prob_map, runlog_csv, split_dataset,
-                                 total_loss, train_nested)
+from lidar_edge.training import (grad_check, load_split, patch_prob_map, runlog_csv,
+                                 split_dataset, total_loss, train_nested)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +54,8 @@ def pipeline(tmp_path_factory):
     reports = scored_detectors(cfg, val, test, params)
     elapsed = time.monotonic() - t0
     return SimpleNamespace(counts=manifest.counts(), params=params, log=log,
-                           f1={r.name: r.f1 for r in reports}, elapsed=elapsed)
+                           f1={r.name: r.f1 for r in reports}, elapsed=elapsed,
+                           dataset_dir=dataset_dir, manifest=manifest)
 
 
 class TestOrderingReproduction:
@@ -64,6 +63,13 @@ class TestOrderingReproduction:
 
     def test_split_sizes(self, pipeline):
         assert pipeline.counts == {"train": 196, "val": 42, "test": 42}
+
+    def test_every_range_file_reads(self, pipeline):
+        """The writer clips each range to [1e-6, max_range], so the
+        reader's range check takes every file of the dataset."""
+        for entry in pipeline.manifest.entries:
+            ranges, max_range = read_lri(pipeline.dataset_dir / entry.range)
+            assert ranges.shape == (64, 64) and max_range == 100.0
 
     def test_detector_ranking(self, pipeline):
         f1 = pipeline.f1
@@ -81,7 +87,7 @@ class TestGradientCorrectness:
 
     def test_both_variants_pass(self):
         for variant in ("nested", "patch"):
-            ok, report = grad_check(variant, seed=0, tolerance=1e-4)
+            ok, report = grad_check(variant, Config().train_config(), seed=0, tolerance=1e-4)
             worst = max(report, key=lambda e: e.max_rel_error)
             assert ok, f"{variant}: {worst.name} {worst.max_rel_error:.2e}"
 
@@ -95,7 +101,7 @@ class TestGradientCorrectness:
 
         tr.backward_nested = mutated
         try:
-            ok, _ = tr.grad_check("nested", seed=0, tolerance=1e-4)
+            ok, _ = tr.grad_check("nested", Config().train_config(), seed=0, tolerance=1e-4)
         finally:
             tr.backward_nested = original
         assert not ok
@@ -211,7 +217,7 @@ class TestEquationFidelity:
         label = (SplitMix64(9).floats(64).reshape(1, 8, 8) < 0.3).astype(float)
         trace = forward_nested(params, x)
         lambdas = (0.7, 0.4)
-        cfg = TrainConfig(lambdas=lambdas, class_balance=True)
+        cfg = replace(Config().train_config(), lambdas=lambdas, class_balance=True)
         [loss], _, _ = total_loss(trace, label, cfg)
         want = pixel_losses("bce", trace.fused, label, class_balance=True)[0][0]
         for lam, side in zip(lambdas, trace.side_probs):
@@ -243,8 +249,9 @@ class TestDeterminismAndPersistence:
 
     def _tiny_dataset(self, tmp_path, name):
         out = tmp_path / name
-        generate_dataset(6, LidarConfig(height=16, width=16),
-                         ScenePolicy(), 0.5, 11, out)
+        cfg = Config()
+        generate_dataset(6, replace(cfg.lidar(), height=16, width=16, dropout_prob=0.0),
+                         cfg.scene_policy(), 0.5, 11, out)
         return out
 
     def test_dataset_regeneration_byte_identical(self, tmp_path):
@@ -262,9 +269,9 @@ class TestDeterminismAndPersistence:
             img = rng.floats(64).reshape(8, 8)
             samples.append((img, (img > 0.7).astype(float)))
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-        cfg = TrainConfig(epochs=3, batch_size=2, seed=5,
-                          optimizer=OptimizerConfig(kind="adam",
-                                                    learning_rate=1e-3))
+        default = Config().train_config()
+        cfg = replace(default, epochs=3, batch_size=2, seed=5, augment=None,
+                      optimizer=replace(default.optimizer, kind="adam", learning_rate=1e-3))
         return train_nested(samples, samples[:2], arch, cfg)
 
     def test_runlog_csv_byte_identical(self):
@@ -286,7 +293,7 @@ class TestDeterminismAndPersistence:
 
     def test_corrupted_magic_and_truncation_errors(self, tmp_path):
         p = tmp_path / "m.ledm"
-        save_model(init_patch(PatchArch(), 0), p)
+        save_model(init_patch(Config().patch_arch(), 0), p)
         raw = p.read_bytes()
         bad = tmp_path / "bad.ledm"
         bad.write_bytes(b"NOPE" + raw[4:])
@@ -349,7 +356,7 @@ class TestInvariants:
             trace = forward_nested(pipeline.params, img)
             for pm in [trace.fused, *trace.side_probs]:
                 assert pm.min() >= 0.0 and pm.max() <= 1.0
-        patch_params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4), 1)
+        patch_params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 1)
         pm = patch_prob_map(patch_params, rng.floats(100).reshape(10, 10))
         assert pm.min() >= 0.0 and pm.max() <= 1.0
 

@@ -6,14 +6,21 @@ import pytest
 from lidar_edge.augment import (AffineParams, AugmentSpec, add_gaussian_noise,
                                 add_salt_pepper, adjust_photometric,
                                 affine_transform, occlude, sample_and_apply)
-from lidar_edge.errors import ParameterError
+from lidar_edge.config import Config
+from lidar_edge.errors import ConfigError, ParameterError
 from lidar_edge.rng import SplitMix64
 
 IDENTITY_SPEC = AugmentSpec(rotation_deg=(0, 0), translate_px=(0, 0),
                             scale=(1, 1), shear=(0, 0), flip_h_prob=0.0,
                             flip_v_prob=0.0, gain=(1, 1), offset=(0, 0),
                             noise_sigma=(0, 0), salt_pepper=(0, 0),
-                            occluder_count=0)
+                            occluder_count=0, occluder_size=(2, 8))
+# every transform on: rotation, shift, scale, shear, flips, photometric, noise, occluders
+RICH_SPEC = AugmentSpec(rotation_deg=(-15.0, 15.0), translate_px=(-4.0, 4.0),
+                        scale=(0.9, 1.1), shear=(-0.1, 0.1), flip_h_prob=0.5,
+                        flip_v_prob=0.0, gain=(0.8, 1.2), offset=(-0.1, 0.1),
+                        noise_sigma=(0.0, 0.05), salt_pepper=(0.0, 0.02),
+                        occluder_count=2, occluder_size=(2, 8))
 
 
 def checker(h=8, w=8):
@@ -167,7 +174,7 @@ class TestPipeline:
 
     def test_deterministic_per_seed(self):
         img, label = checker(16, 16)
-        spec = AugmentSpec()
+        spec = RICH_SPEC
         a = sample_and_apply(img, label, spec, seed=5)
         b = sample_and_apply(img, label, spec, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
@@ -175,14 +182,14 @@ class TestPipeline:
 
     def test_different_seeds_differ(self):
         img, label = checker(16, 16)
-        spec = AugmentSpec()
+        spec = RICH_SPEC
         a = sample_and_apply(img, label, spec, seed=1)
         b = sample_and_apply(img, label, spec, seed=2)
         assert not np.array_equal(a[0], b[0])
 
     def test_outputs_valid_ranges(self):
         img, label = checker(16, 16)
-        spec = AugmentSpec()
+        spec = RICH_SPEC
         for seed in range(10):
             out_img, out_label = sample_and_apply(img, label, spec, seed)
             assert out_img.min() >= 0.0 and out_img.max() <= 1.0
@@ -195,14 +202,16 @@ class TestPipeline:
                            scale=(1, 1), shear=(0, 0), flip_h_prob=0.5,
                            flip_v_prob=0.5, gain=(1, 1), offset=(0, 0),
                            noise_sigma=(0, 0), salt_pepper=(0, 0),
-                           occluder_count=0)
+                           occluder_count=0, occluder_size=(2, 8))
         for seed in range(12):
             out_img, _ = sample_and_apply(img, label, spec, seed)
             candidates = [img, img[::-1], img[:, ::-1], img[::-1, ::-1]]
             assert any(np.allclose(out_img, c, atol=1e-12) for c in candidates)
 
     def test_invalid_spec(self):
-        with pytest.raises(ParameterError):
-            AugmentSpec(scale=(1.1, 0.9))
-        with pytest.raises(ParameterError):
-            AugmentSpec(flip_h_prob=1.5)
+        """The config holds the spec's bounds, and names the key it refuses."""
+        for key, value in (("augment.scale", [1.1, 0.9]), ("augment.flip_h_prob", 1.5)):
+            cfg = Config()
+            cfg.override(key, value)
+            with pytest.raises(ConfigError, match=f"invalid config value for {key}: "):
+                cfg.check()

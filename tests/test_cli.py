@@ -6,6 +6,7 @@ import json
 import os
 import resource
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -106,7 +107,8 @@ class TestGenData:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("doc, key", [
-        ({"dataset": {"scene": {"min_range": 1000}}}, "dataset.scene"),
+        ({"dataset": {"scene": {"min_range": 1000}}},
+         "dataset.scene.min_range and dataset.scene.max_range_frac and lidar.max_range"),
         ({"dataset": {"scene": {"kinds": "disk"}}}, "dataset.scene.kinds"),
         ({"dataset": {"ratios": [0.5, 0.5, 0.5]}}, "dataset.ratios"),
         ({"dataset": {"delta": -1}}, "dataset.delta"),
@@ -128,9 +130,10 @@ class TestGenData:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, n, key", [
-        ({"dataset": {"ratios": [0.0, 0.5, 0.5]}}, 1, "dataset.ratios"),
+        ({"dataset": {"ratios": [0.0, 0.5, 0.5]}}, 1, "dataset.n and dataset.ratios"),
         ({}, MAX_SAMPLES + 1, "dataset.n"),
-    ], ids=["negative-train-count", "n-over-cap"])
+        ({}, 0, "dataset.n"),
+    ], ids=["negative-train-count", "n-over-cap", "n-zero"])
     def test_split_refused_before_rendering(self, tmp_path, capsys, doc, n, key):
         """The split rule runs on dataset.n in the config check, so a
         sample count the ratios cannot split, or one over the cap, exits 2
@@ -285,6 +288,20 @@ class TestDetect:
         assert str(p) in err and "max_range" in err
         assert not (tmp_path / "o.pgm").exists()
 
+    @pytest.mark.parametrize("fill, extra", [(20.0, b"junk"), (np.nan, b""), (-20.0, b"")],
+                             ids=["trailing-bytes", "all-nan", "all-negative"])
+    def test_bad_lri_payload_is_usage_error(self, workdir, tmp_path, capsys, fill, extra):
+        _, cfg_path, _ = workdir
+        p = tmp_path / "in.lri"
+        p.write_bytes(b"LRI1" + struct.pack("<IIf", 16, 16, 100.0)
+                      + np.full((16, 16), fill, dtype="<f4").tobytes() + extra)
+        code = cli.main(["detect", str(p), str(tmp_path / "o.pgm"),
+                         "--config", str(cfg_path), "--algorithm", "sobel"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: LRI1 ") and err.count("\n") == 1
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_pgm_pixel_above_maxval_is_usage_error(self, workdir, tmp_path, capsys):
         _, cfg_path, _ = workdir
         bad = tmp_path / "bad.pgm"
@@ -328,7 +345,7 @@ class TestDetect:
         pool offsets: 1 + 4 + 16 + 16 convolutions and no per-pixel
         forward_patch for a 64x64 image."""
         _, cfg_path, _ = workdir
-        save_model(models.init_patch(models.PatchArch(), 0), tmp_path / "model.ledm")
+        save_model(models.init_patch(Config().patch_arch(), 0), tmp_path / "model.ledm")
         img = np.zeros((64, 64))
         img[20:40, 10:50] = 0.7
         write_pgm(tmp_path / "in.pgm", img)
@@ -538,7 +555,7 @@ class TestCompare:
         refused by its kind, as detect refuses it."""
         _, _, out = workdir
         patch = tmp_path / "patch.ledm"
-        save_model(models.init_patch(models.PatchArch(), 0), patch)
+        save_model(models.init_patch(Config().patch_arch(), 0), patch)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**SMALL_CFG, "paths": {"model": str(patch)}}),
                             encoding="utf-8")
@@ -732,6 +749,29 @@ BAD_CONFIG_KEYS = [
     ("zero-eps", "train.eps", {"train": {"eps": 0}}),
     ("negative-momentum", "train.momentum", {"train": {"momentum": -5}}),
     ("rho-above-one", "train.rho", {"train": {"rho": 5}}),
+    ("zero-learning-rate", "train.learning_rate", {"train": {"learning_rate": 0}}),
+    ("zero-batch-size", "train.batch_size", {"train": {"batch_size": 0}}),
+    ("zero-epochs", "train.epochs", {"train": {"epochs": 0}}),
+    ("negative-lambda", "train.lambdas", {"train": {"lambdas": [-1, 1, 1]}}),
+    ("negative-max-range", "lidar.max_range", {"lidar": {"max_range": -1}}),
+    ("dropout-above-one", "lidar.dropout_prob", {"lidar": {"dropout_prob": 1.5}}),
+    ("negative-lidar-noise", "lidar.noise_sigma", {"lidar": {"noise_sigma": -1}}),
+    ("zero-height", "lidar.height", {"lidar": {"height": 0}}),
+    ("odd-height", "lidar.height and lidar.width and model.stages", {"lidar": {"height": 63}}),
+    ("flip-above-one", "augment.flip_h_prob", {"augment": {"flip_h_prob": 2}}),
+    ("scale-descending", "augment.scale", {"augment": {"scale": [1.1, 0.9]}}),
+    ("occluder-size-from-zero", "augment.occluder_size", {"augment": {"occluder_size": [0, 8]}}),
+    ("negative-occluder-count", "augment.occluder_count", {"augment": {"occluder_count": -1}}),
+    ("three-rotation-bounds", "augment.rotation_deg", {"augment": {"rotation_deg": [1, 2, 3]}}),
+    ("empty-gain", "augment.gain", {"augment": {"gain": []}}),
+    ("widths-from-zero", "model.widths", {"model": {"widths": [0, 16, 32]}}),
+    ("stages-below-widths", "model.stages and model.widths", {"model": {"stages": 2}}),
+    ("patch-dropout-one", "model.patch_dropout", {"model": {"patch_dropout": 1.0}}),
+    ("patch-hidden-zero", "model.patch_channels and model.patch_hidden",
+     {"model": {"patch_hidden": 0}}),
+    ("one-patch-channel", "model.patch_channels and model.patch_hidden",
+     {"model": {"patch_channels": [4]}}),
+    ("zero-samples", "dataset.n", {"dataset": {"n": 0}}),
 ]
 
 

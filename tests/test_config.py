@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -251,11 +252,16 @@ class TestEveryKey:
 class TestRulesAcrossKeys:
     """Rules on more than one value, checked by Config.check before any work."""
 
-    @pytest.mark.parametrize("scene", [{"min_range": 1000}, {"kinds": ["disk", "cone"]},
-                                       {"kinds": []}, {"min_size": 9, "max_size": 3}],
-                             ids=["min-range", "unknown-kind", "no-kinds", "sizes"])
-    def test_scene_policy_is_validated(self, tmp_path, scene):
-        with pytest.raises(ConfigError, match="invalid config value for dataset.scene: "):
+    @pytest.mark.parametrize("scene, keys", [
+        ({"min_range": 1000},
+         "dataset.scene.min_range and dataset.scene.max_range_frac and lidar.max_range"),
+        ({"kinds": ["disk", "cone"]}, "dataset.scene.kinds"),
+        ({"kinds": []}, "dataset.scene.kinds"),
+        ({"min_size": 9, "max_size": 3}, "dataset.scene.min_size and dataset.scene.max_size"),
+    ], ids=["min-range", "unknown-kind", "no-kinds", "sizes"])
+    def test_scene_policy_is_validated(self, tmp_path, scene, keys):
+        """Each rule's refusal names the keys it reads."""
+        with pytest.raises(ConfigError, match=f"invalid config value for {re.escape(keys)}: "):
             Config.load(write_cfg(tmp_path, {"dataset": {"scene": scene}}))
 
     @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.5], [0.5, 0.5], [1.5, -0.5, 0.0]])
@@ -268,3 +274,34 @@ class TestRulesAcrossKeys:
         cfg.override("dataset.ratios", [0.2, 0.2, 0.2])
         with pytest.raises(ConfigError, match="dataset.ratios"):
             cfg.check()
+
+
+class TestOneDeclaration:
+    """DEFAULTS declares each value's default, and the key tables its bounds."""
+
+    VIEWS = {"LidarConfig": lambda c: c.lidar(), "ScenePolicy": lambda c: c.scene_policy(),
+             "AugmentSpec": lambda c: c.augment_spec(), "NestedArch": lambda c: c.nested_arch(),
+             "PatchArch": lambda c: c.patch_arch(), "TrainConfig": lambda c: c.train_config(),
+             "OptimizerConfig": lambda c: c.train_config().optimizer}
+
+    @pytest.mark.parametrize("name", VIEWS)
+    def test_no_view_declares_a_field_default(self, name):
+        view = self.VIEWS[name](Config())
+        assert type(view).__name__ == name
+        declared = [f.name for f in fields(view)
+                    if f.default is not MISSING or f.default_factory is not MISSING]
+        assert not declared, f"{name} declares defaults for {declared}"
+
+    def test_values_on_each_bound_are_taken(self, tmp_path):
+        """Every inclusive bound admits its own value; the exclusive ones
+        (lidar.dropout_prob < 1, model.patch_dropout < 1) admit 0."""
+        Config.load(write_cfg(tmp_path, {
+            "lidar": {"height": 1, "width": 1, "noise_sigma": 0.0, "dropout_prob": 0.0},
+            "dataset": {"n": 1, "ratios": [1.0, 0.0, 0.0]},
+            "model": {"stages": 1, "widths": [1], "patch_channels": [1, 1], "patch_hidden": 1,
+                      "patch_dropout": 0.0},
+            "train": {"epochs": 1, "batch_size": 1, "lambdas": [0.0]},
+            "augment": {"flip_h_prob": 1.0, "flip_v_prob": 0.0, "occluder_count": 0,
+                        "occluder_size": [1, 1], "scale": [1e-9, 1e-9], "gain": [0.5, 0.5],
+                        "noise_sigma": [0.0, 0.0], "salt_pepper": [0.0, 1.0],
+                        "rotation_deg": [-180.0, 180.0]}}))

@@ -4,6 +4,7 @@ import builtins
 import errno
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -152,6 +153,31 @@ class TestRangeRaster:
         p.write_bytes(data[:-3])
         with pytest.raises(ParameterError):
             read_lri(p)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"junk" * 5], ids=["one-byte", "twenty-bytes"])
+    def test_trailing_bytes_refused(self, tmp_path, extra):
+        p = tmp_path / "t.lri"
+        write_lri(p, np.ones((4, 4)), 10.0)
+        p.write_bytes(p.read_bytes() + extra)
+        with pytest.raises(ParameterError, match="t.lri: LRI1 payload of"):
+            read_lri(p)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, 10.5],
+                             ids=["nan", "inf", "minus-inf", "negative", "above-max-range"])
+    def test_range_outside_zero_to_max_range_refused(self, tmp_path, bad):
+        ranges = np.ones((4, 4), dtype="<f4")
+        ranges[2, 3] = bad
+        p = tmp_path / "r.lri"
+        p.write_bytes(b"LRI1" + struct.pack("<IIf", 4, 4, 10.0) + ranges.tobytes())
+        with pytest.raises(ParameterError, match=r"r.lri: LRI1 ranges must be finite and in "
+                                                 r"\[0, 10\]"):
+            read_lri(p)
+
+    def test_ranges_at_both_ends_are_taken(self, tmp_path):
+        p = tmp_path / "e.lri"
+        write_lri(p, np.array([[0.0, 10.0]]), 10.0)
+        back, _ = read_lri(p)
+        np.testing.assert_array_equal(back, [[0.0, 10.0]])
 
 
 def _manifest():

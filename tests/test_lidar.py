@@ -1,14 +1,25 @@
 """Synthetic LiDAR scene rendering, labeling, and dataset generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lidar_edge.config import Config
 from lidar_edge.errors import ParameterError
 from lidar_edge.formats import read_lri, read_pgm
 from lidar_edge.lidar import (SPEED_OF_LIGHT, Disk, HalfPlane, LidarConfig,
-                              Rect, Scene, ScenePolicy, generate_dataset,
+                              Rect, Scene, generate_dataset,
                               ground_truth_edges, range_to_intensity,
                               render_scene, sample_scene, tof_to_distance)
+
+POLICY = Config().scene_policy()
+
+
+def sensor(**fields) -> LidarConfig:
+    """The default config's sensor with the given fields changed; no
+    dropout unless asked for."""
+    return replace(Config().lidar(), **{"dropout_prob": 0.0, **fields})
 
 
 class TestTimeOfFlight:
@@ -86,11 +97,11 @@ class TestGroundTruthEdges:
 
 
 class TestRenderScene:
-    CFG = LidarConfig(height=16, width=16, noise_sigma=0.0)
+    CFG = sensor(height=16, width=16, noise_sigma=0.0)
 
     def test_noise_free_matches_scene_geometry(self):
         scene = Scene(primitives=[Rect(4, 4, 6, 6, 20.0)], background_range=70.0)
-        ranges, edges = render_scene(scene, self.CFG, seed=0)
+        ranges, edges = render_scene(scene, self.CFG, seed=0, delta=0.5)
         assert ranges[6, 6] == 20.0
         assert ranges[0, 0] == 70.0
         assert edges[4, 4] == 1.0 and edges[0, 0] == 0.0
@@ -98,47 +109,46 @@ class TestRenderScene:
     def test_nearest_primitive_wins_on_overlap(self):
         scene = Scene(primitives=[Rect(2, 2, 8, 8, 30.0), Rect(4, 4, 4, 4, 10.0)],
                       background_range=80.0)
-        ranges, _ = render_scene(scene, self.CFG, seed=0)
+        ranges, _ = render_scene(scene, self.CFG, seed=0, delta=0.5)
         assert ranges[5, 5] == 10.0
 
     def test_labels_unaffected_by_noise(self):
         scene = Scene(primitives=[Disk(8, 8, 4.0, 15.0)], background_range=60.0)
         clean_cfg = self.CFG
-        noisy_cfg = LidarConfig(height=16, width=16, noise_sigma=3.0,
-                                dropout_prob=0.05)
-        _, e0 = render_scene(scene, clean_cfg, seed=1)
-        _, e1 = render_scene(scene, noisy_cfg, seed=1)
+        noisy_cfg = sensor(height=16, width=16, noise_sigma=3.0, dropout_prob=0.05)
+        _, e0 = render_scene(scene, clean_cfg, seed=1, delta=0.5)
+        _, e1 = render_scene(scene, noisy_cfg, seed=1, delta=0.5)
         np.testing.assert_array_equal(e0, e1)
 
     def test_noise_statistics(self):
-        cfg = LidarConfig(height=64, width=64, noise_sigma=0.8)
+        cfg = sensor(height=64, width=64, noise_sigma=0.8)
         scene = Scene(primitives=[], background_range=50.0)
-        ranges, _ = render_scene(scene, cfg, seed=5)
+        ranges, _ = render_scene(scene, cfg, seed=5, delta=0.5)
         resid = ranges - 50.0
         assert abs(resid.mean()) < 0.05
         assert abs(resid.std() - 0.8) < 0.05
 
     def test_dropout_pixels_read_max_range(self):
-        cfg = LidarConfig(height=64, width=64, noise_sigma=0.0, dropout_prob=0.25)
+        cfg = sensor(height=64, width=64, noise_sigma=0.0, dropout_prob=0.25)
         scene = Scene(primitives=[], background_range=40.0)
-        ranges, _ = render_scene(scene, cfg, seed=2)
+        ranges, _ = render_scene(scene, cfg, seed=2, delta=0.5)
         frac = (ranges == cfg.max_range).mean()
         assert 0.18 < frac < 0.32
         assert set(np.unique(ranges)) == {40.0, cfg.max_range}
 
     def test_deterministic_per_seed(self):
         scene = Scene(primitives=[Disk(5, 5, 3.0, 25.0)], background_range=65.0)
-        cfg = LidarConfig(height=16, width=16, noise_sigma=1.0, dropout_prob=0.01)
-        a, _ = render_scene(scene, cfg, seed=9)
-        b, _ = render_scene(scene, cfg, seed=9)
-        c, _ = render_scene(scene, cfg, seed=10)
+        cfg = sensor(height=16, width=16, noise_sigma=1.0, dropout_prob=0.01)
+        a, _ = render_scene(scene, cfg, seed=9, delta=0.5)
+        b, _ = render_scene(scene, cfg, seed=9, delta=0.5)
+        c, _ = render_scene(scene, cfg, seed=10, delta=0.5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_ranges_clipped_to_sensor_limits(self):
-        cfg = LidarConfig(height=32, width=32, max_range=100.0, noise_sigma=30.0)
+        cfg = sensor(height=32, width=32, max_range=100.0, noise_sigma=30.0)
         scene = Scene(primitives=[], background_range=95.0)
-        ranges, _ = render_scene(scene, cfg, seed=3)
+        ranges, _ = render_scene(scene, cfg, seed=3, delta=0.5)
         assert ranges.max() <= 100.0 and ranges.min() > 0.0
 
 
@@ -153,16 +163,16 @@ class TestIntensity:
 
 
 class TestSceneSampling:
-    CFG = LidarConfig(height=32, width=32)
+    CFG = sensor(height=32, width=32)
 
     def test_primitive_count_within_policy(self):
-        pol = ScenePolicy(min_primitives=2, max_primitives=5)
+        pol = replace(POLICY, min_primitives=2, max_primitives=5)
         for seed in range(30):
             scene = sample_scene(pol, self.CFG, seed)
             assert 2 <= len(scene.primitives) <= 5
 
     def test_ranges_within_policy(self):
-        pol = ScenePolicy()
+        pol = POLICY
         for seed in range(30):
             scene = sample_scene(pol, self.CFG, seed)
             for p in scene.primitives:
@@ -170,12 +180,12 @@ class TestSceneSampling:
             assert pol.background_lo <= scene.background_range <= pol.background_hi
 
     def test_deterministic(self):
-        pol = ScenePolicy()
+        pol = POLICY
         assert sample_scene(pol, self.CFG, 7) == sample_scene(pol, self.CFG, 7)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ParameterError):
-            sample_scene(ScenePolicy(min_primitives=5, max_primitives=2),
+            sample_scene(replace(POLICY, min_primitives=5, max_primitives=2),
                          self.CFG, 0)
 
 
@@ -191,8 +201,8 @@ class TestHalfPlaneMask:
 
 class TestGenerateDataset:
     def test_outputs_and_manifest(self, tmp_path):
-        cfg = LidarConfig(height=16, width=16, noise_sigma=0.1)
-        man = generate_dataset(4, cfg, ScenePolicy(), 0.5, 11, tmp_path)
+        cfg = sensor(height=16, width=16, noise_sigma=0.1)
+        man = generate_dataset(4, cfg, POLICY, 0.5, 11, tmp_path)
         assert len(man.entries) == 4
         assert {e.split for e in man.entries} == {"unassigned"}
         # the caller splits the manifest and writes it, once
@@ -207,21 +217,21 @@ class TestGenerateDataset:
             np.testing.assert_allclose(intensity, want, atol=1.0 / 255.0 + 1e-12)
 
     def test_byte_identical_across_runs(self, tmp_path):
-        cfg = LidarConfig(height=16, width=16, noise_sigma=0.2, dropout_prob=0.01)
+        cfg = sensor(height=16, width=16, noise_sigma=0.2, dropout_prob=0.01)
         a, b = tmp_path / "a", tmp_path / "b"
-        generate_dataset(3, cfg, ScenePolicy(), 0.5, 4, a)
-        generate_dataset(3, cfg, ScenePolicy(), 0.5, 4, b)
+        generate_dataset(3, cfg, POLICY, 0.5, 4, a)
+        generate_dataset(3, cfg, POLICY, 0.5, 4, b)
         for f in sorted(p.name for p in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
     def test_seed_changes_content(self, tmp_path):
-        cfg = LidarConfig(height=16, width=16)
-        generate_dataset(2, cfg, ScenePolicy(), 0.5, 1, tmp_path / "a")
-        generate_dataset(2, cfg, ScenePolicy(), 0.5, 2, tmp_path / "b")
+        cfg = sensor(height=16, width=16)
+        generate_dataset(2, cfg, POLICY, 0.5, 1, tmp_path / "a")
+        generate_dataset(2, cfg, POLICY, 0.5, 2, tmp_path / "b")
         a = (tmp_path / "a" / "sample_0000.lri").read_bytes()
         b = (tmp_path / "b" / "sample_0000.lri").read_bytes()
         assert a != b
 
     def test_bad_count(self, tmp_path):
         with pytest.raises(ParameterError):
-            generate_dataset(0, LidarConfig(), ScenePolicy(), 0.5, 0, tmp_path)
+            generate_dataset(0, sensor(), POLICY, 0.5, 0, tmp_path)

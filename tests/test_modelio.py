@@ -13,6 +13,7 @@ import pytest
 
 import lidar_edge
 from lidar_edge import cli, modelio, models
+from lidar_edge.config import Config
 from lidar_edge.errors import (CorruptModelError, DimensionError, MagicError,
                                ModelLoadError, TruncationError, VersionError)
 from lidar_edge.formats import write_pgm
@@ -95,7 +96,8 @@ class TestBuiltFromTensors:
 
     @pytest.mark.parametrize("cls, params", [
         (NestedNetParams, nested_params(3)),
-        (PatchNetParams, init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3)),
+        (PatchNetParams,
+         init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 3)),
     ], ids=["nested", "patch"])
     def test_constructor_inverts_named_tensors(self, cls, params):
         tensors = [t for _, t in params.named_tensors()]
@@ -133,7 +135,7 @@ class TestHeader:
 
     def test_patch_kind_tag(self, tmp_path):
         p = tmp_path / "m.ledm"
-        save_model(init_patch(PatchArch(), 0), p)
+        save_model(init_patch(Config().patch_arch(), 0), p)
         assert struct.unpack_from("<II", p.read_bytes(), 4) == (1, 2)
 
 
@@ -213,7 +215,7 @@ class TestHostileDescriptor:
         if variant == "nested":
             params = init_nested(NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8)), 0)
         else:
-            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
+            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 0)
         assert tensor_shapes(params.arch) == [(n, t.shape) for n, t in params.named_tensors()]
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE))

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from lidar_edge.config import Config
 from lidar_edge.errors import DimensionError, ParameterError
 from lidar_edge.layers import conv_backward, conv_forward, sigmoid, upsample_nearest
 from lidar_edge.modelio import load_model, save_model
@@ -39,7 +40,7 @@ def layer_arrays(params) -> list:
 class TestArch:
     def test_width_count_must_match_stages(self):
         with pytest.raises(ParameterError):
-            NestedArch(stages=3, widths=(8, 16))
+            NestedArch(stages=3, widths=(8, 16), input_hw=(64, 64))
 
     def test_input_divisibility(self):
         with pytest.raises(ParameterError):
@@ -48,16 +49,16 @@ class TestArch:
     @pytest.mark.parametrize("widths", [(0, 16, 32), (8, -1, 32)])
     def test_width_below_one_refused(self, widths):
         with pytest.raises(ParameterError, match="widths must be >= 1"):
-            NestedArch(stages=3, widths=widths)
+            NestedArch(stages=3, widths=widths, input_hw=(64, 64))
 
     @pytest.mark.parametrize("channels, hidden", [((0, 8), 32), ((4, -2), 32),
                                                   ((4, 8), 0), ((4,), 32)])
     def test_patch_size_below_one_refused(self, channels, hidden):
         with pytest.raises(ParameterError, match="all >= 1"):
-            PatchArch(conv_channels=channels, hidden=hidden)
+            PatchArch(conv_channels=channels, hidden=hidden, dropout_rate=0.5)
 
     def test_default_shape(self):
-        arch = NestedArch()
+        arch = Config().nested_arch()
         assert arch.stages == 3 and arch.widths == (8, 16, 32)
 
 
@@ -95,7 +96,7 @@ class TestInit:
 
     def test_patch_init_shapes(self):
         """The named (saved) shapes; the fc weights are flat."""
-        named = dict(init_patch(PatchArch(), 0).named_tensors())
+        named = dict(init_patch(Config().patch_arch(), 0).named_tensors())
         assert named["conv1.weights"].shape == (4, 1, 5, 5)
         assert named["conv2.weights"].shape == (8, 4, 5, 5)
         assert named["fc1.weights"].shape == (32, 16 * 8)
@@ -104,7 +105,7 @@ class TestInit:
 
 class TestForwardNested:
     def test_output_shapes_and_range(self):
-        params = init_nested(NestedArch(), 0)
+        params = init_nested(Config().nested_arch(), 0)
         x = SplitMix64(2).floats(64 * 64).reshape(64, 64)
         trace = forward_nested(params, x)
         assert len(trace.side_probs) == 3
@@ -114,7 +115,7 @@ class TestForwardNested:
         assert trace.fused.shape == (64, 64)
 
     def test_side_logit_resolutions_halve(self):
-        params = init_nested(NestedArch(), 0)
+        params = init_nested(Config().nested_arch(), 0)
         trace = forward_nested(params, np.zeros((64, 64)))
         # each side head reads its stage's features at the stage's resolution
         assert [st.in_side.shape[-1] for st in trace.stages] == [64, 32, 16]
@@ -219,7 +220,7 @@ class TestNamedGradients:
             grads = backward_nested(params, trace, np.ones((8, 8)),
                                     [np.ones((8, 8))] * 3)
         else:
-            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 0)
+            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 0)
             trace = forward_patch(params, SplitMix64(3).floats(784).reshape(1, 1, 28, 28))
             grads = [(name, g[0]) for name, g in backward_patch(params, trace, np.ones(1))]
         tensors = params.named_tensors()
@@ -229,7 +230,7 @@ class TestNamedGradients:
 
 class TestPatchNet:
     def test_forward_shape_pipeline(self):
-        params = init_patch(PatchArch(), 0)
+        params = init_patch(Config().patch_arch(), 0)
         trace = forward_patch(params, SplitMix64(1).floats(784).reshape(1, 1, 28, 28))
         assert trace.act1.shape == (1, 4, 24, 24)
         assert trace.pool1.shape == (1, 4, 12, 12)
@@ -239,14 +240,14 @@ class TestPatchNet:
         assert trace.prob.shape == (1,) and 0.0 < trace.prob[0] < 1.0
 
     def test_eval_mode_has_no_dropout(self):
-        params = init_patch(PatchArch(dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(conv_channels=(4, 8), hidden=32, dropout_rate=0.5), 0)
         x = SplitMix64(2).floats(784).reshape(1, 1, 28, 28)
         a = forward_patch(params, x, train_mode=False, seeds=[1]).prob
         b = forward_patch(params, x, train_mode=False, seeds=[2]).prob
         assert a == b
 
     def test_train_mode_dropout_depends_on_seed(self):
-        params = init_patch(PatchArch(dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(conv_channels=(4, 8), hidden=32, dropout_rate=0.5), 0)
         x = SplitMix64(3).floats(784).reshape(1, 1, 28, 28)
         probs = {forward_patch(params, x, train_mode=True, seeds=[s]).prob[0]
                  for s in range(8)}
@@ -285,7 +286,7 @@ class TestPatchNet:
 
     def test_wrong_patch_size(self):
         """Only a batch (N, 1, 28, 28) is scored: not one patch on its own."""
-        params = init_patch(PatchArch(), 0)
+        params = init_patch(Config().patch_arch(), 0)
         for shape in [(1, 1, 27, 28), (28, 28), (1, 28, 28), (1, 2, 28, 28)]:
             with pytest.raises(DimensionError):
                 forward_patch(params, np.zeros(shape))
@@ -338,7 +339,7 @@ class TestBatchedForwardBackward:
                     assert np.array_equal(got[n], want[0]), name
 
     def test_patch_needs_one_dropout_seed_per_patch(self):
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4), 0)
+        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 0)
         with pytest.raises(DimensionError):
             forward_patch(params, np.zeros((3, 1, 28, 28)), train_mode=True, seeds=[1, 2])
 
@@ -348,7 +349,7 @@ class TestFullyConnected:
     kernels cover their whole input; named_tensors() gives their weights
     flat, as they are saved, and those flat tensors are the kernels."""
 
-    ARCH = PatchArch(conv_channels=(2, 3), hidden=5)
+    ARCH = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
 
     def test_forward_formula(self):
         p = randomize(init_patch(self.ARCH, 0), 8)
@@ -392,7 +393,7 @@ class TestFullyConnected:
                 PatchNetParams(self.ARCH, tensors[:i] + [wrong] + tensors[i + 1:])
 
     def test_conv_view_shares_the_saved_tensor(self):
-        p = init_patch(PatchArch(), 0)
+        p = init_patch(Config().patch_arch(), 0)
         assert p.fc1.weights.shape == (32, 8, 4, 4)
         assert p.fc2.weights.shape == (1, 32, 1, 1)
         named = dict(p.named_tensors())
@@ -404,7 +405,7 @@ class TestFullyConnected:
     def test_deep_copy_keeps_the_views(self):
         """Training keeps its best params as a deep copy; the copy's
         kernels view the copy's own flat weights, not the original's."""
-        p = init_patch(PatchArch(), 0)
+        p = init_patch(Config().patch_arch(), 0)
         q = copy.deepcopy(p)
         for (name, t), (_, original) in zip(q.named_tensors(), p.named_tensors()):
             np.testing.assert_array_equal(t, original, err_msg=name)
@@ -419,7 +420,8 @@ class TestFlatVector:
 
     NETS = {"nested": (lambda: randomize(init_nested(SMALL, 3), 4),
                        lambda p: forward_nested(p, np.linspace(0, 1, 64).reshape(8, 8)).fused),
-            "patch": (lambda: init_patch(PatchArch(conv_channels=(2, 3), hidden=5), 3),
+            "patch": (lambda: init_patch(PatchArch(conv_channels=(2, 3), hidden=5,
+                                                   dropout_rate=0.5), 3),
                       lambda p: forward_patch(p, np.linspace(0, 1, 784).reshape(1, 1, 28, 28))
                       .prob)}
 

@@ -1,11 +1,13 @@
 """Optimizer update rules and simplex projection."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lidar_edge.errors import DimensionError, ParameterError
+from lidar_edge.config import Config
+from lidar_edge.errors import ConfigError, DimensionError, ParameterError
 from lidar_edge.optim import (OptimizerConfig, OptimizerState, optimizer_step,
                               project_simplex)
 from lidar_edge.rng import SplitMix64
@@ -38,6 +40,11 @@ def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
             p -= cfg.learning_rate * g / (np.sqrt(s) + cfg.eps)
         if name in simplex_names:
             p[...] = project_simplex(p)
+
+
+def opt(**fields) -> OptimizerConfig:
+    """The default config's optimizer with the given fields changed."""
+    return replace(Config().train_config().optimizer, **fields)
 
 
 def step(flat, grad, cfg, state=None, simplex=()):
@@ -90,11 +97,11 @@ class TestSGD:
     def test_plain_sgd_rule(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -1.0])
-        step(p, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
+        step(p, g, opt(kind="sgd", learning_rate=0.1))
         np.testing.assert_allclose(p, [1.0 - 0.05, 2.0 + 0.1], rtol=1e-12)
 
     def test_momentum_accumulates(self):
-        cfg = OptimizerConfig(kind="sgd", learning_rate=0.1, momentum=0.9)
+        cfg = opt(kind="sgd", learning_rate=0.1, momentum=0.9)
         p = np.array([0.0])
         g = np.array([1.0])
         state = OptimizerState()
@@ -104,7 +111,7 @@ class TestSGD:
         assert p[0] == pytest.approx(-0.29, rel=1e-12)
 
     def test_independent_slots_per_tensor(self):
-        cfg = OptimizerConfig(kind="sgd", learning_rate=1.0, momentum=0.5)
+        cfg = opt(kind="sgd", learning_rate=1.0, momentum=0.5)
         flat = np.zeros(2)
         a, b = flat[:1], flat[1:]
         state = OptimizerState()
@@ -117,14 +124,14 @@ class TestSGD:
 class TestAdam:
     def test_first_step_equals_lr_signed(self):
         """Bias correction makes the first Adam step ~lr * sign(g)."""
-        cfg = OptimizerConfig(kind="adam", learning_rate=0.01)
+        cfg = opt(kind="adam", learning_rate=0.01)
         p = np.array([1.0, 1.0])
         g = np.array([3.0, -0.004])
         step(p, g, cfg)
         np.testing.assert_allclose(p, [1.0 - 0.01, 1.0 + 0.01], rtol=1e-3)
 
     def test_matches_reference_recurrence(self):
-        cfg = OptimizerConfig(kind="adam", learning_rate=0.05)
+        cfg = opt(kind="adam", learning_rate=0.05)
         p = np.array([0.3])
         state = OptimizerState()
         m = v = 0.0
@@ -143,7 +150,7 @@ class TestAdam:
 
 class TestRMSprop:
     def test_matches_reference_recurrence(self):
-        cfg = OptimizerConfig(kind="rmsprop", learning_rate=0.02, rho=0.9)
+        cfg = opt(kind="rmsprop", learning_rate=0.02, rho=0.9)
         p = np.array([1.0])
         state = OptimizerState()
         s = 0.0
@@ -159,7 +166,7 @@ class TestStepMechanics:
     def test_all_optimizers_descend_on_quadratic(self):
         """Each rule drives f(w) = |w|^2 toward the minimum."""
         for kind in ("sgd", "adam", "rmsprop"):
-            cfg = OptimizerConfig(kind=kind, learning_rate=0.05)
+            cfg = opt(kind=kind, learning_rate=0.05)
             p = np.array([2.0, -3.0])
             state = OptimizerState()
             for _ in range(300):
@@ -168,7 +175,7 @@ class TestStepMechanics:
 
     def test_simplex_tensor_stays_feasible(self):
         """The view given in simplex is projected; the rest of the vector is not."""
-        cfg = OptimizerConfig(kind="adam", learning_rate=0.5)
+        cfg = opt(kind="adam", learning_rate=0.5)
         flat = np.array([5.0, -5.0, 0.3, 0.4, 0.3])
         alpha = flat[2:]
         state = OptimizerState()
@@ -183,7 +190,7 @@ class TestStepMechanics:
     def test_update_is_in_place(self):
         p = np.zeros(2)
         view = p  # callers hold views; the step must mutate, not rebind
-        step(p, np.ones(2), OptimizerConfig(kind="sgd", learning_rate=1.0))
+        step(p, np.ones(2), opt(kind="sgd", learning_rate=1.0))
         np.testing.assert_array_equal(view, [-1.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
@@ -191,21 +198,28 @@ class TestStepMechanics:
         before anything moves."""
         p, state = np.zeros(2), OptimizerState()
         with pytest.raises(DimensionError):
-            step(p, np.zeros(3), OptimizerConfig(kind="sgd", learning_rate=1.0), state)
+            step(p, np.zeros(3), opt(kind="sgd", learning_rate=1.0), state)
         assert state.step == 0 and not state.slots
         np.testing.assert_array_equal(p, [0.0, 0.0])
 
     def test_state_of_other_tensors_refused(self):
-        cfg = OptimizerConfig(kind="adam", learning_rate=0.1)
+        cfg = opt(kind="adam", learning_rate=0.1)
         state = step(np.zeros(3), np.ones(3), cfg)
         with pytest.raises(DimensionError):
             step(np.zeros(4), np.ones(4), cfg, state)
 
     def test_bad_config(self):
-        with pytest.raises(ParameterError):
-            OptimizerConfig(kind="adagrad")
-        with pytest.raises(ParameterError):
-            OptimizerConfig(kind="sgd", learning_rate=0.0)
+        """An unknown kind is refused by the step, never run as another
+        rule; a rate of 0 by the config, naming its key."""
+        p, state = np.zeros(2), OptimizerState()
+        with pytest.raises(ParameterError, match="unknown optimizer 'adagrad'"):
+            step(p, np.ones(2), opt(kind="adagrad"), state)
+        assert state.step == 0 and not state.slots
+        np.testing.assert_array_equal(p, [0.0, 0.0])
+        cfg = Config()
+        cfg.override("train.learning_rate", 0.0)
+        with pytest.raises(ConfigError, match="invalid config value for train.learning_rate: "):
+            cfg.check()
 
 
 class TestFlatUpdateMatchesPerTensor:
@@ -216,10 +230,10 @@ class TestFlatUpdateMatchesPerTensor:
               "scalar": (1,), "alpha": (3,)}
 
     @pytest.mark.parametrize("cfg", [
-        OptimizerConfig(kind="sgd", learning_rate=0.05),
-        OptimizerConfig(kind="sgd", learning_rate=0.05, momentum=0.9),
-        OptimizerConfig(kind="adam", learning_rate=0.01),
-        OptimizerConfig(kind="rmsprop", learning_rate=0.02, rho=0.8),
+        opt(kind="sgd", learning_rate=0.05),
+        opt(kind="sgd", learning_rate=0.05, momentum=0.9),
+        opt(kind="adam", learning_rate=0.01),
+        opt(kind="rmsprop", learning_rate=0.02, rho=0.8),
     ], ids=["sgd", "sgd-momentum", "adam", "rmsprop"])
     def test_several_steps(self, cfg):
         rng = SplitMix64(11)

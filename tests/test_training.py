@@ -1,12 +1,14 @@
 """Dataset splitting, the multi-task loss, training loops, gradient checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lidar_edge import training
-from lidar_edge.augment import AugmentSpec, sample_and_apply
+from lidar_edge.augment import sample_and_apply
+from lidar_edge.config import Config
 from lidar_edge.errors import ConfigError, DimensionError, DivergenceError, ParameterError
 from lidar_edge.evaluation import ConfusionMatrix, confusion, metrics
 from lidar_edge.formats import DatasetManifest, ManifestEntry
@@ -14,12 +16,22 @@ from lidar_edge.losses import pixel_losses
 from lidar_edge.models import (NestedArch, NestedNetParams, PatchArch, backward_nested,
                                backward_patch, forward_nested, forward_patch, init_nested,
                                init_patch)
-from lidar_edge.optim import OptimizerConfig, OptimizerState, optimizer_step
+from lidar_edge.optim import OptimizerState, optimizer_step
 from lidar_edge.rng import SplitMix64, splitmix64
 from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, _fit, cut_patches,
                                  draw_centers, grad_check, patch_prob_map,
                                  runlog_csv, split_dataset, total_loss, train_nested,
                                  train_patch, validation_f1)
+from test_augment import RICH_SPEC
+from test_optim import opt
+
+
+def train_cfg(**fields) -> TrainConfig:
+    """The default config's train section with no augmentation, batches of
+    8, patience 8 and Adam at 1e-3, then the given fields changed."""
+    base = replace(Config().train_config(), batch_size=8, patience=8, augment=None,
+                   optimizer=opt(kind="adam", learning_rate=1e-3))
+    return replace(base, **fields)
 
 
 def manifest_of(n):
@@ -92,7 +104,7 @@ class TestTotalLoss:
         x = SplitMix64(1).floats(128).reshape(2, 1, 8, 8)
         label = (SplitMix64(2).floats(128).reshape(2, 8, 8) < 0.3).astype(float)
         trace = forward_nested(params, x)
-        cfg = TrainConfig(lambdas=(0.5, 0.25), class_balance=False)
+        cfg = train_cfg(lambdas=(0.5, 0.25), class_balance=False)
         bce = lambda pred: pixel_losses("bce", pred, label, False)[0]
         want = bce(trace.fused) + 0.5 * bce(trace.side_probs[0]) + 0.25 * bce(trace.side_probs[1])
         losses, d_fused, d_sides = total_loss(trace, label, cfg)
@@ -106,8 +118,8 @@ class TestTotalLoss:
         x = SplitMix64(3).floats(64).reshape(1, 1, 8, 8)
         label = np.zeros((1, 8, 8))
         trace = forward_nested(params, x)
-        _, _, d1 = total_loss(trace, label, TrainConfig(lambdas=(1.0, 1.0), class_balance=False))
-        _, _, d2 = total_loss(trace, label, TrainConfig(lambdas=(2.0, 0.5), class_balance=False))
+        _, _, d1 = total_loss(trace, label, train_cfg(lambdas=(1.0, 1.0), class_balance=False))
+        _, _, d2 = total_loss(trace, label, train_cfg(lambdas=(2.0, 0.5), class_balance=False))
         np.testing.assert_allclose(d2[0], 2.0 * d1[0], rtol=1e-12)
         np.testing.assert_allclose(d2[1], 0.5 * d1[1], rtol=1e-12)
 
@@ -115,26 +127,26 @@ class TestTotalLoss:
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
         trace = forward_nested(init_nested(arch, 0), np.zeros((1, 1, 8, 8)))
         with pytest.raises(ConfigError):
-            total_loss(trace, np.zeros((1, 8, 8)), TrainConfig(lambdas=(1.0,)))
+            total_loss(trace, np.zeros((1, 8, 8)), train_cfg(lambdas=(1.0,)))
 
     def test_one_image_trace_refused(self):
         """A trace of one (H, W) image has no example axis to score along."""
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
         trace = forward_nested(init_nested(arch, 0), np.zeros((8, 8)))
         with pytest.raises(DimensionError):
-            total_loss(trace, np.zeros((8, 8)), TrainConfig())
+            total_loss(trace, np.zeros((8, 8)), train_cfg())
 
 
 class TestTrainNested:
     ARCH = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-    PATCH_ARCH = PatchArch(conv_channels=(2, 2), hidden=4)
+    PATCH_ARCH = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5)
 
     def _cfg(self, **kw):
         base = dict(epochs=3, batch_size=4,
-                    optimizer=OptimizerConfig(kind="adam", learning_rate=5e-3),
+                    optimizer=opt(kind="adam", learning_rate=5e-3),
                     seed=0, patience=10)
         base.update(kw)
-        return TrainConfig(**base)
+        return train_cfg(**base)
 
     def _train(self, variant, train, val, cfg, **kw):
         """Either variant through its own entry point; both share one loop."""
@@ -168,14 +180,14 @@ class TestTrainNested:
                                    self._cfg(epochs=4))
         best = max(r.val_f1 for r in log.records)
         assert log.records[log.best_epoch - 1].val_f1 == best
-        assert validation_f1(params, samples[:2]) == pytest.approx(best)
+        assert validation_f1(params, samples[:2], batch_size=4) == pytest.approx(best)
 
     @pytest.mark.parametrize("variant", ["nested", "patch"])
     def test_early_stopping_by_patience(self, variant):
         samples = toy_samples(4)
         # tiny lr: F1 stays flat, so patience kicks in after epoch 1
         cfg = self._cfg(epochs=30, patience=2,
-                        optimizer=OptimizerConfig(kind="sgd", learning_rate=1e-9))
+                        optimizer=opt(kind="sgd", learning_rate=1e-9))
         _, log = self._train(variant, samples, samples[:2], cfg)
         assert len(log.records) <= 4
 
@@ -186,7 +198,7 @@ class TestTrainNested:
         samples = [(img, np.zeros((8, 8)))]
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
             self._train(variant, samples, samples,
-                        TrainConfig(epochs=1, batch_size=1, seed=0))
+                        train_cfg(epochs=1, batch_size=1, seed=0))
 
     def test_empty_split_rejected(self):
         with pytest.raises(ParameterError):
@@ -206,9 +218,8 @@ class TestTrainPatch:
     def test_smoke_and_determinism(self):
         samples = toy_samples(3, h=12, w=12)
         arch = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.25)
-        cfg = TrainConfig(epochs=2, batch_size=8,
-                          optimizer=OptimizerConfig(kind="adam", learning_rate=1e-3),
-                          seed=1)
+        cfg = train_cfg(epochs=2, batch_size=8,
+                        optimizer=opt(kind="adam", learning_rate=1e-3), seed=1)
         p1, l1 = train_patch(samples, samples[:1], arch, cfg, patches_per_image=8)
         p2, l2 = train_patch(samples, samples[:1], arch, cfg, patches_per_image=8)
         for (_, a), (_, b) in zip(p1.named_tensors(), p2.named_tensors()):
@@ -218,7 +229,7 @@ class TestTrainPatch:
 
     def test_prob_map_shape_and_range(self):
         from lidar_edge.models import init_patch
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4), 0)
+        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 0)
         img = SplitMix64(2).floats(100).reshape(10, 10)
         pm = patch_prob_map(params, img)
         assert pm.shape == (10, 10)
@@ -247,7 +258,8 @@ def random_patch_params(arch, seed):
 
 
 class TestDensePatchProbMap:
-    ARCHS = {"default": PatchArch(), "2-3-hidden5": PatchArch(conv_channels=(2, 3), hidden=5)}
+    ARCHS = {"default": Config().patch_arch(),
+             "2-3-hidden5": PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)}
 
     @pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS.keys())
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 3), (13, 9),
@@ -368,7 +380,7 @@ class TestBatchedEpochs:
     same runlog lines, same bits in every tensor of the selected epoch."""
 
     CFG = dict(epochs=2, batch_size=3, patience=10, seed=5,
-               optimizer=OptimizerConfig(kind="adam", learning_rate=5e-3))
+               optimizer=opt(kind="adam", learning_rate=5e-3))
 
     @staticmethod
     def _assert_same(params, log, ref):
@@ -381,14 +393,14 @@ class TestBatchedEpochs:
     def test_nested(self):
         samples = toy_samples(10, seed=3)
         arch = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
-        cfg = TrainConfig(**self.CFG, augment=AugmentSpec())
+        cfg = train_cfg(**self.CFG, augment=RICH_SPEC)
         params, log = train_nested(samples[:7], samples[7:], arch, cfg)
         self._assert_same(params, log, per_example_nested(samples[:7], samples[7:], arch, cfg))
 
     def test_patch(self):
         samples = toy_samples(4, seed=4, h=12, w=12)
         arch = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
-        cfg = TrainConfig(**self.CFG)
+        cfg = train_cfg(**self.CFG)
         params, log = train_patch(samples[:3], samples[3:], arch, cfg, patches_per_image=5)
         self._assert_same(params, log, per_example_patch(samples[:3], samples[3:], arch, cfg, 5))
 
@@ -407,7 +419,7 @@ class TestBatchLoop:
             return losses, backward
 
         with pytest.raises(DivergenceError, match="epoch 1, example 5$"):
-            _fit(params, TrainConfig(epochs=1, batch_size=4), lambda e: list(range(8)),
+            _fit(params, train_cfg(epochs=1, batch_size=4), lambda e: list(range(8)),
                  batch_of, lambda: 0.0, None)
         assert ran == [0]  # the second batch never ran its backward
 
@@ -416,7 +428,7 @@ class TestBatchLoop:
         samples[5] = (np.full((8, 8), np.nan), samples[5][1])
         order = list(range(8))
         SplitMix64(splitmix64(0, 1001)).shuffle(order)
-        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        cfg = train_cfg(epochs=1, batch_size=4, seed=0)
         with pytest.raises(DivergenceError, match=f"example {order.index(5)}$"), \
                 np.errstate(all="ignore"):
             train_nested(samples, samples, TestTrainNested.ARCH, cfg)
@@ -467,7 +479,7 @@ class TestPatchEpoch:
     shuffled order, cutting each batch's patches when it needs them."""
 
     TRAIN, VAL = toy_samples(16, h=12, w=12), toy_samples(1, seed=1, h=12, w=12)
-    PER_IMAGE, CFG = 96, TrainConfig(epochs=1, batch_size=4, seed=5)
+    PER_IMAGE, CFG = 96, train_cfg(epochs=1, batch_size=4, seed=5)
 
     def shuffled_draw(self):
         """The rows the epoch must visit: patches[order] as drawn before."""
@@ -493,7 +505,7 @@ class TestPatchEpoch:
 
         monkeypatch.setattr(training, "forward_patch", recording_forward)
         monkeypatch.setattr(training, "pixel_losses", recording_losses)
-        train_patch(self.TRAIN, self.VAL, PatchArch(), self.CFG,
+        train_patch(self.TRAIN, self.VAL, Config().patch_arch(), self.CFG,
                     patches_per_image=self.PER_IMAGE)
         patches, labels = self.shuffled_draw()
         assert [len(b) for b in seen_patches] == [4] * (len(labels) // 4)
@@ -506,8 +518,8 @@ class TestPatchEpoch:
         one_array = len(self.TRAIN) * self.PER_IMAGE * 28 * 28 * 8
         tracemalloc.start()
         try:
-            train_patch(self.TRAIN, self.VAL, PatchArch(),
-                        TrainConfig(epochs=2, batch_size=4, seed=5),
+            train_patch(self.TRAIN, self.VAL, Config().patch_arch(),
+                        train_cfg(epochs=2, batch_size=4, seed=5),
                         patches_per_image=self.PER_IMAGE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -528,8 +540,8 @@ class TestRunLogCSV:
     def test_byte_identical_across_reruns(self):
         samples = toy_samples(4)
         arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-        cfg = TrainConfig(epochs=2, batch_size=2, seed=3,
-                          optimizer=OptimizerConfig(kind="sgd", learning_rate=1e-3))
+        cfg = train_cfg(epochs=2, batch_size=2, seed=3,
+                        optimizer=opt(kind="sgd", learning_rate=1e-3))
         _, l1 = train_nested(samples, samples[:2], arch, cfg)
         _, l2 = train_nested(samples, samples[:2], arch, cfg)
         assert runlog_csv(l1) == runlog_csv(l2)
@@ -537,12 +549,12 @@ class TestRunLogCSV:
 
 class TestGradCheck:
     def test_nested_passes(self):
-        ok, report = grad_check("nested", seed=0)
+        ok, report = grad_check("nested", Config().train_config(), seed=0)
         assert ok, max(report, key=lambda e: e.max_rel_error)
         assert {e.name for e in report} >= {"alpha", "stage0.conv_a.weights"}
 
     def test_patch_passes(self):
-        ok, report = grad_check("patch", seed=0)
+        ok, report = grad_check("patch", Config().train_config(), seed=0)
         assert ok, max(report, key=lambda e: e.max_rel_error)
 
     def test_detects_broken_gradient(self):
@@ -557,7 +569,7 @@ class TestGradCheck:
 
         tr.backward_nested = broken
         try:
-            ok, report = tr.grad_check("nested", seed=0)
+            ok, report = tr.grad_check("nested", Config().train_config(), seed=0)
         finally:
             tr.backward_nested = original
         assert not ok
@@ -575,7 +587,7 @@ class TestGradCheck:
 
         tr.backward_patch = broken
         try:
-            ok, report = tr.grad_check("patch", seed=0)
+            ok, report = tr.grad_check("patch", Config().train_config(), seed=0)
         finally:
             tr.backward_patch = original
         assert not ok
@@ -584,4 +596,4 @@ class TestGradCheck:
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
-            grad_check("transformer")
+            grad_check("transformer", Config().train_config())
