@@ -19,7 +19,7 @@ from .errors import ConfigError, ParameterError
 from .lidar import LidarConfig, ScenePolicy
 from .losses import LOSSES
 from .models import NestedArch, PatchArch, tensor_shapes
-from .optim import OPTIMIZERS, OptimizerConfig
+from .optim import OPTIMIZERS
 from .training import TrainConfig, split_counts
 
 CONFIG_VERSION = 1
@@ -41,7 +41,7 @@ DEFAULTS = {
         },
     },
     "model": {
-        "variant": "nested", "stages": 3, "widths": [8, 16, 32],
+        "variant": "nested", "widths": [8, 16, 32],
         "patch_channels": [4, 8], "patch_hidden": 32, "patch_dropout": 0.5,
     },
     "train": {
@@ -79,7 +79,7 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
             out[key] = _merge(default, {}, f"{path}{key}.") if isinstance(default, dict) else default
     for key in overrides:
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path}{key!r}")
+            raise ConfigError(f"unknown config key {path + key!r}")
     return out
 
 
@@ -112,12 +112,6 @@ _ABOVE = {"lidar.max_range": 0.0, "dataset.delta": 0.0, "train.learning_rate": 0
 _BELOW = {"lidar.dropout_prob": 1.0, "train.momentum": 1.0, "train.beta1": 1.0,
           "train.beta2": 1.0, "train.rho": 1.0}
 _BOUNDED = {*_CHOICES, *_AT_MOST, *_AT_LEAST, *_ABOVE, *_BELOW}
-# the key of each field that a typed view's own rule names (ParameterError.fields)
-_FIELD_KEYS = {"n": "dataset.n", "ratios": "dataset.ratios", "max_range": "lidar.max_range",
-               "input_hw": "lidar.height and lidar.width", "stages": "model.stages",
-               "widths": "model.widths", "conv_channels": "model.patch_channels",
-               "hidden": "model.patch_hidden", "dropout_rate": "model.patch_dropout",
-               **{name: f"dataset.scene.{name}" for name in DEFAULTS["dataset"]["scene"]}}
 
 
 @functools.cache
@@ -127,6 +121,12 @@ def _leaves(name: str) -> list:
     defaults = functools.reduce(dict.__getitem__, name.split("."), DEFAULTS)
     return [(key, f"{name}.{key}", default) for key, default in defaults.items()
             if not isinstance(default, dict)]
+
+
+# the key of each field a typed view's own rule names (ParameterError.fields):
+# a field has its key's name, but for NestedArch.input_hw
+_FIELD_KEYS = {key: dotted for name in ("lidar", "dataset", "dataset.scene", "model")
+               for key, dotted, _ in _leaves(name)} | {"input_hw": "lidar.height and lidar.width"}
 
 
 def _read(default, value):
@@ -269,27 +269,18 @@ class Config:
         return AugmentSpec(**self.section("augment"))
 
     def nested_arch(self) -> NestedArch:
-        m, lidar = self.section("model"), self.section("lidar")
-        return NestedArch(stages=m["stages"], widths=m["widths"],
+        lidar = self.section("lidar")
+        return NestedArch(widths=self.section("model")["widths"],
                           input_hw=(lidar["height"], lidar["width"]))
 
     def patch_arch(self) -> PatchArch:
-        m = self.section("model")
-        return PatchArch(conv_channels=m["patch_channels"], hidden=m["patch_hidden"],
-                         dropout_rate=m["patch_dropout"])
+        return PatchArch(**{key: value for key, value in self.section("model").items()
+                            if key.startswith("patch_")})
 
     def train_config(self) -> TrainConfig:
-        """The train section; the augment section is read (and so checked)
-        whether or not train.augment_enabled puts it to use."""
-        t, augment = self.section("train"), self.augment_spec()
-        optimizer = OptimizerConfig(kind=t["optimizer"], learning_rate=t["learning_rate"],
-                                    momentum=t["momentum"], beta1=t["beta1"],
-                                    beta2=t["beta2"], eps=t["eps"], rho=t["rho"])
-        return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
-                           optimizer=optimizer, loss_kind=t["loss"],
-                           class_balance=t["class_balance"], lambdas=t["lambdas"],
-                           augment=augment if t["augment_enabled"] else None,
-                           patience=t["patience"], seed=t["seed"])
+        """The train section, and the augment section's spec, read (and so
+        checked) whether or not train.augment_enabled puts it to use."""
+        return TrainConfig(**self.section("train"), augment=self.augment_spec())
 
     def out_dir(self) -> Path:
         return Path(self.section("paths")["out_dir"])

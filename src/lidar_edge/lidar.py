@@ -168,6 +168,9 @@ class ScenePolicy:
             raise ParameterError(f"unknown primitive kinds in {self.kinds}", ("kinds",))
         if self.min_size < 1 or self.max_size < self.min_size:
             raise ParameterError("primitive size range is invalid", ("min_size", "max_size"))
+        if self.max_range_frac > 1:
+            raise ParameterError(f"max_range_frac must be at most 1, got {self.max_range_frac}",
+                                 ("max_range_frac",))
         if not (0 < self.min_range < self.max_range_frac * cfg.max_range):
             raise ParameterError("primitive range interval is empty",
                                  ("min_range", "max_range_frac", "max_range"))

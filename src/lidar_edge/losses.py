@@ -1,4 +1,4 @@
-"""Per-output losses and the multi-task total used by the nested model."""
+"""Per-example losses; training.total_loss sums them into the nested model's multi-task loss."""
 
 from __future__ import annotations
 

@@ -47,8 +47,8 @@ def save_model(params, path) -> None:
         head = struct.pack(f"<{arch.stages + 5}I", VERSION, KIND_NESTED, arch.stages,
                            *arch.widths, *arch.input_hw)
     else:
-        head = struct.pack("<8Id", VERSION, KIND_PATCH, 3, *arch.conv_channels, arch.hidden,
-                           PATCH_SIZE, PATCH_SIZE, arch.dropout_rate)
+        head = struct.pack("<8Id", VERSION, KIND_PATCH, 3, *arch.patch_channels,
+                           arch.patch_hidden, PATCH_SIZE, PATCH_SIZE, arch.patch_dropout)
     payload = MAGIC + head + b"".join(_pack_tensor(t) for _, t in params.named_tensors())
     write_atomic(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
@@ -110,9 +110,8 @@ def load_model(path):
     if kind == KIND_NESTED:
         stages = r.u32()
         widths = tuple(r.u32() for _ in range(stages))
-        input_hw = (r.u32(), r.u32())
-        arch, cls = _arch(path, NestedArch, stages=stages, widths=widths,
-                          input_hw=input_hw), NestedNetParams
+        arch, cls = _arch(path, NestedArch, widths=widths,
+                          input_hw=(r.u32(), r.u32())), NestedNetParams
     elif kind == KIND_PATCH:
         n = r.u32()
         if n != 3:
@@ -121,8 +120,8 @@ def load_model(path):
         if (r.u32(), r.u32()) != (PATCH_SIZE, PATCH_SIZE):
             raise CorruptModelError(f"{path}: invalid descriptor: patch input is fixed "
                                     f"at {PATCH_SIZE}x{PATCH_SIZE}")
-        arch, cls = _arch(path, PatchArch, conv_channels=(c1, c2), hidden=hidden,
-                          dropout_rate=r.f64()), PatchNetParams
+        arch, cls = _arch(path, PatchArch, patch_channels=(c1, c2), patch_hidden=hidden,
+                          patch_dropout=r.f64()), PatchNetParams
     else:
         raise CorruptModelError(f"{path}: unknown model kind {kind}")
     # the tensors are allocated from the descriptor, so it must fit the payload first

@@ -39,38 +39,40 @@ PATCH_SIZE = 28
 
 @dataclass(frozen=True)
 class NestedArch:
-    """Checks itself, as a LEDM descriptor builds one too (modelio._arch)."""
-    stages: int
+    """One width per stage. Checks itself, as a LEDM descriptor builds one
+    too (modelio._arch)."""
     widths: tuple
     input_hw: tuple
 
+    @property
+    def stages(self) -> int:
+        return len(self.widths)
+
     def __post_init__(self):
-        if self.stages < 1 or len(self.widths) != self.stages:
-            raise ParameterError(
-                f"need one width per stage, got {self.widths} for S={self.stages}",
-                ("stages", "widths"))
+        if not self.widths:
+            raise ParameterError("need at least one stage width", ("widths",))
         if min(self.widths) < 1:
             raise ParameterError(f"stage widths must be >= 1, got {self.widths}", ("widths",))
         div = 2 ** (self.stages - 1)
         if self.input_hw[0] % div or self.input_hw[1] % div:
             raise ParameterError(
                 f"input dims {self.input_hw} must be divisible by {div}",
-                ("input_hw", "stages"))
+                ("input_hw", "widths"))
 
 
 @dataclass(frozen=True)
 class PatchArch:
-    conv_channels: tuple
-    hidden: int
-    dropout_rate: float
+    patch_channels: tuple
+    patch_hidden: int
+    patch_dropout: float
 
     def __post_init__(self):
-        if len(self.conv_channels) != 2 or min(*self.conv_channels, self.hidden) < 1:
+        if len(self.patch_channels) != 2 or min(*self.patch_channels, self.patch_hidden) < 1:
             raise ParameterError(f"need two conv channel counts and a hidden size, all >= 1, "
-                                 f"got {self.conv_channels} and {self.hidden}",
-                                 ("conv_channels", "hidden"))
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ParameterError("dropout_rate must lie in [0, 1)", ("dropout_rate",))
+                                 f"got {self.patch_channels} and {self.patch_hidden}",
+                                 ("patch_channels", "patch_hidden"))
+        if not (0.0 <= self.patch_dropout < 1.0):
+            raise ParameterError("patch_dropout must lie in [0, 1)", ("patch_dropout",))
 
 
 def tensor_shapes(arch: NestedArch | PatchArch) -> list[tuple[str, tuple]]:
@@ -84,12 +86,12 @@ def tensor_shapes(arch: NestedArch | PatchArch) -> list[tuple[str, tuple]]:
                       (f"stage{s}.conv_b.weights", (w, w, 3, 3)), (f"stage{s}.conv_b.bias", (w,))]
             sides += [(f"side{s}.weights", (1, w, 1, 1)), (f"side{s}.bias", (1,))]
         return convs + sides + [("alpha", (arch.stages,))]
-    c1, c2 = arch.conv_channels
+    c1, c2 = arch.patch_channels
     flat = 16 * c2  # 28 -> 24 -> 12 -> 8 -> 4 spatial, so 4*4*C2 features
     return [("conv1.weights", (c1, 1, 5, 5)), ("conv1.bias", (c1,)),
             ("conv2.weights", (c2, c1, 5, 5)), ("conv2.bias", (c2,)),
-            ("fc1.weights", (arch.hidden, flat)), ("fc1.bias", (arch.hidden,)),
-            ("fc2.weights", (1, arch.hidden)), ("fc2.bias", (1,))]
+            ("fc1.weights", (arch.patch_hidden, flat)), ("fc1.bias", (arch.patch_hidden,)),
+            ("fc2.weights", (1, arch.patch_hidden)), ("fc2.bias", (1,))]
 
 
 def laid_end_to_end(tensors: list, lead: tuple = ()) -> np.ndarray:
@@ -332,8 +334,8 @@ def forward_patch(params: PatchNetParams, patches: np.ndarray,
     in_fc1 = keep(pool2, params.fc1)
     fc1_pre = conv_forward(in_fc1, params.fc1)            # hidden x 1 x 1
     fc1_act = relu(fc1_pre)
-    if train_mode and params.arch.dropout_rate > 0:
-        drop = dropout_mask(fc1_act.shape[-3:], params.arch.dropout_rate, seeds)
+    if train_mode and params.arch.patch_dropout > 0:
+        drop = dropout_mask(fc1_act.shape[-3:], params.arch.patch_dropout, seeds)
         if drop.shape != fc1_act.shape:
             raise DimensionError(f"dropout masks {drop.shape} for activations {fc1_act.shape}")
     else:
@@ -363,5 +365,5 @@ def backward_patch(params: PatchNetParams, trace: PatchTrace,
     d_pre1 = relu_backward(trace.act1, d_act1)
     _, d_cw1, d_cb1 = conv_backward(in1, params.conv1, d_pre1, input_grad=False)
     return _named(params, [d_cw1, d_cb1, d_cw2, d_cb2,  # fc grads flat, as named
-                           d_w1.reshape(n, params.arch.hidden, -1), d_b1,
+                           d_w1.reshape(n, params.arch.patch_hidden, -1), d_b1,
                            d_w2.reshape(n, 1, -1), d_b2])

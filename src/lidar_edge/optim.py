@@ -18,18 +18,6 @@ from .errors import DimensionError, DivergenceError, ParameterError
 OPTIMIZERS = ("sgd", "adam", "rmsprop")
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Of the train config section; config.py holds its defaults and bounds."""
-    kind: str
-    learning_rate: float
-    momentum: float      # sgd
-    beta1: float         # adam
-    beta2: float
-    eps: float
-    rho: float           # rmsprop
-
-
 @dataclass
 class OptimizerState:
     """The step count and the rule's running averages: one flat array per
@@ -62,27 +50,29 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def optimizer_step(params, grad: np.ndarray, state: OptimizerState,
-                   cfg: OptimizerConfig, simplex: tuple = ()) -> None:
-    """Apply one update to params.flat in place, given grad laid out as it.
+def optimizer_step(params, grad: np.ndarray, state: OptimizerState, cfg,
+                   simplex: tuple = ()) -> None:
+    """Apply one update to params.flat in place, given grad laid out as it,
+    by the rule cfg.optimizer names; cfg is the train config
+    (training.TrainConfig), whose keys of that rule it reads.
 
     Every rule is elementwise, so each parameter sees the same operations
     as if its tensor were updated alone. Each view of params.flat in
     simplex is then projected back onto the probability simplex.
     """
     p, g = params.flat, grad
-    if cfg.kind not in OPTIMIZERS:
-        raise ParameterError(f"unknown optimizer {cfg.kind!r}")
+    if cfg.optimizer not in OPTIMIZERS:
+        raise ParameterError(f"unknown optimizer {cfg.optimizer!r}")
     if g.shape != p.shape:
         raise DimensionError(f"gradient of shape {g.shape} for {p.size} parameters")
     state.step += 1
     t = state.step
-    if cfg.kind == "sgd":
+    if cfg.optimizer == "sgd":
         v = state.slot("velocity", g.size)
         v *= cfg.momentum
         v -= cfg.learning_rate * g
         p += v
-    elif cfg.kind == "adam":
+    elif cfg.optimizer == "adam":
         m = state.slot("m", g.size)
         s = state.slot("v", g.size)
         m *= cfg.beta1

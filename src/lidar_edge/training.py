@@ -34,22 +34,31 @@ from .models import (PATCH_SIZE, ForwardTrace, NestedArch, NestedNetParams,
                      PatchArch, PatchNetParams, backward_nested, backward_patch,
                      forward_nested, forward_patch, init_nested, init_patch,
                      laid_end_to_end)
-from .optim import OptimizerConfig, OptimizerState, optimizer_step
+from .optim import OptimizerState, optimizer_step
 from .rng import SplitMix64, splitmix64
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The train config section; config.py holds its defaults and bounds."""
+    """The train config section as read, and the augment section's spec,
+    put to use when augment_enabled is true; config.py holds their
+    defaults and bounds."""
     epochs: int
     batch_size: int
-    optimizer: OptimizerConfig
-    loss_kind: str
+    learning_rate: float
+    optimizer: str
+    momentum: float         # sgd
+    beta1: float            # adam
+    beta2: float
+    eps: float
+    rho: float              # rmsprop
+    loss: str
     class_balance: bool
     lambdas: tuple | None   # None = 1.0 per side
-    augment: AugmentSpec | None
     patience: int
     seed: int
+    augment_enabled: bool
+    augment: AugmentSpec
 
 
 @dataclass
@@ -135,10 +144,10 @@ def total_loss(trace: ForwardTrace, labels: np.ndarray,
         raise ConfigError(f"{len(lambdas)} side-loss weights for {s} side outputs")
     if trace.fused.ndim != 3:
         raise DimensionError(f"expected the trace of a batch, (N, H, W), got {trace.fused.shape}")
-    losses, d_fused = pixel_losses(cfg.loss_kind, trace.fused, labels, cfg.class_balance)
+    losses, d_fused = pixel_losses(cfg.loss, trace.fused, labels, cfg.class_balance)
     d_sides = []
     for lam, side in zip(lambdas, trace.side_probs):
-        side_losses, d = pixel_losses(cfg.loss_kind, side, labels, cfg.class_balance)
+        side_losses, d = pixel_losses(cfg.loss, side, labels, cfg.class_balance)
         losses += lam * side_losses
         d_sides.append(lam * d)
     return losses, d_fused, d_sides
@@ -175,7 +184,7 @@ def _patch_step(params: PatchNetParams, patches: np.ndarray, labels: np.ndarray,
     """The train-mode forward of (n, 1, 28, 28) patches, each with its
     dropout seed, and their center-pixel loss: (losses, backward)."""
     trace = forward_patch(params, patches, train_mode=True, seeds=seeds)
-    losses, d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
+    losses, d_prob = pixel_losses(cfg.loss, trace.prob[:, np.newaxis],
                                   labels[:, np.newaxis], class_balance=False)
     return losses, lambda: backward_patch(params, trace, d_prob[:, 0])
 
@@ -219,7 +228,7 @@ def _fit(params, cfg: TrainConfig, epoch_items, batch_of, val_f1_of, progress,
                 grad_sum += row
             for loss in losses.tolist():
                 epoch_loss += loss
-            optimizer_step(params, grad_sum, state, cfg.optimizer, simplex)
+            optimizer_step(params, grad_sum, state, cfg, simplex)
         epoch_loss /= max(len(items), 1)
         val_f1 = val_f1_of()
         record = EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1,
@@ -253,7 +262,7 @@ def train_nested(train_samples: list, val_samples: list, arch: NestedArch,
 
     def batch_of(epoch, start, batch):
         pairs = [train_samples[idx] for idx in batch]
-        if cfg.augment is not None:
+        if cfg.augment_enabled:
             pairs = [sample_and_apply(img, label, cfg.augment,
                                       splitmix64(cfg.seed, epoch * 1_000_003 + idx))
                      for (img, label), idx in zip(pairs, batch)]
@@ -417,7 +426,7 @@ def grad_check(variant: str, cfg: TrainConfig, seed: int = 0,
     with cfg's loss, on a batch of one: an 8x8 nested net with nonzero side
     heads, or a patch net with dropout active under a fixed mask seed."""
     if variant == "nested":
-        params = init_nested(NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8)), seed)
+        params = init_nested(NestedArch(widths=(2, 2), input_hw=(8, 8)), seed)
         rng = SplitMix64(splitmix64(seed, 99))
         # nonzero side heads so their gradients are exercised away from 0.5
         for head in params.side_heads:
@@ -428,7 +437,8 @@ def grad_check(variant: str, cfg: TrainConfig, seed: int = 0,
         cfg = replace(cfg, lambdas=(1.0, 0.7), seed=seed)
         step = lambda: _nested_step(params, [(x, label)], cfg)
     elif variant == "patch":
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), seed)
+        arch = PatchArch(patch_channels=(2, 2), patch_hidden=4, patch_dropout=0.5)
+        params = init_patch(arch, seed)
         patch = SplitMix64(splitmix64(seed, 98)).floats(28 * 28).reshape(1, 1, 28, 28)
         step = lambda: _patch_step(params, patch, np.ones(1), [splitmix64(seed, 97)], cfg)
     else:

@@ -202,7 +202,7 @@ class TestEquationFidelity:
     """Fusion and multi-task loss match their term-by-term sums."""
 
     def test_fused_output_is_weighted_sum_of_sides(self):
-        arch = NestedArch(stages=3, widths=(2, 2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2, 2), input_hw=(8, 8))
         params = init_nested(arch, 5)
         params.alpha[...] = [0.5, 0.3, 0.2]
         x = SplitMix64(6).floats(64).reshape(8, 8)
@@ -211,7 +211,7 @@ class TestEquationFidelity:
         np.testing.assert_allclose(trace.fused, want, atol=1e-12)
 
     def test_total_loss_is_sum_of_terms(self):
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 7)
         x = SplitMix64(8).floats(64).reshape(1, 1, 8, 8)
         label = (SplitMix64(9).floats(64).reshape(1, 8, 8) < 0.3).astype(float)
@@ -268,10 +268,10 @@ class TestDeterminismAndPersistence:
         for _ in range(4):
             img = rng.floats(64).reshape(8, 8)
             samples.append((img, (img > 0.7).astype(float)))
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         default = Config().train_config()
-        cfg = replace(default, epochs=3, batch_size=2, seed=5, augment=None,
-                      optimizer=replace(default.optimizer, kind="adam", learning_rate=1e-3))
+        cfg = replace(default, epochs=3, batch_size=2, seed=5, augment_enabled=False,
+                      optimizer="adam", learning_rate=1e-3)
         return train_nested(samples, samples[:2], arch, cfg)
 
     def test_runlog_csv_byte_identical(self):
@@ -356,7 +356,8 @@ class TestInvariants:
             trace = forward_nested(pipeline.params, img)
             for pm in [trace.fused, *trace.side_probs]:
                 assert pm.min() >= 0.0 and pm.max() <= 1.0
-        patch_params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 1)
+        patch_params = init_patch(PatchArch(patch_channels=(2, 2), patch_hidden=4,
+                                            patch_dropout=0.5), 1)
         pm = patch_prob_map(patch_params, rng.floats(100).reshape(10, 10))
         assert pm.min() >= 0.0 and pm.max() <= 1.0
 

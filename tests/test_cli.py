@@ -26,7 +26,7 @@ from test_formats import tear_writes_to
 SMALL_CFG = {
     "lidar": {"height": 16, "width": 16},
     "dataset": {"n": 12, "seed": 7},
-    "model": {"stages": 2, "widths": [2, 2]},
+    "model": {"widths": [2, 2]},
     "train": {"epochs": 1, "batch_size": 2, "augment_enabled": False},
     "eval": {"n_thresholds": 11},
 }
@@ -113,7 +113,10 @@ class TestGenData:
         ({"dataset": {"ratios": [0.5, 0.5, 0.5]}}, "dataset.ratios"),
         ({"dataset": {"delta": -1}}, "dataset.delta"),
         ({"dataset": {"delta": 0}}, "dataset.delta"),
-    ], ids=["min-range", "kinds-not-a-list", "ratios", "negative-delta", "zero-delta"])
+        ({"dataset": {"scene": {"max_range_frac": 1.05}}}, "dataset.scene.max_range_frac"),
+        ({"dataset": {"scene": {"max_range_frac": 3.0}}}, "dataset.scene.max_range_frac"),
+    ], ids=["min-range", "kinds-not-a-list", "ratios", "negative-delta", "zero-delta",
+            "max-range-frac-1.05", "max-range-frac-3"])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_bad_dataset_value_refused_before_writing(self, tmp_path, capsys, doc, key,
                                                       command):
@@ -737,7 +740,7 @@ BAD_CONFIG_KEYS = [
     ("huge-max-primitives", "dataset.scene.max_primitives",
      {"dataset": {"scene": {"max_primitives": 1e9}}}),
     ("huge-occluder-count", "augment.occluder_count", {"augment": {"occluder_count": 1e9}}),
-    ("huge-widths", "model.widths", {"model": {"widths": [100000, 16], "stages": 2}}),
+    ("huge-widths", "model.widths", {"model": {"widths": [100000, 16]}}),
     ("huge-patch-hidden", "model.patch_channels and model.patch_hidden",
      {"model": {"patch_hidden": 1e9}}),
     ("lambdas-per-stage", "train.lambdas", {"train": {"lambdas": [1, 1, 1]}}),
@@ -757,7 +760,7 @@ BAD_CONFIG_KEYS = [
     ("dropout-above-one", "lidar.dropout_prob", {"lidar": {"dropout_prob": 1.5}}),
     ("negative-lidar-noise", "lidar.noise_sigma", {"lidar": {"noise_sigma": -1}}),
     ("zero-height", "lidar.height", {"lidar": {"height": 0}}),
-    ("odd-height", "lidar.height and lidar.width and model.stages", {"lidar": {"height": 63}}),
+    ("odd-height", "lidar.height and lidar.width and model.widths", {"lidar": {"height": 63}}),
     ("flip-above-one", "augment.flip_h_prob", {"augment": {"flip_h_prob": 2}}),
     ("scale-descending", "augment.scale", {"augment": {"scale": [1.1, 0.9]}}),
     ("occluder-size-from-zero", "augment.occluder_size", {"augment": {"occluder_size": [0, 8]}}),
@@ -765,14 +768,19 @@ BAD_CONFIG_KEYS = [
     ("three-rotation-bounds", "augment.rotation_deg", {"augment": {"rotation_deg": [1, 2, 3]}}),
     ("empty-gain", "augment.gain", {"augment": {"gain": []}}),
     ("widths-from-zero", "model.widths", {"model": {"widths": [0, 16, 32]}}),
-    ("stages-below-widths", "model.stages and model.widths", {"model": {"stages": 2}}),
+    # the stage count is len(model.widths), so a model.stages key is unknown
+    ("stages-below-widths", "model.stages", {"model": {"stages": 2}}),
     ("patch-dropout-one", "model.patch_dropout", {"model": {"patch_dropout": 1.0}}),
     ("patch-hidden-zero", "model.patch_channels and model.patch_hidden",
      {"model": {"patch_hidden": 0}}),
     ("one-patch-channel", "model.patch_channels and model.patch_hidden",
      {"model": {"patch_channels": [4]}}),
     ("zero-samples", "dataset.n", {"dataset": {"n": 0}}),
+    ("max-range-frac-above-one", "dataset.scene.max_range_frac",
+     {"dataset": {"scene": {"max_range_frac": 1.05}}}),
 ]
+# the keys of BAD_CONFIG_KEYS that DEFAULTS no longer holds
+REMOVED_KEYS = ("model.stages",)
 
 
 class TestErrors:
@@ -849,7 +857,8 @@ class TestErrors:
         code = cli.main(["train", "--config", str(bad), "--out", str(out)])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid config value for {key}: ")
+        assert err.startswith(f"error: unknown config key {key!r}" if key in REMOVED_KEYS
+                              else f"error: invalid config value for {key}: ")
         assert err.count("\n") == 1
 
     BAD_LIST_ELEMENTS = [

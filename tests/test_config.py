@@ -101,15 +101,18 @@ class TestTypedViews:
 
     def test_train_config_wires_optimizer_and_augment(self):
         tc = Config.load(None).train_config()
-        assert tc.optimizer.kind == "adam"
-        assert tc.optimizer.learning_rate == pytest.approx(1e-2)
+        assert tc.optimizer == "adam"
+        assert tc.learning_rate == pytest.approx(1e-2)
         assert tc.batch_size == 4
-        assert tc.augment is not None
+        assert tc.augment_enabled
         assert tc.augment.salt_pepper == (0.0, 0.02)
 
     def test_augment_disabled(self, tmp_path):
+        """The spec is read and checked either way; the flag says whether
+        training puts it to use."""
         p = write_cfg(tmp_path, {"train": {"augment_enabled": False}})
-        assert Config.load(p).train_config().augment is None
+        tc = Config.load(p).train_config()
+        assert not tc.augment_enabled and tc.augment == Config().augment_spec()
 
     def test_bad_optimizer_name(self, tmp_path):
         p = write_cfg(tmp_path, {"train": {"optimizer": "lbfgs"}})
@@ -118,9 +121,9 @@ class TestTypedViews:
 
     def test_patch_arch_fields(self):
         pa = Config.load(None).patch_arch()
-        assert pa.conv_channels == (4, 8)
-        assert pa.hidden == 32
-        assert pa.dropout_rate == pytest.approx(0.5)
+        assert pa.patch_channels == (4, 8)
+        assert pa.patch_hidden == 32
+        assert pa.patch_dropout == pytest.approx(0.5)
 
 
 class TestValueNamesItsKey:
@@ -159,11 +162,11 @@ class TestListElements:
             "dataset": {"ratios": [1, 0, 0]},
             "train": {"lambdas": [1, 0.5, 2]}}))
         assert cfg.nested_arch().widths == (8, 16, 32)
-        assert cfg.patch_arch().conv_channels == (2, 3)
+        assert cfg.patch_arch().patch_channels == (2, 3)
         spec = cfg.augment_spec()
         assert spec.rotation_deg == (-5.0, 5.0) and spec.occluder_size == (2, 4)
         assert cfg.train_config().lambdas == (1.0, 0.5, 2.0)
-        int_lists = (cfg.nested_arch().widths, cfg.patch_arch().conv_channels,
+        int_lists = (cfg.nested_arch().widths, cfg.patch_arch().patch_channels,
                      spec.occluder_size)
         assert all(type(v) is int for values in int_lists for v in values)
         float_lists = (spec.rotation_deg, cfg.train_config().lambdas)
@@ -281,8 +284,9 @@ class TestOneDeclaration:
 
     VIEWS = {"LidarConfig": lambda c: c.lidar(), "ScenePolicy": lambda c: c.scene_policy(),
              "AugmentSpec": lambda c: c.augment_spec(), "NestedArch": lambda c: c.nested_arch(),
-             "PatchArch": lambda c: c.patch_arch(), "TrainConfig": lambda c: c.train_config(),
-             "OptimizerConfig": lambda c: c.train_config().optimizer}
+             "PatchArch": lambda c: c.patch_arch(), "TrainConfig": lambda c: c.train_config()}
+    SECTIONS = {"LidarConfig": "lidar", "ScenePolicy": "dataset.scene", "AugmentSpec": "augment",
+                "NestedArch": "model", "PatchArch": "model", "TrainConfig": "train"}
 
     @pytest.mark.parametrize("name", VIEWS)
     def test_no_view_declares_a_field_default(self, name):
@@ -292,13 +296,27 @@ class TestOneDeclaration:
                     if f.default is not MISSING or f.default_factory is not MISSING]
         assert not declared, f"{name} declares defaults for {declared}"
 
+    @pytest.mark.parametrize("name", VIEWS)
+    def test_each_field_is_named_as_its_key(self, name):
+        """Every field of a view is a key of its section, under the key's
+        name and with the value read, but the two that are not keys: the
+        input size, which is lidar.height and lidar.width, and the train
+        config's augment spec."""
+        cfg = Config()
+        view, section = self.VIEWS[name](cfg), cfg.section(self.SECTIONS[name])
+        not_keys = {"NestedArch": {"input_hw": (cfg.lidar().height, cfg.lidar().width)},
+                    "TrainConfig": {"augment": cfg.augment_spec()}}.get(name, {})
+        for f in fields(view):
+            want = not_keys[f.name] if f.name in not_keys else section[f.name]
+            assert getattr(view, f.name) == want, f.name
+
     def test_values_on_each_bound_are_taken(self, tmp_path):
         """Every inclusive bound admits its own value; the exclusive ones
         (lidar.dropout_prob < 1, model.patch_dropout < 1) admit 0."""
         Config.load(write_cfg(tmp_path, {
             "lidar": {"height": 1, "width": 1, "noise_sigma": 0.0, "dropout_prob": 0.0},
             "dataset": {"n": 1, "ratios": [1.0, 0.0, 0.0]},
-            "model": {"stages": 1, "widths": [1], "patch_channels": [1, 1], "patch_hidden": 1,
+            "model": {"widths": [1], "patch_channels": [1, 1], "patch_hidden": 1,
                       "patch_dropout": 0.0},
             "train": {"epochs": 1, "batch_size": 1, "lambdas": [0.0]},
             "augment": {"flip_h_prob": 1.0, "flip_v_prob": 0.0, "occluder_count": 0,

@@ -276,7 +276,7 @@ class TestAtomicWrite:
 
     def test_checkpoint_and_manifest_are_written_atomically(self, tmp_path, monkeypatch):
         model, manifest = tmp_path / "model.ledm", tmp_path / "manifest.jsonl"
-        params = init_nested(NestedArch(stages=1, widths=(2,), input_hw=(4, 4)), 0)
+        params = init_nested(NestedArch(widths=(2,), input_hw=(4, 4)), 0)
         save_model(params, model)
         write_manifest(manifest, DatasetManifest(entries=[
             ManifestEntry(id="0", range="0.lri", intensity="0.pgm", label="0_l.pgm")]))

@@ -26,7 +26,7 @@ from test_models import layer_arrays
 
 
 def nested_params(seed=0):
-    params = init_nested(NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8)), seed)
+    params = init_nested(NestedArch(widths=(2, 3), input_hw=(8, 8)), seed)
     rng = SplitMix64(seed + 100)
     for name, t in params.named_tensors():
         if name != "alpha":
@@ -55,8 +55,8 @@ class TestRoundTrip:
                                       forward_nested(back, x).fused)
 
     def test_patch_bit_exact(self, tmp_path):
-        params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5,
-                                      dropout_rate=0.25), 4)
+        params = init_patch(PatchArch(patch_channels=(2, 3), patch_hidden=5,
+                                      patch_dropout=0.25), 4)
         p = tmp_path / "m.ledm"
         save_model(params, p)
         back = load_model(p)
@@ -97,7 +97,7 @@ class TestBuiltFromTensors:
     @pytest.mark.parametrize("cls, params", [
         (NestedNetParams, nested_params(3)),
         (PatchNetParams,
-         init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 3)),
+         init_patch(PatchArch(patch_channels=(2, 3), patch_hidden=5, patch_dropout=0.5), 3)),
     ], ids=["nested", "patch"])
     def test_constructor_inverts_named_tensors(self, cls, params):
         tensors = [t for _, t in params.named_tensors()]
@@ -213,9 +213,10 @@ class TestHostileDescriptor:
     @pytest.mark.parametrize("variant", ["nested", "patch"])
     def test_tensor_shapes_match_init(self, variant):
         if variant == "nested":
-            params = init_nested(NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8)), 0)
+            params = init_nested(NestedArch(widths=(2, 3, 4), input_hw=(8, 8)), 0)
         else:
-            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 0)
+            params = init_patch(PatchArch(patch_channels=(2, 3), patch_hidden=5,
+                                          patch_dropout=0.5), 0)
         assert tensor_shapes(params.arch) == [(n, t.shape) for n, t in params.named_tensors()]
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE))

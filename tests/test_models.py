@@ -14,7 +14,7 @@ from lidar_edge.models import (NestedArch, PatchArch, PatchNetParams,
                                forward_patch, init_nested, init_patch)
 from lidar_edge.rng import SplitMix64
 
-SMALL = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
+SMALL = NestedArch(widths=(2, 3), input_hw=(8, 8))
 
 
 def randomize(params, seed):
@@ -38,24 +38,26 @@ def layer_arrays(params) -> list:
 
 
 class TestArch:
-    def test_width_count_must_match_stages(self):
-        with pytest.raises(ParameterError):
-            NestedArch(stages=3, widths=(8, 16), input_hw=(64, 64))
+    def test_at_least_one_width(self):
+        """The widths are the stages: none is refused, and S is their count."""
+        with pytest.raises(ParameterError, match="at least one stage width"):
+            NestedArch(widths=(), input_hw=(64, 64))
+        assert NestedArch(widths=(8, 16), input_hw=(64, 64)).stages == 2
 
     def test_input_divisibility(self):
         with pytest.raises(ParameterError):
-            NestedArch(stages=3, widths=(2, 2, 2), input_hw=(10, 12))
+            NestedArch(widths=(2, 2, 2), input_hw=(10, 12))
 
     @pytest.mark.parametrize("widths", [(0, 16, 32), (8, -1, 32)])
     def test_width_below_one_refused(self, widths):
         with pytest.raises(ParameterError, match="widths must be >= 1"):
-            NestedArch(stages=3, widths=widths, input_hw=(64, 64))
+            NestedArch(widths=widths, input_hw=(64, 64))
 
     @pytest.mark.parametrize("channels, hidden", [((0, 8), 32), ((4, -2), 32),
                                                   ((4, 8), 0), ((4,), 32)])
     def test_patch_size_below_one_refused(self, channels, hidden):
         with pytest.raises(ParameterError, match="all >= 1"):
-            PatchArch(conv_channels=channels, hidden=hidden, dropout_rate=0.5)
+            PatchArch(patch_channels=channels, patch_hidden=hidden, patch_dropout=0.5)
 
     def test_default_shape(self):
         arch = Config().nested_arch()
@@ -77,7 +79,7 @@ class TestInit:
                                   b.stage_convs[0][0].weights)
 
     def test_he_uniform_bound(self):
-        params = init_nested(NestedArch(stages=1, widths=(64,), input_hw=(8, 8)), 3)
+        params = init_nested(NestedArch(widths=(64,), input_hw=(8, 8)), 3)
         w = params.stage_convs[0][1].weights  # fan_in = 64 * 9
         bound = np.sqrt(6.0 / (64 * 9))
         assert np.all(np.abs(w) <= bound)
@@ -145,8 +147,7 @@ class TestForwardNested:
         takes each side's sigmoid before the upsampling: every map is
         still the train-mode forward's, and each side map the sigmoid of
         the upsampled logit, bit for bit."""
-        params = randomize(init_nested(NestedArch(stages=3, widths=(2, 3, 4),
-                                                  input_hw=(16, 16)), 0), 6)
+        params = randomize(init_nested(NestedArch(widths=(2, 3, 4), input_hw=(16, 16)), 0), 6)
         for head in params.side_heads:  # logits of both signs and large ones
             head.weights *= 8.0
         x = 4.0 * SplitMix64(7).normals(2 * 256).reshape(2, 1, 16, 16)
@@ -214,13 +215,14 @@ class TestNamedGradients:
         """backward_* returns one (name, grad) per tensor, in named_tensors()
         order, each grad shaped like its tensor."""
         if variant == "nested":
-            arch = NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8))
+            arch = NestedArch(widths=(2, 3, 4), input_hw=(8, 8))
             params = randomize(init_nested(arch, 0), 1)
             trace = forward_nested(params, SplitMix64(2).floats(64).reshape(8, 8))
             grads = backward_nested(params, trace, np.ones((8, 8)),
                                     [np.ones((8, 8))] * 3)
         else:
-            params = init_patch(PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5), 0)
+            params = init_patch(PatchArch(patch_channels=(2, 3), patch_hidden=5,
+                                          patch_dropout=0.5), 0)
             trace = forward_patch(params, SplitMix64(3).floats(784).reshape(1, 1, 28, 28))
             grads = [(name, g[0]) for name, g in backward_patch(params, trace, np.ones(1))]
         tensors = params.named_tensors()
@@ -240,22 +242,22 @@ class TestPatchNet:
         assert trace.prob.shape == (1,) and 0.0 < trace.prob[0] < 1.0
 
     def test_eval_mode_has_no_dropout(self):
-        params = init_patch(PatchArch(conv_channels=(4, 8), hidden=32, dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(patch_channels=(4, 8), patch_hidden=32, patch_dropout=0.5), 0)
         x = SplitMix64(2).floats(784).reshape(1, 1, 28, 28)
         a = forward_patch(params, x, train_mode=False, seeds=[1]).prob
         b = forward_patch(params, x, train_mode=False, seeds=[2]).prob
         assert a == b
 
     def test_train_mode_dropout_depends_on_seed(self):
-        params = init_patch(PatchArch(conv_channels=(4, 8), hidden=32, dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(patch_channels=(4, 8), patch_hidden=32, patch_dropout=0.5), 0)
         x = SplitMix64(3).floats(784).reshape(1, 1, 28, 28)
         probs = {forward_patch(params, x, train_mode=True, seeds=[s]).prob[0]
                  for s in range(8)}
         assert len(probs) > 1
 
     def test_backward_matches_finite_differences(self):
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4,
-                                      dropout_rate=0.0), 1)
+        params = init_patch(PatchArch(patch_channels=(2, 2), patch_hidden=4,
+                                      patch_dropout=0.0), 1)
         rng = SplitMix64(4)
         for name, t in params.named_tensors():
             t[...] = (rng.floats(t.size).reshape(t.shape) - 0.5) * 0.5
@@ -297,7 +299,7 @@ class TestBatchedForwardBackward:
     results, in eval and in train mode, for every map and gradient."""
 
     def test_nested(self):
-        arch = NestedArch(stages=3, widths=(2, 3, 4), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 3, 4), input_hw=(8, 8))
         params = randomize(init_nested(arch, 0), 1)
         params.alpha[...] = [0.2, 0.5, 0.3]
         rng = SplitMix64(2)
@@ -319,7 +321,7 @@ class TestBatchedForwardBackward:
                     assert np.array_equal(got[n], want), name
 
     def test_patch(self):
-        arch = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
+        arch = PatchArch(patch_channels=(2, 3), patch_hidden=5, patch_dropout=0.5)
         params = randomize(init_patch(arch, 0), 3)
         rng = SplitMix64(4)
         x = rng.floats(3 * 784).reshape(3, 1, 28, 28)
@@ -339,7 +341,7 @@ class TestBatchedForwardBackward:
                     assert np.array_equal(got[n], want[0]), name
 
     def test_patch_needs_one_dropout_seed_per_patch(self):
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(patch_channels=(2, 2), patch_hidden=4, patch_dropout=0.5), 0)
         with pytest.raises(DimensionError):
             forward_patch(params, np.zeros((3, 1, 28, 28)), train_mode=True, seeds=[1, 2])
 
@@ -349,7 +351,7 @@ class TestFullyConnected:
     kernels cover their whole input; named_tensors() gives their weights
     flat, as they are saved, and those flat tensors are the kernels."""
 
-    ARCH = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
+    ARCH = PatchArch(patch_channels=(2, 3), patch_hidden=5, patch_dropout=0.5)
 
     def test_forward_formula(self):
         p = randomize(init_patch(self.ARCH, 0), 8)
@@ -420,8 +422,8 @@ class TestFlatVector:
 
     NETS = {"nested": (lambda: randomize(init_nested(SMALL, 3), 4),
                        lambda p: forward_nested(p, np.linspace(0, 1, 64).reshape(8, 8)).fused),
-            "patch": (lambda: init_patch(PatchArch(conv_channels=(2, 3), hidden=5,
-                                                   dropout_rate=0.5), 3),
+            "patch": (lambda: init_patch(PatchArch(patch_channels=(2, 3), patch_hidden=5,
+                                                   patch_dropout=0.5), 3),
                       lambda p: forward_patch(p, np.linspace(0, 1, 784).reshape(1, 1, 28, 28))
                       .prob)}
 

@@ -8,9 +8,9 @@ import pytest
 
 from lidar_edge.config import Config
 from lidar_edge.errors import ConfigError, DimensionError, ParameterError
-from lidar_edge.optim import (OptimizerConfig, OptimizerState, optimizer_step,
-                              project_simplex)
+from lidar_edge.optim import OptimizerState, optimizer_step, project_simplex
 from lidar_edge.rng import SplitMix64
+from lidar_edge.training import TrainConfig
 
 
 def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
@@ -18,12 +18,12 @@ def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
     state in slots[name][key]; t is the step number, from 1."""
     for (name, p), (_, g) in zip(tensors, grads):
         store = slots.setdefault(name, {})
-        if cfg.kind == "sgd":
+        if cfg.optimizer == "sgd":
             v = store.setdefault("velocity", np.zeros(p.shape))
             v *= cfg.momentum
             v -= cfg.learning_rate * g
             p += v
-        elif cfg.kind == "adam":
+        elif cfg.optimizer == "adam":
             m = store.setdefault("m", np.zeros(p.shape))
             s = store.setdefault("v", np.zeros(p.shape))
             m *= cfg.beta1
@@ -42,9 +42,9 @@ def per_tensor_step(tensors, grads, slots, t, cfg, simplex_names=()):
             p[...] = project_simplex(p)
 
 
-def opt(**fields) -> OptimizerConfig:
-    """The default config's optimizer with the given fields changed."""
-    return replace(Config().train_config().optimizer, **fields)
+def opt(**fields) -> TrainConfig:
+    """The default train config with the given fields changed."""
+    return replace(Config().train_config(), **fields)
 
 
 def step(flat, grad, cfg, state=None, simplex=()):
@@ -97,11 +97,11 @@ class TestSGD:
     def test_plain_sgd_rule(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -1.0])
-        step(p, g, opt(kind="sgd", learning_rate=0.1))
+        step(p, g, opt(optimizer="sgd", learning_rate=0.1))
         np.testing.assert_allclose(p, [1.0 - 0.05, 2.0 + 0.1], rtol=1e-12)
 
     def test_momentum_accumulates(self):
-        cfg = opt(kind="sgd", learning_rate=0.1, momentum=0.9)
+        cfg = opt(optimizer="sgd", learning_rate=0.1, momentum=0.9)
         p = np.array([0.0])
         g = np.array([1.0])
         state = OptimizerState()
@@ -111,7 +111,7 @@ class TestSGD:
         assert p[0] == pytest.approx(-0.29, rel=1e-12)
 
     def test_independent_slots_per_tensor(self):
-        cfg = opt(kind="sgd", learning_rate=1.0, momentum=0.5)
+        cfg = opt(optimizer="sgd", learning_rate=1.0, momentum=0.5)
         flat = np.zeros(2)
         a, b = flat[:1], flat[1:]
         state = OptimizerState()
@@ -124,14 +124,14 @@ class TestSGD:
 class TestAdam:
     def test_first_step_equals_lr_signed(self):
         """Bias correction makes the first Adam step ~lr * sign(g)."""
-        cfg = opt(kind="adam", learning_rate=0.01)
+        cfg = opt(optimizer="adam", learning_rate=0.01)
         p = np.array([1.0, 1.0])
         g = np.array([3.0, -0.004])
         step(p, g, cfg)
         np.testing.assert_allclose(p, [1.0 - 0.01, 1.0 + 0.01], rtol=1e-3)
 
     def test_matches_reference_recurrence(self):
-        cfg = opt(kind="adam", learning_rate=0.05)
+        cfg = opt(optimizer="adam", learning_rate=0.05)
         p = np.array([0.3])
         state = OptimizerState()
         m = v = 0.0
@@ -150,7 +150,7 @@ class TestAdam:
 
 class TestRMSprop:
     def test_matches_reference_recurrence(self):
-        cfg = opt(kind="rmsprop", learning_rate=0.02, rho=0.9)
+        cfg = opt(optimizer="rmsprop", learning_rate=0.02, rho=0.9)
         p = np.array([1.0])
         state = OptimizerState()
         s = 0.0
@@ -166,7 +166,7 @@ class TestStepMechanics:
     def test_all_optimizers_descend_on_quadratic(self):
         """Each rule drives f(w) = |w|^2 toward the minimum."""
         for kind in ("sgd", "adam", "rmsprop"):
-            cfg = opt(kind=kind, learning_rate=0.05)
+            cfg = opt(optimizer=kind, learning_rate=0.05)
             p = np.array([2.0, -3.0])
             state = OptimizerState()
             for _ in range(300):
@@ -175,7 +175,7 @@ class TestStepMechanics:
 
     def test_simplex_tensor_stays_feasible(self):
         """The view given in simplex is projected; the rest of the vector is not."""
-        cfg = opt(kind="adam", learning_rate=0.5)
+        cfg = opt(optimizer="adam", learning_rate=0.5)
         flat = np.array([5.0, -5.0, 0.3, 0.4, 0.3])
         alpha = flat[2:]
         state = OptimizerState()
@@ -190,7 +190,7 @@ class TestStepMechanics:
     def test_update_is_in_place(self):
         p = np.zeros(2)
         view = p  # callers hold views; the step must mutate, not rebind
-        step(p, np.ones(2), opt(kind="sgd", learning_rate=1.0))
+        step(p, np.ones(2), opt(optimizer="sgd", learning_rate=1.0))
         np.testing.assert_array_equal(view, [-1.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
@@ -198,12 +198,12 @@ class TestStepMechanics:
         before anything moves."""
         p, state = np.zeros(2), OptimizerState()
         with pytest.raises(DimensionError):
-            step(p, np.zeros(3), opt(kind="sgd", learning_rate=1.0), state)
+            step(p, np.zeros(3), opt(optimizer="sgd", learning_rate=1.0), state)
         assert state.step == 0 and not state.slots
         np.testing.assert_array_equal(p, [0.0, 0.0])
 
     def test_state_of_other_tensors_refused(self):
-        cfg = opt(kind="adam", learning_rate=0.1)
+        cfg = opt(optimizer="adam", learning_rate=0.1)
         state = step(np.zeros(3), np.ones(3), cfg)
         with pytest.raises(DimensionError):
             step(np.zeros(4), np.ones(4), cfg, state)
@@ -213,7 +213,7 @@ class TestStepMechanics:
         rule; a rate of 0 by the config, naming its key."""
         p, state = np.zeros(2), OptimizerState()
         with pytest.raises(ParameterError, match="unknown optimizer 'adagrad'"):
-            step(p, np.ones(2), opt(kind="adagrad"), state)
+            step(p, np.ones(2), opt(optimizer="adagrad"), state)
         assert state.step == 0 and not state.slots
         np.testing.assert_array_equal(p, [0.0, 0.0])
         cfg = Config()
@@ -230,10 +230,10 @@ class TestFlatUpdateMatchesPerTensor:
               "scalar": (1,), "alpha": (3,)}
 
     @pytest.mark.parametrize("cfg", [
-        opt(kind="sgd", learning_rate=0.05),
-        opt(kind="sgd", learning_rate=0.05, momentum=0.9),
-        opt(kind="adam", learning_rate=0.01),
-        opt(kind="rmsprop", learning_rate=0.02, rho=0.8),
+        opt(optimizer="sgd", learning_rate=0.05),
+        opt(optimizer="sgd", learning_rate=0.05, momentum=0.9),
+        opt(optimizer="adam", learning_rate=0.01),
+        opt(optimizer="rmsprop", learning_rate=0.02, rho=0.8),
     ], ids=["sgd", "sgd-momentum", "adam", "rmsprop"])
     def test_several_steps(self, cfg):
         rng = SplitMix64(11)

@@ -176,9 +176,10 @@ def ledm_bytes(params, path):
 def ledm_with_bytes_changed_and_crc_fixed(scratch, kind, edits):
     """The descriptor and the first tensor headers lie in the first 80
     bytes; the CRC32 is recomputed, so the changed file passes it."""
-    params = (init_nested(NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8)), 0)
+    params = (init_nested(NestedArch(widths=(2, 2), input_hw=(8, 8)), 0)
               if kind == "nested"
-              else init_patch(PatchArch(conv_channels=(2, 2), hidden=3, dropout_rate=0.5), 0))
+              else init_patch(PatchArch(patch_channels=(2, 2), patch_hidden=3,
+                                        patch_dropout=0.5), 0))
     raw = bytearray(ledm_bytes(params, scratch)[:-4])
     for pos, value in edits:
         raw[pos] = value

@@ -23,14 +23,13 @@ from lidar_edge.training import (EpochRecord, RunLog, TrainConfig, _fit, cut_pat
                                  runlog_csv, split_dataset, total_loss, train_nested,
                                  train_patch, validation_f1)
 from test_augment import RICH_SPEC
-from test_optim import opt
 
 
 def train_cfg(**fields) -> TrainConfig:
     """The default config's train section with no augmentation, batches of
     8, patience 8 and Adam at 1e-3, then the given fields changed."""
-    base = replace(Config().train_config(), batch_size=8, patience=8, augment=None,
-                   optimizer=opt(kind="adam", learning_rate=1e-3))
+    base = replace(Config().train_config(), batch_size=8, patience=8,
+                   augment_enabled=False, optimizer="adam", learning_rate=1e-3)
     return replace(base, **fields)
 
 
@@ -99,7 +98,7 @@ class TestSplitDataset:
 
 class TestTotalLoss:
     def test_sums_side_and_fused_terms(self):
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 0)
         x = SplitMix64(1).floats(128).reshape(2, 1, 8, 8)
         label = (SplitMix64(2).floats(128).reshape(2, 8, 8) < 0.3).astype(float)
@@ -113,7 +112,7 @@ class TestTotalLoss:
         assert d_fused.shape == (2, 8, 8)
 
     def test_lambda_scaling_of_side_gradients(self):
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         params = init_nested(arch, 0)
         x = SplitMix64(3).floats(64).reshape(1, 1, 8, 8)
         label = np.zeros((1, 8, 8))
@@ -124,26 +123,26 @@ class TestTotalLoss:
         np.testing.assert_allclose(d2[1], 0.5 * d1[1], rtol=1e-12)
 
     def test_lambda_count_mismatch(self):
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         trace = forward_nested(init_nested(arch, 0), np.zeros((1, 1, 8, 8)))
         with pytest.raises(ConfigError):
             total_loss(trace, np.zeros((1, 8, 8)), train_cfg(lambdas=(1.0,)))
 
     def test_one_image_trace_refused(self):
         """A trace of one (H, W) image has no example axis to score along."""
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         trace = forward_nested(init_nested(arch, 0), np.zeros((8, 8)))
         with pytest.raises(DimensionError):
             total_loss(trace, np.zeros((8, 8)), train_cfg())
 
 
 class TestTrainNested:
-    ARCH = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
-    PATCH_ARCH = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5)
+    ARCH = NestedArch(widths=(2, 2), input_hw=(8, 8))
+    PATCH_ARCH = PatchArch(patch_channels=(2, 2), patch_hidden=4, patch_dropout=0.5)
 
     def _cfg(self, **kw):
         base = dict(epochs=3, batch_size=4,
-                    optimizer=opt(kind="adam", learning_rate=5e-3),
+                    optimizer="adam", learning_rate=5e-3,
                     seed=0, patience=10)
         base.update(kw)
         return train_cfg(**base)
@@ -187,7 +186,7 @@ class TestTrainNested:
         samples = toy_samples(4)
         # tiny lr: F1 stays flat, so patience kicks in after epoch 1
         cfg = self._cfg(epochs=30, patience=2,
-                        optimizer=opt(kind="sgd", learning_rate=1e-9))
+                        optimizer="sgd", learning_rate=1e-9)
         _, log = self._train(variant, samples, samples[:2], cfg)
         assert len(log.records) <= 4
 
@@ -217,9 +216,9 @@ class TestTrainNested:
 class TestTrainPatch:
     def test_smoke_and_determinism(self):
         samples = toy_samples(3, h=12, w=12)
-        arch = PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.25)
+        arch = PatchArch(patch_channels=(2, 2), patch_hidden=4, patch_dropout=0.25)
         cfg = train_cfg(epochs=2, batch_size=8,
-                        optimizer=opt(kind="adam", learning_rate=1e-3), seed=1)
+                        optimizer="adam", learning_rate=1e-3, seed=1)
         p1, l1 = train_patch(samples, samples[:1], arch, cfg, patches_per_image=8)
         p2, l2 = train_patch(samples, samples[:1], arch, cfg, patches_per_image=8)
         for (_, a), (_, b) in zip(p1.named_tensors(), p2.named_tensors()):
@@ -229,7 +228,7 @@ class TestTrainPatch:
 
     def test_prob_map_shape_and_range(self):
         from lidar_edge.models import init_patch
-        params = init_patch(PatchArch(conv_channels=(2, 2), hidden=4, dropout_rate=0.5), 0)
+        params = init_patch(PatchArch(patch_channels=(2, 2), patch_hidden=4, patch_dropout=0.5), 0)
         img = SplitMix64(2).floats(100).reshape(10, 10)
         pm = patch_prob_map(params, img)
         assert pm.shape == (10, 10)
@@ -259,7 +258,7 @@ def random_patch_params(arch, seed):
 
 class TestDensePatchProbMap:
     ARCHS = {"default": Config().patch_arch(),
-             "2-3-hidden5": PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)}
+             "2-3-hidden5": PatchArch(patch_channels=(2, 3), patch_hidden=5, patch_dropout=0.5)}
 
     @pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS.keys())
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 3), (13, 9),
@@ -303,7 +302,7 @@ def per_example_epochs(params, cfg, epoch_items, example, val_f1_of):
                     acc += (1.0 / len(batch)) * g
                 epoch_loss += loss
             grad = np.concatenate([acc.reshape(-1) for _, acc in grad_sum])
-            optimizer_step(params, grad, state, cfg.optimizer, simplex)
+            optimizer_step(params, grad, state, cfg, simplex)
         lines.append(f"{epoch},{epoch_loss / len(items):.10f},{val_f1_of():.6f},0.000")
         snapshots.append([t.copy() for _, t in tensors])
     return lines, snapshots
@@ -360,7 +359,7 @@ def per_example_patch(train, val, arch, cfg, per_image):
         patch, y = item
         trace = forward_patch(params, patch[np.newaxis, np.newaxis], train_mode=True,
                               seeds=[splitmix64(cfg.seed, 4000 + epoch * 100_003 + position)])
-        [loss], d_prob = pixel_losses(cfg.loss_kind, trace.prob[:, np.newaxis],
+        [loss], d_prob = pixel_losses(cfg.loss, trace.prob[:, np.newaxis],
                                       np.array([[y]]), False)
         return loss, [(name, g[0]) for name, g in backward_patch(params, trace, d_prob[:, 0])]
 
@@ -380,7 +379,7 @@ class TestBatchedEpochs:
     same runlog lines, same bits in every tensor of the selected epoch."""
 
     CFG = dict(epochs=2, batch_size=3, patience=10, seed=5,
-               optimizer=opt(kind="adam", learning_rate=5e-3))
+               optimizer="adam", learning_rate=5e-3)
 
     @staticmethod
     def _assert_same(params, log, ref):
@@ -392,14 +391,14 @@ class TestBatchedEpochs:
 
     def test_nested(self):
         samples = toy_samples(10, seed=3)
-        arch = NestedArch(stages=2, widths=(2, 3), input_hw=(8, 8))
-        cfg = train_cfg(**self.CFG, augment=RICH_SPEC)
+        arch = NestedArch(widths=(2, 3), input_hw=(8, 8))
+        cfg = train_cfg(**self.CFG, augment_enabled=True, augment=RICH_SPEC)
         params, log = train_nested(samples[:7], samples[7:], arch, cfg)
         self._assert_same(params, log, per_example_nested(samples[:7], samples[7:], arch, cfg))
 
     def test_patch(self):
         samples = toy_samples(4, seed=4, h=12, w=12)
-        arch = PatchArch(conv_channels=(2, 3), hidden=5, dropout_rate=0.5)
+        arch = PatchArch(patch_channels=(2, 3), patch_hidden=5, patch_dropout=0.5)
         cfg = train_cfg(**self.CFG)
         params, log = train_patch(samples[:3], samples[3:], arch, cfg, patches_per_image=5)
         self._assert_same(params, log, per_example_patch(samples[:3], samples[3:], arch, cfg, 5))
@@ -407,7 +406,7 @@ class TestBatchedEpochs:
 
 class TestBatchLoop:
     def test_first_non_finite_loss_is_named_before_any_backward(self):
-        params = init_nested(NestedArch(stages=1, widths=(1,), input_hw=(2, 2)), 0)
+        params = init_nested(NestedArch(widths=(1,), input_hw=(2, 2)), 0)
         ran = []
 
         def batch_of(epoch, start, batch):
@@ -539,9 +538,9 @@ class TestRunLogCSV:
 
     def test_byte_identical_across_reruns(self):
         samples = toy_samples(4)
-        arch = NestedArch(stages=2, widths=(2, 2), input_hw=(8, 8))
+        arch = NestedArch(widths=(2, 2), input_hw=(8, 8))
         cfg = train_cfg(epochs=2, batch_size=2, seed=3,
-                        optimizer=opt(kind="sgd", learning_rate=1e-3))
+                        optimizer="sgd", learning_rate=1e-3)
         _, l1 = train_nested(samples, samples[:2], arch, cfg)
         _, l2 = train_nested(samples, samples[:2], arch, cfg)
         assert runlog_csv(l1) == runlog_csv(l2)
